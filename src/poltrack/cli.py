@@ -20,6 +20,7 @@ from .harness import (
     PRESET_NAMES,
     ScenarioConfig,
     Summary,
+    TableParams,
     config_to_ini,
     emit_sample_size_table,
     parse_config,
@@ -57,13 +58,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--full", action="store_true", help="hardware-scale batch sizes (slow)")
     add_run_options(p_preset)
 
+    grid = TableParams()
     p_table = sub.add_parser("table", help="emit the estimator-error sample-size table")
-    p_table.add_argument("--mu", type=float, default=0.1)
-    p_table.add_argument("--eta", type=float, default=0.1)
-    p_table.add_argument("--qber", type=str, default="0.01,0.02,0.03",
+    p_table.add_argument("--mu", type=float, default=grid.mu)
+    p_table.add_argument("--eta", type=float, default=grid.eta)
+    p_table.add_argument("--qber", type=str, default=",".join(map(str, grid.qber_values)),
                          help="comma-separated error rates")
-    p_table.add_argument("--b", type=str,
-                         default="250,500,1000,2500,5000,10000,25000,50000,100000",
+    p_table.add_argument("--b", type=str, default=",".join(map(str, grid.b_values)),
                          help="comma-separated sample sizes")
     p_table.add_argument("--out", type=Path, default=Path("table.csv"))
 

@@ -193,7 +193,7 @@ def adjust_squeezer(
     return replace(
         state,
         epc=epc.with_voltage(i, v_new),
-        last_e=e2,
+        last_e=None,  # E at the landing voltage is not measured yet
         recenter_count=state.recenter_count + recenters,
     )
 

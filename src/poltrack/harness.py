@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,11 +113,99 @@ class Summary:
 # ---------------------------------------------------------------------------
 # config file parsing and emission
 
+_CONTROLLER_KEYS = {
+    "dither_volts": "dither",
+    "tau": "tau",
+    "e_threshold": "e_threshold",
+    "sample_fraction": "sample_fraction",
+    "max_cycles_per_correction": "max_cycles_per_correction",
+    "batch_pulses": "batch_pulses",
+}
+
+# INI section -> (ScenarioConfig attribute, {INI key: dataclass field}); the
+# attribute None stands for ScenarioConfig's own fields.  Sections and keys
+# are emitted in this order.
+_SCHEMA = {
+    "scenario": (None, {
+        "kind": "kind",
+        "duration": "duration",
+        "fc_seconds": "fc_seconds",
+        "seed": "seed",
+        "control_enabled": "control_enabled",
+    }),
+    "link": ("link", {"alpha_db_per_km": "alpha", "length_km": "length", "eta_bob": "eta_bob"}),
+    "source": ("source", {
+        "mean_photons": "mu",
+        "dark_count_prob": "dark_count_prob",
+        "misalignment_floor": "misalignment_floor",
+    }),
+    "epc": ("epc", {
+        "gain_rad_per_volt": "gain",
+        "gain_jitter": "gain_jitter",
+        "v_min": "v_min",
+        "v_max": "v_max",
+        "axis_drift_sigma_rad": "axis_drift_sigma",
+        "max_axis_wander_rad": "max_axis_wander",
+    }),
+    "channel": ("channel", {
+        "model": "model",
+        "axis": "axis",
+        "angle_deg": "angle_deg",
+        "step_sigma_rad": "step_sigma",
+        "axis_resample_period": "axis_resample_period",
+        "rate_deg_per_cycle": "rate_deg_per_cycle",
+    }),
+    "controller_z": ("controller_z", _CONTROLLER_KEYS),
+    "controller_x": ("controller_x", _CONTROLLER_KEYS),
+    "table": ("table", {
+        "mu": "mu",
+        "eta": "eta",
+        "qber_values": "qber_values",
+        "b_values": "b_values",
+    }),
+}
+
+_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOL_VALUES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
+
+
+def _converter(tp):
+    """Text-to-value conversion for a field's declared type."""
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return lambda text: tuple(item(x) for x in text.split(","))
+    return _parse_bool if tp is bool else tp  # or str, int, float
+
+
+_SCENARIO_TYPES = typing.get_type_hints(ScenarioConfig)
+
+
+def _resolve(attr, keys: dict[str, str]) -> dict[str, tuple]:
+    hints = _SCENARIO_TYPES if attr is None else typing.get_type_hints(_SCENARIO_TYPES[attr])
+    return {key: (name, _converter(hints[name])) for key, name in keys.items()}
+
+
+# INI section -> {INI key: (dataclass field, converter)}, resolved once.
+_FIELDS = {section: _resolve(attr, keys) for section, (attr, keys) in _SCHEMA.items()}
+_FIELDS["controller"] = _FIELDS["controller_z"]  # parse-only: sets both arms
+
+# Message labels: attribute path -> "section.key"; other paths print as they are.
+_LABELS = {
+    f"{attr}.{name}" if attr else name: f"{section}.{key}"
+    for section, (attr, keys) in _SCHEMA.items()
+    for key, name in keys.items()
+}
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         return ",".join(_fmt(v) for v in value)
     return str(value)
@@ -124,121 +213,12 @@ def _fmt(value) -> str:
 
 def config_to_ini(cfg: ScenarioConfig) -> str:
     """Canonical INI rendering; section and key order is fixed."""
-    lines = [
-        "[scenario]",
-        f"kind = {cfg.kind}",
-        f"duration = {cfg.duration}",
-        f"fc_seconds = {_fmt(cfg.fc_seconds)}",
-        f"seed = {cfg.seed}",
-        f"control_enabled = {_fmt(cfg.control_enabled)}",
-        "",
-        "[link]",
-        f"alpha_db_per_km = {_fmt(cfg.link.alpha)}",
-        f"length_km = {_fmt(cfg.link.length)}",
-        f"eta_bob = {_fmt(cfg.link.eta_bob)}",
-        "",
-        "[source]",
-        f"mean_photons = {_fmt(cfg.source.mu)}",
-        f"rep_rate_hz = {_fmt(cfg.source.rep_rate)}",
-        f"dark_count_prob = {_fmt(cfg.source.dark_count_prob)}",
-        f"misalignment_floor = {_fmt(cfg.source.misalignment_floor)}",
-        "",
-        "[epc]",
-        f"gain_rad_per_volt = {_fmt(cfg.epc.gain)}",
-        f"gain_jitter = {_fmt(cfg.epc.gain_jitter)}",
-        f"v_min = {_fmt(cfg.epc.v_min)}",
-        f"v_max = {_fmt(cfg.epc.v_max)}",
-        f"axis_drift_sigma_rad = {_fmt(cfg.epc.axis_drift_sigma)}",
-        f"max_axis_wander_rad = {_fmt(cfg.epc.max_axis_wander)}",
-        "",
-        "[channel]",
-        f"model = {cfg.channel.model}",
-        f"axis = {_fmt(cfg.channel.axis)}",
-        f"angle_deg = {_fmt(cfg.channel.angle_deg)}",
-        f"step_sigma_rad = {_fmt(cfg.channel.step_sigma)}",
-        f"axis_resample_period = {cfg.channel.axis_resample_period}",
-        f"rate_deg_per_cycle = {_fmt(cfg.channel.rate_deg_per_cycle)}",
-        "",
-        "[controller_z]",
-        *_controller_lines(cfg.controller_z),
-        "",
-        "[controller_x]",
-        *_controller_lines(cfg.controller_x),
-        "",
-        "[table]",
-        f"mu = {_fmt(cfg.table.mu)}",
-        f"eta = {_fmt(cfg.table.eta)}",
-        f"qber_values = {_fmt(cfg.table.qber_values)}",
-        f"b_values = {_fmt(cfg.table.b_values)}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _controller_lines(c: ControllerConfig) -> list[str]:
-    return [
-        f"dither_volts = {_fmt(c.dither)}",
-        f"tau = {_fmt(c.tau)}",
-        f"e_threshold = {_fmt(c.e_threshold)}",
-        f"sample_fraction = {_fmt(c.sample_fraction)}",
-        f"max_cycles_per_correction = {c.max_cycles_per_correction}",
-        f"batch_pulses = {c.batch_pulses}",
-    ]
-
-
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-class _SectionReader:
-    """Typed key lookup over one INI section, collecting per-key errors."""
-
-    def __init__(self, name: str, raw: dict[str, str], errors: list[str]):
-        self.name = name
-        self.raw = raw
-        self.errors = errors
-        self.seen: set[str] = set()
-
-    def _get(self, key: str) -> str | None:
-        self.seen.add(key)
-        return self.raw.get(key)
-
-    def _parse(self, key: str, conv, default):
-        text = self._get(key)
-        if text is None:
-            return default
-        try:
-            return conv(text)
-        except (ValueError, TypeError) as exc:
-            self.errors.append(f"{self.name}.{key}: {exc}")
-            return default
-
-    def str_(self, key, default):
-        return self._parse(key, str, default)
-
-    def int_(self, key, default):
-        return self._parse(key, int, default)
-
-    def float_(self, key, default):
-        return self._parse(key, float, default)
-
-    def bool_(self, key, default):
-        def conv(text: str) -> bool:
-            try:
-                return _BOOL_VALUES[text.strip().lower()]
-            except KeyError:
-                raise ValueError(f"expected a boolean, got {text!r}") from None
-
-        return self._parse(key, conv, default)
-
-    def floats(self, key, default):
-        return self._parse(key, lambda t: tuple(float(x) for x in t.split(",")), default)
-
-    def ints(self, key, default):
-        return self._parse(key, lambda t: tuple(int(x) for x in t.split(",")), default)
-
-    def check_unknown(self) -> None:
-        for key in self.raw:
-            if key not in self.seen:
-                self.errors.append(f"{self.name}.{key}: unknown key")
+    blocks = []
+    for section, (attr, keys) in _SCHEMA.items():
+        obj = cfg if attr is None else getattr(cfg, attr)
+        lines = [f"{key} = {_fmt(getattr(obj, name))}" for key, name in keys.items()]
+        blocks.append("\n".join([f"[{section}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioConfig:
@@ -253,164 +233,62 @@ def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioC
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
-    errors: list[str] = []
-    known = {
-        "scenario", "link", "source", "epc", "channel",
-        "controller", "controller_z", "controller_x", "table",
-    }
-    for section in parser.sections():
-        if section not in known:
-            errors.append(f"{section}: unknown section")
+    errors = [f"{name}: unknown section" for name in parser.sections() if name not in _FIELDS]
 
-    def reader(section: str) -> _SectionReader:
-        raw = dict(parser[section]) if parser.has_section(section) else {}
-        return _SectionReader(section, raw, errors)
-
-    sc = reader("scenario")
-    kind = sc.str_("kind", base.kind)
-    duration = sc.int_("duration", base.duration)
-    fc_seconds = sc.float_("fc_seconds", base.fc_seconds)
-    seed = sc.int_("seed", base.seed)
-    control_enabled = sc.bool_("control_enabled", base.control_enabled)
-    sc.check_unknown()
-
-    li = reader("link")
-    link_vals = (
-        li.float_("alpha_db_per_km", base.link.alpha),
-        li.float_("length_km", base.link.length),
-        li.float_("eta_bob", base.link.eta_bob),
-    )
-    li.check_unknown()
-
-    so = reader("source")
-    source_vals = (
-        so.float_("mean_photons", base.source.mu),
-        so.float_("rep_rate_hz", base.source.rep_rate),
-        so.float_("dark_count_prob", base.source.dark_count_prob),
-        so.float_("misalignment_floor", base.source.misalignment_floor),
-    )
-    so.check_unknown()
-
-    ep = reader("epc")
-    epc = EpcParams(
-        gain=ep.float_("gain_rad_per_volt", base.epc.gain),
-        gain_jitter=ep.float_("gain_jitter", base.epc.gain_jitter),
-        v_min=ep.float_("v_min", base.epc.v_min),
-        v_max=ep.float_("v_max", base.epc.v_max),
-        axis_drift_sigma=ep.float_("axis_drift_sigma_rad", base.epc.axis_drift_sigma),
-        max_axis_wander=ep.float_("max_axis_wander_rad", base.epc.max_axis_wander),
-    )
-    ep.check_unknown()
-
-    ch = reader("channel")
-    channel = ChannelParams(
-        model=ch.str_("model", base.channel.model),
-        axis=ch.floats("axis", base.channel.axis),
-        angle_deg=ch.float_("angle_deg", base.channel.angle_deg),
-        step_sigma=ch.float_("step_sigma_rad", base.channel.step_sigma),
-        axis_resample_period=ch.int_("axis_resample_period", base.channel.axis_resample_period),
-        rate_deg_per_cycle=ch.float_("rate_deg_per_cycle", base.channel.rate_deg_per_cycle),
-    )
-    ch.check_unknown()
-
-    controller_keys = {
-        "dither_volts": ("dither", float),
-        "tau": ("tau", float),
-        "e_threshold": ("e_threshold", float),
-        "sample_fraction": ("sample_fraction", float),
-        "max_cycles_per_correction": ("max_cycles_per_correction", int),
-        "batch_pulses": ("batch_pulses", int),
-    }
-
-    def controller_overrides(section: str) -> dict:
-        co = reader(section)
-        out = {}
-        for key, (field_name, conv) in controller_keys.items():
-            raw = co._get(key)
-            if raw is not None:
-                try:
-                    out[field_name] = conv(raw)
-                except ValueError as exc:
-                    errors.append(f"{section}.{key}: {exc}")
-        co.check_unknown()
-        return out
-
-    def apply_overrides(section: str, base_ctrl: ControllerConfig, over: dict) -> ControllerConfig:
-        try:
-            return replace(base_ctrl, **over)
-        except ValueError as exc:
-            errors.append(f"{section}: {exc}")
-            return base_ctrl
+    def read(section: str) -> dict:
+        """Typed values of the keys one section sets; bad keys go to errors."""
+        values = {}
+        for key, value in (parser[section] if parser.has_section(section) else {}).items():
+            if key not in _FIELDS[section]:
+                errors.append(f"{section}.{key}: unknown key")
+                continue
+            name, conv = _FIELDS[section][key]
+            try:
+                values[name] = conv(value)
+            except (ValueError, TypeError) as exc:
+                errors.append(f"{section}.{key}: {exc}")
+        return values
 
     # [controller] sets both arms; [controller_z] / [controller_x] override it.
-    shared = controller_overrides("controller")
-    controller_z = apply_overrides(
-        "controller_z", base.controller_z, {**shared, **controller_overrides("controller_z")}
-    )
-    controller_x = apply_overrides(
-        "controller_x", base.controller_x, {**shared, **controller_overrides("controller_x")}
-    )
-
-    ta = reader("table")
-    table = TableParams(
-        mu=ta.float_("mu", base.table.mu),
-        eta=ta.float_("eta", base.table.eta),
-        qber_values=ta.floats("qber_values", base.table.qber_values),
-        b_values=ta.ints("b_values", base.table.b_values),
-    )
-    ta.check_unknown()
+    shared = read("controller")
+    changes = {}
+    for section, (attr, keys) in _SCHEMA.items():
+        values = read(section)
+        if attr is None:
+            changes.update(values)
+            continue
+        if keys is _CONTROLLER_KEYS:
+            values = {**shared, **values}
+        try:
+            changes[attr] = replace(getattr(base, attr), **values)
+        except ValueError as exc:
+            errors.append(f"{section}: {exc}")
 
     if errors:
         raise ConfigError("\n".join(errors))
-
-    cfg = ScenarioConfig(
-        kind=kind,
-        duration=duration,
-        fc_seconds=fc_seconds,
-        seed=seed,
-        control_enabled=control_enabled,
-        link=_build("link", LinkBudget, link_vals),
-        source=_build("source", SourceParams, source_vals),
-        epc=epc,
-        channel=channel,
-        controller_z=controller_z,
-        controller_x=controller_x,
-        table=table,
-    )
+    cfg = replace(base, **changes)
     validate_config(cfg)
     return cfg
 
 
-def _build(section: str, cls, vals):
-    try:
-        return cls(*vals)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-
-
 def validate_config(cfg: ScenarioConfig) -> None:
     """Cross-field checks with field-level messages."""
-    errors = []
-    if cfg.kind not in SCENARIO_KINDS:
-        errors.append(f"scenario.kind: must be one of {', '.join(SCENARIO_KINDS)}")
-    if cfg.kind != "sample-size-table" and cfg.duration < 1:
-        errors.append("scenario.duration: must be at least 1")
-    if not (cfg.fc_seconds > 0.0):
-        errors.append("scenario.fc_seconds: must be positive")
-    if cfg.channel.model not in ("static", "random_walk", "scrambler"):
-        errors.append("channel.model: must be static, random_walk, or scrambler")
-    if len(cfg.channel.axis) != 3 or all(a == 0.0 for a in cfg.channel.axis):
-        errors.append("channel.axis: need a non-zero 3-vector")
-    if cfg.channel.axis_resample_period < 1:
-        errors.append("channel.axis_resample_period: must be at least 1")
-    if not (0.0 <= cfg.epc.gain_jitter < 1.0):
-        errors.append("epc.gain_jitter: must be in [0, 1)")
-    if not (cfg.epc.gain > 0.0):
-        errors.append("epc.gain_rad_per_volt: must be positive")
-    if not (cfg.epc.v_min < cfg.epc.v_max):
-        errors.append("epc.v_min/v_max: empty voltage range")
-    if cfg.epc.axis_drift_sigma < 0.0:
-        errors.append("epc.axis_drift_sigma_rad: must be non-negative")
+    ch, epc = cfg.channel, cfg.epc
+    checks = (
+        ("kind", cfg.kind in SCENARIO_KINDS, f"must be one of {', '.join(SCENARIO_KINDS)}"),
+        ("duration", cfg.kind == "sample-size-table" or cfg.duration >= 1, "must be at least 1"),
+        ("fc_seconds", cfg.fc_seconds > 0.0, "must be positive"),
+        ("channel.model", ch.model in ("static", "random_walk", "scrambler"),
+         "must be static, random_walk, or scrambler"),
+        ("channel.axis", len(ch.axis) == 3 and any(a != 0.0 for a in ch.axis),
+         "need a non-zero 3-vector"),
+        ("channel.axis_resample_period", ch.axis_resample_period >= 1, "must be at least 1"),
+        ("epc.gain_jitter", 0.0 <= epc.gain_jitter < 1.0, "must be in [0, 1)"),
+        ("epc.gain", epc.gain > 0.0, "must be positive"),
+        ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
+        ("epc.axis_drift_sigma", not epc.axis_drift_sigma < 0.0, "must be non-negative"),
+    )
+    errors = [f"{_LABELS.get(path, path)}: {message}" for path, ok, message in checks if not ok]
     if errors:
         raise ConfigError("\n".join(errors))
 
@@ -456,17 +334,18 @@ def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
         )
     if name.startswith("scramble") and name in PRESET_NAMES:
         rate = {"scramble02": 0.2, "scramble04": 0.4, "scramble06": 0.6}[name]
-        # scrambling keeps the controller busy nearly every cycle; a smaller
-        # batch and sweep cap keep desk runs quick at a small noise cost
-        ctrl_z = replace(base.controller_z, max_cycles_per_correction=3, batch_pulses=15_000)
-        ctrl_x = replace(base.controller_x, max_cycles_per_correction=3, batch_pulses=15_000)
+        # scrambling keeps the controller busy nearly every cycle; a sweep cap
+        # bounds each correction, and desk runs also take a smaller batch
+        ctrl = replace(base.controller_z, max_cycles_per_correction=3)
+        if not full:
+            ctrl = replace(ctrl, batch_pulses=15_000)
         return replace(
             base,
             kind="scramble",
             duration=3000,
             channel=ChannelParams(model="scrambler", axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=rate),
-            controller_z=ctrl_z,
-            controller_x=ctrl_x,
+            controller_z=ctrl,
+            controller_x=ctrl,
         )
     if name == "table":
         return replace(base, kind="sample-size-table")
@@ -534,11 +413,12 @@ def summarize(series: TimeSeries) -> Summary:
     if len(series) == 0:
         raise ValueError("cannot summarize an empty series")
     q = np.array(series.column("qber_est"))
+    q = q[np.isfinite(q)]  # skip data-starved cycles; NaN stats if all starved
     return Summary(
         cycles=len(series),
-        mean_qber=float(np.mean(q)),
-        std_qber=float(np.std(q)),
-        max_qber=float(np.max(q)),
+        mean_qber=float(np.mean(q)) if q.size else math.nan,
+        std_qber=float(np.std(q)) if q.size else math.nan,
+        max_qber=float(np.max(q)) if q.size else math.nan,
         recenter_events=int(sum(series.column("recenter"))),
         nonconverged_cycles=sum(1 for c in series.column("converged") if not c),
     )

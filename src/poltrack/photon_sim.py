@@ -55,15 +55,12 @@ class SourceParams:
     """
 
     mu: float = 0.1  # mean photons per pulse
-    rep_rate: float = 2.5e6  # pulses per second
     dark_count_prob: float = 1.5e-6
     misalignment_floor: float = 0.012
 
     def __post_init__(self) -> None:
         if not (self.mu > 0.0):
             raise ValueError("mu must be positive")
-        if not (self.rep_rate > 0.0):
-            raise ValueError("rep_rate must be positive")
         if not (0.0 <= self.dark_count_prob < 1.0):
             raise ValueError("dark_count_prob must be in [0, 1)")
         if not (0.0 <= self.misalignment_floor < 0.5):

@@ -93,6 +93,12 @@ class TestTable:
         assert qs == (0.01, 0.02)
         assert bs == (100, 1000)
 
+    def test_default_grid_matches_table_preset(self, tmp_path):
+        out = tmp_path / "table.csv"
+        assert main(["table", "--out", str(out)]) == 0
+        assert main(["preset", "table", "--out", str(tmp_path / "preset")]) == 0
+        assert out.read_bytes() == (tmp_path / "preset" / "table.csv").read_bytes()
+
     def test_bad_grid(self, tmp_path):
         assert main(["table", "--qber", "a,b", "--out", str(tmp_path / "t.csv")]) == 2
 

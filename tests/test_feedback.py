@@ -196,6 +196,13 @@ class TestAdjustSqueezer:
         assert out.recenter_count == 1
         assert out.epc.squeezers[2].voltage == out.epc.squeezers[2].center
 
+    def test_stores_no_feedback_value_from_the_probe(self):
+        # E2 was measured at the probe voltage, not where the step lands
+        ctx = ExactContext(rotation_from_axis_angle(S3, 0.8))
+        state = ControllerState(epc=default_epc(), last_e=0.5)
+        out = adjust_squeezer(state, 1, "Z", ctx, ControllerConfig())
+        assert out.last_e is None
+
     def test_gradient_error_shrinks_linearly_with_dither(self):
         # forward-difference slope error is first order in the dither size
         channel = rotation_from_axis_angle(S3, 0.9)

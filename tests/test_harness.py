@@ -2,12 +2,13 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from poltrack.harness import (
     CSV_HEADER,
+    PRESET_NAMES,
     ConfigError,
     ScenarioConfig,
     Summary,
@@ -83,6 +84,104 @@ class TestConfigRoundTrip:
         )
         assert cfg.controller_z.batch_pulses == 7777
         assert cfg.controller_x.batch_pulses == 8888
+
+
+# A valid alternative for each string default.
+OTHER_NAMES = {"drift": "scramble", "random_walk": "scrambler"}
+
+
+def bumped(value, times=1):
+    """A value of the same type and shape that differs from ``value``.
+
+    Dataclasses are bumped field by field; ``controller_x`` is bumped twice
+    so that a mix-up of the two controller sections shows.
+    """
+    if is_dataclass(value):
+        return replace(value, **{
+            f.name: bumped(getattr(value, f.name), 2 if f.name == "controller_x" else times)
+            for f in fields(value)
+        })
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + times
+    if isinstance(value, float):
+        return value / 2**times if value else 0.25 * times
+    if isinstance(value, tuple):
+        return tuple(bumped(v, times) for v in value)
+    return OTHER_NAMES[value]
+
+
+def leaves(obj, path=""):
+    """(dotted path, value) of every non-dataclass field, depth first."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from leaves(value, f"{path}{f.name}.")
+        else:
+            yield f"{path}{f.name}", value
+
+
+class TestConfigSchema:
+    def test_every_field_round_trips(self):
+        # a field left out of the schema would parse back to its default
+        default = ScenarioConfig()
+        cfg = bumped(default)
+        changed = dict(leaves(cfg))
+        assert all(changed[path] != value for path, value in leaves(default))
+        assert cfg.controller_z != cfg.controller_x
+        assert parse_config(config_to_ini(cfg)) == cfg
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_round_trips(self, name, full):
+        cfg = preset_config(name, full=full)
+        assert parse_config(config_to_ini(cfg)) == cfg
+
+    def test_default_ini_text(self):
+        # key names and order are the config file format; keep them stable
+        assert config_to_ini(ScenarioConfig()) == (
+            "[scenario]\nkind = drift\nduration = 7200\nfc_seconds = 12.0\nseed = 12345\n"
+            "control_enabled = true\n\n"
+            "[link]\nalpha_db_per_km = 0.2\nlength_km = 0.0\neta_bob = 1.0\n\n"
+            "[source]\nmean_photons = 0.5\ndark_count_prob = 1.5e-06\n"
+            "misalignment_floor = 0.012\n\n"
+            "[epc]\ngain_rad_per_volt = 0.041887902047863905\ngain_jitter = 0.1\nv_min = 0.0\n"
+            "v_max = 150.0\naxis_drift_sigma_rad = 0.002\n"
+            "max_axis_wander_rad = 0.17453292519943295\n\n"
+            "[channel]\nmodel = random_walk\naxis = 0.0,0.0,1.0\nangle_deg = 30.0\n"
+            "step_sigma_rad = 0.012\naxis_resample_period = 1\nrate_deg_per_cycle = 0.2\n\n"
+            + "".join(
+                f"[controller_{b}]\ndither_volts = 1.0\ntau = -150.0\ne_threshold = 0.002\n"
+                "sample_fraction = 1.0\nmax_cycles_per_correction = 25\nbatch_pulses = 25000\n\n"
+                for b in "zx"
+            )
+            + "[table]\nmu = 0.1\neta = 0.1\nqber_values = 0.01,0.02,0.03\n"
+            "b_values = 250,500,1000,2500,5000,10000,25000,50000,100000\n"
+        )
+
+    def test_removed_rep_rate_key_is_unknown(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[source]\nrep_rate_hz = 2500000.0\n")
+        assert str(err.value) == "source.rep_rate_hz: unknown key"
+
+    def test_bad_boolean_reported_with_field(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[scenario]\ncontrol_enabled = maybe\n")
+        assert str(err.value) == "scenario.control_enabled: expected a boolean, got 'maybe'"
+
+    def test_bad_tuple_item_reported_with_field(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[table]\nb_values = 100,lots\n")
+        assert str(err.value).startswith("table.b_values: ")
+
+    def test_renamed_key_labels_validation_message(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[epc]\ngain_rad_per_volt = -1.0\naxis_drift_sigma_rad = -0.5\n")
+        assert str(err.value) == (
+            "epc.gain_rad_per_volt: must be positive\n"
+            "epc.axis_drift_sigma_rad: must be non-negative"
+        )
 
 
 class TestConfigValidation:
@@ -178,6 +277,19 @@ class TestSummarize:
         assert summary.mean_qber == pytest.approx(statistics.fmean(col), abs=1e-9)
         assert summary.std_qber == pytest.approx(statistics.pstdev(col), abs=1e-9)
 
+    def test_starved_cycle_does_not_poison_stats(self):
+        rows = (make_row(1, q=0.01), make_row(2, q=math.nan, conv=False), make_row(3, q=0.03))
+        s = summarize(TimeSeries(rows))
+        assert s.mean_qber == pytest.approx(0.02)
+        assert s.std_qber == pytest.approx(0.01)
+        assert s.max_qber == pytest.approx(0.03)
+        assert (s.cycles, s.nonconverged_cycles) == (3, 1)
+
+    def test_all_starved_gives_nan_stats(self):
+        s = summarize(TimeSeries((make_row(1, q=math.nan, conv=False),)))
+        assert math.isnan(s.mean_qber) and math.isnan(s.std_qber) and math.isnan(s.max_qber)
+        assert (s.cycles, s.nonconverged_cycles) == (1, 1)
+
     def test_summary_text_shape(self):
         text = summary_to_text(summarize(TimeSeries((make_row(1),))))
         assert text.startswith("cycles = 1\n")
@@ -249,6 +361,21 @@ class TestFullScalePreset:
         assert 0.0 <= row.qber_est <= 0.2
         assert math.isfinite(row.e_z) and math.isfinite(row.e_x)
         assert summary.cycles == 1
+
+
+class TestFullScaleScramblePreset:
+    def test_keeps_hardware_batch(self):
+        cfg = preset_config("scramble04", full=True)
+        assert cfg.controller_z.batch_pulses == 30_000_000
+        assert cfg.controller_x.batch_pulses == 30_000_000
+        assert cfg.controller_z.max_cycles_per_correction == 3
+        assert parse_config(config_to_ini(cfg)) == cfg
+
+    def test_one_hardware_scale_cycle_is_not_starved(self):
+        cfg = replace(preset_config("scramble04", full=True), duration=1, control_enabled=False)
+        series, summary = run_scenario(cfg)
+        assert math.isfinite(series.rows[0].qber_est)
+        assert math.isfinite(summary.mean_qber)
 
 
 class TestUncontrolledScrambleTrace:
