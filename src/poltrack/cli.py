@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_preset = sub.add_parser("preset", help="run a named preset scenario")
     p_preset.add_argument("name", choices=PRESET_NAMES)
-    p_preset.add_argument("--full", action="store_true", help="hardware-scale batch sizes (slow)")
+    p_preset.add_argument("--full", action="store_true", help="hardware-scale link and batch sizes")
     add_run_options(p_preset)
 
     grid = TableParams()

@@ -72,8 +72,8 @@ class ControllerConfig:
             raise ValueError("sample_fraction must be in (0, 1]")
         if self.max_cycles_per_correction < 1:
             raise ValueError("max_cycles_per_correction must be at least 1")
-        if self.batch_pulses < 0:
-            raise ValueError("batch_pulses must be non-negative")
+        if self.batch_pulses < 1:
+            raise ValueError("batch_pulses must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -273,7 +273,7 @@ def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioC
 
 def validate_config(cfg: ScenarioConfig) -> None:
     """Cross-field checks with field-level messages."""
-    ch, epc = cfg.channel, cfg.epc
+    ch, epc, table = cfg.channel, cfg.epc, cfg.table
     checks = (
         ("kind", cfg.kind in SCENARIO_KINDS, f"must be one of {', '.join(SCENARIO_KINDS)}"),
         ("duration", cfg.kind == "sample-size-table" or cfg.duration >= 1, "must be at least 1"),
@@ -282,11 +282,18 @@ def validate_config(cfg: ScenarioConfig) -> None:
          "must be static, random_walk, or scrambler"),
         ("channel.axis", len(ch.axis) == 3 and any(a != 0.0 for a in ch.axis),
          "need a non-zero 3-vector"),
+        ("channel.step_sigma", ch.step_sigma >= 0.0, "must be non-negative"),
         ("channel.axis_resample_period", ch.axis_resample_period >= 1, "must be at least 1"),
         ("epc.gain_jitter", 0.0 <= epc.gain_jitter < 1.0, "must be in [0, 1)"),
         ("epc.gain", epc.gain > 0.0, "must be positive"),
         ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
         ("epc.axis_drift_sigma", not epc.axis_drift_sigma < 0.0, "must be non-negative"),
+        ("epc.max_axis_wander", epc.max_axis_wander >= 0.0, "must be non-negative"),
+        ("table.mu", table.mu > 0.0, "must be positive"),
+        ("table.eta", 0.0 < table.eta <= 1.0, "must be in (0, 1]"),
+        ("table.qber_values", all(0.0 <= q <= 1.0 for q in table.qber_values),
+         "every entry must be in [0, 1]"),
+        ("table.b_values", all(b >= 1 for b in table.b_values), "every entry must be at least 1"),
     )
     errors = [f"{_LABELS.get(path, path)}: {message}" for path, ok, message in checks if not ok]
     if errors:
@@ -300,8 +307,7 @@ PRESET_NAMES = ("static", "drift24h", "scramble02", "scramble04", "scramble06", 
 
 # Hardware-scale settings: 50 km of fiber at 0.2 dB/km into 10% detectors,
 # 0.1 photons per pulse, and one full 12 s pulse train per evaluation with
-# 10% of the sifted bits revealed.  Slow; desk-scale presets compress the
-# batch.
+# 10% of the sifted bits revealed.  Desk-scale presets compress the batch.
 _FULL_LINK = LinkBudget(0.2, 50.0, 0.1)
 _FULL_SOURCE = SourceParams(mu=0.1)
 _FULL_CONTROLLER = ControllerConfig(sample_fraction=0.1, batch_pulses=30_000_000)

@@ -1,4 +1,4 @@
-"""Monte Carlo BB84 pulse simulation producing sifted detection tallies.
+"""BB84 pulse simulation producing sifted detection tallies.
 
 Each pulse is a weak coherent state: the sender draws one of the four signal
 states uniformly, the state is rotated by the channel and by the receiver
@@ -6,8 +6,15 @@ EPC of the (uniformly chosen) measurement arm, and each of the two detectors
 behind the polarizing beam splitter clicks with probability
 ``1 - exp(-eta * mu * A)`` where ``A`` is the fraction of light reaching it.
 Dark counts add an independent click probability per detector per gate.
-Double clicks are squashed to a uniformly random outcome.  Only pulses where
-the bases matched and a detection occurred enter the tally.
+Double clicks are squashed to a uniformly random outcome, and a
+misalignment floor sends a detection to the wrong detector.  Only pulses
+where the bases matched and a detection occurred enter the tally.
+
+Within one batch every pulse sees the same rotations, so every pulse falls
+independently into one of eight sifted cells (sent state, detected state)
+or into "no sifted detection" with fixed probabilities.  A batch is
+therefore sampled at the count level, as a single multinomial draw over
+those nine outcomes, at a cost independent of the number of pulses.
 
 Batches are pure functions of their random generator; tallies from disjoint
 generator streams merge by component-wise addition.
@@ -26,6 +33,9 @@ from .poincare import ANTIDIAG, DIAG, H, Rotation, V, apply_rotation, projection
 # Index // 2 is the basis (0 = Z, 1 = X), index & 1 the bit.
 _ALICE_STATES = (H, V, DIAG, ANTIDIAG)
 _ANALYZERS = (H, DIAG)  # bit-0 detector axis per basis arm
+# Click-table rows (alice_state * 2 + bob_basis) where the bases match, in
+# tally order: H and V sent to the Z arm, D and A sent to the X arm.
+_MATCHED_COMBOS = [0, 2, 5, 7]
 
 BASES = ("Z", "X")
 _ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
@@ -169,47 +179,31 @@ def simulate_batch(
     src: SourceParams,
     eta: float,
     rng: np.random.Generator,
-    chunk_size: int = 1_000_000,
 ) -> DetectionTally:
     """Simulate ``n_pulses`` BB84 pulses and tally matched-basis detections.
 
-    Deterministic given the generator state; the per-chunk draw layout is
-    fixed, so identical seeds give bit-identical tallies.
+    Draws the whole tally at once from its exact multinomial distribution,
+    so the cost does not grow with ``n_pulses``.  Deterministic given the
+    generator state.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must be in (0, 1]")
     p0, p1 = _click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta)
-    counts = np.zeros(8, dtype=np.int64)
-    remaining = n_pulses
-    while remaining > 0:
-        m = min(remaining, chunk_size)
-        remaining -= m
-        # packed draw: bits are (alice state << 1) | bob basis
-        ab = rng.integers(0, 8, size=m)
-        # mismatched-basis pulses never reach the tally, so detector
-        # randomness is only drawn for the matched subset
-        sub = ab[(ab >> 2) == (ab & 1)]
-        k = sub.size
-        u0 = rng.random(k)
-        u1 = rng.random(k)
-        swap = rng.random(k)
-
-        g0 = p0[sub]
-        g1 = p1[sub]
-        click0 = u0 < g0
-        click1 = u1 < g1
-        # double clicks: u0/g0 and u1/g1 are iid uniform given both clicked,
-        # so the race below is a fair coin
-        race = np.where(u0 * g1 < u1 * g0, 0, 1)
-        det = np.where(click0 & click1, race, np.where(click0, 0, np.where(click1, 1, -1)))
-        flip = (det >= 0) & (swap < src.misalignment_floor)
-        det = np.where(flip, 1 - det, det)
-
-        cell = (sub >> 2) * 4 + ((sub >> 1) & 1) * 2 + det
-        counts += np.bincount(cell[det >= 0], minlength=8)
-    return DetectionTally(*(int(c) for c in counts), pulses_sent=n_pulses)
+    p0, p1 = p0[_MATCHED_COMBOS], p1[_MATCHED_COMBOS]
+    # a double click lands on either detector with probability 1/2
+    r0 = p0 - 0.5 * p0 * p1
+    r1 = p1 - 0.5 * p0 * p1
+    f = src.misalignment_floor
+    # cells in _COUNT_FIELDS order, then "no sifted detection"; each
+    # (alice state, bob arm) combo has probability 1/8
+    q = np.empty(9)
+    q[0:8:2] = ((1.0 - f) * r0 + f * r1) / 8.0
+    q[1:8:2] = ((1.0 - f) * r1 + f * r0) / 8.0
+    q[8] = 1.0 - q[:8].sum()
+    counts = rng.multinomial(n_pulses, q)
+    return DetectionTally(*(int(c) for c in counts[:8]), pulses_sent=n_pulses)
 
 
 def measurement_matrix(tally: DetectionTally, basis: str) -> MeasurementMatrix:

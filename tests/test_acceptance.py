@@ -245,3 +245,19 @@ def test_criterion_7_determinism_and_round_trip():
     elapsed = time.time() - t0
     assert elapsed < 10.0
     report(7, "determinism and CSV round trip", elapsed)
+
+
+@criterion(8, "hardware-scale drift tracking")
+def test_criterion_8_hardware_scale_drift_tracking():
+    t0 = time.time()
+    cfg = preset_config("drift24h", full=True)
+    assert cfg.duration == 7200 and cfg.seed == 12345 and cfg.control_enabled
+    assert cfg.controller_z.batch_pulses == 30_000_000
+    _, controlled = run_scenario(cfg)
+    assert controlled.mean_qber <= 0.035, controlled
+    elapsed = time.time() - t0
+    assert elapsed < 120.0
+    report(
+        8, "hardware-scale drift tracking", elapsed,
+        f"mean {controlled.mean_qber:.4f} std {controlled.std_qber:.4f} at 30 M pulses per batch",
+    )

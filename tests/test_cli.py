@@ -49,6 +49,12 @@ class TestRun:
         cfg_path.write_text("[scenario]\nkind = warp\n")
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text("[channel]\nstep_sigma_rad = -1\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "channel.step_sigma_rad" in capsys.readouterr().err
+
     def test_no_control_flag(self, tmp_path):
         cfg_path = tmp_path / "scenario.ini"
         cfg_path.write_text(short_static_ini())

@@ -134,8 +134,9 @@ class TestMeasureE:
         state = ControllerState(epc=default_epc())
         assert measure_e(state, "Z", ctx) != measure_e(state, "Z", ctx)
 
-    def test_zero_batch_raises_insufficient_data(self):
-        ctx, _ = mc_context(IDENTITY, 4, batch=0)
+    def test_starved_batch_raises_insufficient_data(self):
+        # one pulse through a nearly opaque link leaves the tally empty
+        ctx, _ = mc_context(IDENTITY, 4, batch=1, eta=1e-9)
         state = ControllerState(epc=default_epc())
         with pytest.raises(InsufficientDataError):
             measure_e(state, "Z", ctx)
@@ -273,6 +274,10 @@ class TestControlCycle:
     def test_positive_tau_rejected(self):
         with pytest.raises(ValueError):
             ControllerConfig(tau=1.0)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="batch_pulses"):
+            ControllerConfig(batch_pulses=0)
 
 
 class TestTrack:

@@ -208,6 +208,31 @@ class TestConfigValidation:
             parse_config("[channel]\nmodel = teleport\n")
         assert "channel.model" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("channel", "step_sigma_rad", "-0.01"),
+            ("epc", "max_axis_wander_rad", "-0.1"),
+            ("table", "mu", "0"),
+            ("table", "eta", "0"),
+            ("table", "eta", "1.5"),
+            ("table", "qber_values", "0.01,-0.1"),
+            ("table", "b_values", "250,0"),
+        ],
+    )
+    def test_out_of_range_value_reported_with_field(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert str(err.value).startswith(f"{section}.{key}: ")
+
+    def test_zero_batch_pulses_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[controller]\nbatch_pulses = 0\n")
+        assert str(err.value) == (
+            "controller_z: batch_pulses must be at least 1\n"
+            "controller_x: batch_pulses must be at least 1"
+        )
+
     def test_controller_invariant_enforced(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[controller_z]\ntau = 5.0\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poltrack.photon_sim import (
+    _COUNT_FIELDS as FIELDS,
     DetectionTally,
     EmptyRowError,
     InsufficientDataError,
@@ -17,6 +18,7 @@ from poltrack.photon_sim import (
 from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
 
 from conftest import random_axis_angle, rodrigues_matrix
+from per_pulse_oracle import simulate_batch_per_pulse
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
@@ -85,12 +87,6 @@ class TestSimulateBatch:
         b = simulate_batch(50_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(6))
         assert a == b
 
-    def test_chunking_preserves_stream(self):
-        src = SourceParams(mu=0.2)
-        a = simulate_batch(30_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(7), chunk_size=7_000)
-        b = simulate_batch(30_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(7), chunk_size=7_000)
-        assert a == b
-
     def test_merge_is_componentwise_addition(self):
         src = SourceParams(mu=0.2)
         a = simulate_batch(20_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(8))
@@ -122,6 +118,59 @@ class TestSimulateBatch:
             simulate_batch(-1, IDENTITY, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(0))
         with pytest.raises(ValueError):
             simulate_batch(10, IDENTITY, IDENTITY, IDENTITY, NOISELESS, 0.0, rng_for(0))
+
+
+def _cell_moments(counts: np.ndarray):
+    """Per-cell mean and variance over repeats, and the sampling variance of each."""
+    n = counts.shape[0]
+    mean = counts.mean(axis=0)
+    var = counts.var(axis=0, ddof=1)
+    m4 = ((counts - mean) ** 4).mean(axis=0)
+    var_of_var = np.maximum(m4 - var * var * (n - 3) / (n - 1), 0.0) / n
+    return mean, var, var / n, var_of_var
+
+
+# (channel, Z-arm EPC, X-arm EPC, source, eta) per case
+EQUIVALENCE_CASES = {
+    "aligned": (IDENTITY, IDENTITY, IDENTITY, SourceParams(mu=0.5), 1.0),
+    "thirty_degree_channel_with_epcs": (
+        rotation_from_axis_angle(S2, math.radians(30.0)),
+        rotation_from_axis_angle(S3, 0.3),
+        rotation_from_axis_angle(StokesVector.unit(1.0, 1.0, 0.0), -0.4),
+        SourceParams(mu=0.5),
+        1.0,
+    ),
+    # eta * mu = 0.9 and a 45 degree tilt on the sphere light both
+    # detectors, so double clicks are common and the floor is large
+    "double_clicks_and_floor": (
+        rotation_from_axis_angle(S3, math.radians(45.0)),
+        IDENTITY,
+        IDENTITY,
+        SourceParams(mu=0.9, dark_count_prob=1e-2, misalignment_floor=0.05),
+        1.0,
+    ),
+}
+
+
+class TestPerPulseEquivalence:
+    """The count-level sampler matches the per-pulse oracle in distribution."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_cell_mean_and_variance_match(self, case):
+        args = EQUIVALENCE_CASES[case]
+
+        def repeats(sample, seed, n_repeats=400, n_pulses=20_000):
+            rng = rng_for(seed)
+            tallies = [sample(n_pulses, *args, rng) for _ in range(n_repeats)]
+            return np.array([[getattr(t, f) for f in FIELDS] for t in tallies], dtype=float)
+
+        mean_a, var_a, se2_a, vv_a = _cell_moments(repeats(simulate_batch, 21))
+        mean_b, var_b, se2_b, vv_b = _cell_moments(repeats(simulate_batch_per_pulse, 22))
+        assert np.all(mean_b > 2.0), mean_b  # every cell is populated
+        z_mean = (mean_a - mean_b) / np.sqrt(se2_a + se2_b)
+        z_var = (var_a - var_b) / np.sqrt(vv_a + vv_b)
+        assert np.all(np.abs(z_mean) <= 4.0), z_mean
+        assert np.all(np.abs(z_var) <= 4.0), z_var
 
 
 class TestMeasurementMatrix:
