@@ -54,9 +54,11 @@ from .photon_sim import (
     InsufficientDataError,
     MeasurementMatrix,
     SourceParams,
+    analyzer_element,
     measurement_matrix,
     qber_from_tally,
     reveal_sample,
+    sifted_cell_probs,
     simulate_batch,
 )
 from .poincare import (
@@ -64,8 +66,6 @@ from .poincare import (
     DIAG,
     H,
     IDENTITY,
-    LCP,
-    RCP,
     Rotation,
     StokesVector,
     V,
@@ -84,7 +84,6 @@ from .stats import (
     qber_true,
     required_sample_size,
     scenario_for_qber,
-    stokes_from_projection_angle,
 )
 from .timeseries import TimeSeries, TimeSeriesRow
 

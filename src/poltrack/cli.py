@@ -30,7 +30,16 @@ from .harness import (
     series_to_csv,
     summarize,
     summary_to_text,
+    validate_config,
 )
+
+# ``poltrack table`` flags by the config field each one sets.
+_TABLE_FLAGS = {
+    "table.mu": "--mu",
+    "table.eta": "--eta",
+    "table.qber_values": "--qber",
+    "table.b_values": "--b",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,7 +168,9 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 print(f"bad table grid: {exc}", file=sys.stderr)
                 return 2
-            emit_sample_size_table(args.mu, args.eta, qber_values, b_values, args.out)
+            grid = TableParams(args.mu, args.eta, qber_values, b_values)
+            validate_config(ScenarioConfig(kind="sample-size-table", table=grid), _TABLE_FLAGS)
+            emit_sample_size_table(grid.mu, grid.eta, grid.qber_values, grid.b_values, args.out)
             print(f"wrote {args.out}")
             return 0
 

@@ -30,15 +30,14 @@ from .photon_sim import (
     InsufficientDataError,
     MeasurementMatrix,
     SourceParams,
+    analyzer_element,
     measurement_matrix,
     qber_from_tally,
     reveal_sample,
     simulate_batch,
 )
-from .poincare import DIAG, H, IDENTITY, Rotation, apply_rotation, compose
+from .poincare import IDENTITY, Rotation
 from .timeseries import TimeSeries, TimeSeriesRow
-
-_ANALYZER = {"Z": H, "X": DIAG}
 
 
 @dataclass(frozen=True)
@@ -142,17 +141,15 @@ class ExactContext:
     """Noiseless closed-form feedback signal, for oracle-driven control.
 
     With no detector noise both rows of the measurement matrix have the same
-    wrong-port probability j = (1 - m . a) / 2, where m is the image of the
-    basis axis a under the composed channel-then-EPC rotation, so E = 4 j^2.
+    wrong-port probability j = (1 - m) / 2, where m is the plant's
+    ``analyzer_element`` of the basis, so E = 4 j^2.
     """
 
     def __init__(self, channel_rot: Rotation):
         self.channel_rot = channel_rot
 
     def wrong_port_rate(self, epc_rot: Rotation, basis: str) -> float:
-        axis = _ANALYZER[basis]
-        image = apply_rotation(compose(epc_rot, self.channel_rot), axis)
-        return 0.5 * (1.0 - image.dot(axis))
+        return 0.5 * (1.0 - analyzer_element(self.channel_rot, epc_rot, basis))
 
     def evaluate(self, epc_rot: Rotation, basis: str) -> float:
         j = self.wrong_port_rate(epc_rot, basis)

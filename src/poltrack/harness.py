@@ -271,8 +271,13 @@ def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioC
     return cfg
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Cross-field checks with field-level messages."""
+def validate_config(cfg: ScenarioConfig, labels: dict[str, str] | None = None) -> None:
+    """Cross-field checks with field-level messages.
+
+    A message names its field by ``section.key``, or by ``labels[path]`` for
+    an attribute path such as ``table.mu`` that ``labels`` maps.
+    """
+    labels = {**_LABELS, **(labels or {})}
     ch, epc, table = cfg.channel, cfg.epc, cfg.table
     checks = (
         ("kind", cfg.kind in SCENARIO_KINDS, f"must be one of {', '.join(SCENARIO_KINDS)}"),
@@ -295,7 +300,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
          "every entry must be in [0, 1]"),
         ("table.b_values", all(b >= 1 for b in table.b_values), "every entry must be at least 1"),
     )
-    errors = [f"{_LABELS.get(path, path)}: {message}" for path, ok, message in checks if not ok]
+    errors = [f"{labels.get(path, path)}: {message}" for path, ok, message in checks if not ok]
     if errors:
         raise ConfigError("\n".join(errors))
 
@@ -497,22 +502,6 @@ def table_to_csv(qber_values, b_values, cells: np.ndarray) -> str:
     for i, b in enumerate(b_values):
         lines.append(str(int(b)) + "," + ",".join(repr(float(x)) for x in cells[i]))
     return "\n".join(lines) + "\n"
-
-
-def table_from_csv(text: str):
-    """Parse a table CSV back into (qber_values, b_values, cells)."""
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    if header[0] != "B":
-        raise ValueError("bad table header")
-    qber_values = tuple(float(q) for q in header[1:])
-    b_values = []
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        b_values.append(int(parts[0]))
-        rows.append([float(x) for x in parts[1:]])
-    return qber_values, tuple(b_values), np.array(rows)
 
 
 def emit_sample_size_table(mu, eta, qber_values, b_values, output_path) -> np.ndarray:

@@ -10,6 +10,15 @@ Double clicks are squashed to a uniformly random outcome, and a
 misalignment floor sends a detection to the wrong detector.  Only pulses
 where the bases matched and a detection occurred enter the tally.
 
+The plant reduces to two numbers.  Let M be the rotation matrix of the
+composed channel-then-EPC rotation of one arm, and ``m = M[b, b]`` its
+diagonal element on that arm's analyzer axis ``e_b`` (``b`` = 0 for Z, 1 for
+X).  Alice's states of that basis are ``+e_b`` and ``-e_b``, so the fraction
+of light reaching the detector of the state she sent is ``(1 + m) / 2`` and
+the wrong detector gets ``(1 - m) / 2``.  ``analyzer_element`` computes ``m``
+from one quaternion product, and ``sifted_cell_probs`` turns the two
+elements into the probabilities of the eight sifted cells.
+
 Within one batch every pulse sees the same rotations, so every pulse falls
 independently into one of eight sifted cells (sent state, detected state)
 or into "no sifted detection" with fixed probabilities.  A batch is
@@ -23,19 +32,11 @@ generator streams merge by component-wise addition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .poincare import ANTIDIAG, DIAG, H, Rotation, V, apply_rotation, projection_probability
-
-# Alice's states in index order: H, V, diagonal, anti-diagonal.
-# Index // 2 is the basis (0 = Z, 1 = X), index & 1 the bit.
-_ALICE_STATES = (H, V, DIAG, ANTIDIAG)
-_ANALYZERS = (H, DIAG)  # bit-0 detector axis per basis arm
-# Click-table rows (alice_state * 2 + bob_basis) where the bases match, in
-# tally order: H and V sent to the Z arm, D and A sent to the X arm.
-_MATCHED_COMBOS = [0, 2, 5, 7]
+from .poincare import Rotation
 
 BASES = ("Z", "X")
 _ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
@@ -78,6 +79,7 @@ class SourceParams:
 
 
 _COUNT_FIELDS = ("n_hh", "n_hv", "n_vh", "n_vv", "n_dd", "n_da", "n_ad", "n_aa")
+_TALLY_FIELDS = _COUNT_FIELDS + ("pulses_sent",)
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,9 @@ class DetectionTally:
     pulses_sent: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be non-negative")
+        for name in _TALLY_FIELDS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     @property
     def sifted_total(self) -> int:
@@ -142,33 +144,53 @@ class MeasurementMatrix:
                 raise ValueError("matrix entries must be probabilities")
 
 
-def _click_prob_table(
-    channel_rot: Rotation,
-    epc_rot_z: Rotation,
-    epc_rot_x: Rotation,
-    src: SourceParams,
-    eta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-detector click probabilities for each (alice state, bob arm) combo.
+def analyzer_element(channel_rot: Rotation, epc_rot: Rotation, basis: str) -> float:
+    """Diagonal element M[b, b] of the channel-then-EPC rotation on basis ``b``.
 
-    Row index is ``alice_state * 2 + bob_basis``; columns are the bit-0 and
-    bit-1 detectors of the chosen arm.
+    ``b`` is the analyzer axis of the arm: H (s1) for Z, diagonal (s2) for X.
+    For the composed quaternion ``w + x i + y j + z k`` it is
+    ``1 - 2 (y^2 + z^2)`` in Z and ``1 - 2 (x^2 + z^2)`` in X, normalized by
+    the product's norm as ``poincare.compose`` does.
     """
-    arm_rots = (epc_rot_z, epc_rot_x)
-    p0 = np.empty(8)
-    p1 = np.empty(8)
-    for a, state in enumerate(_ALICE_STATES):
-        s_ch = apply_rotation(channel_rot, state)
-        for b in range(2):
-            s = apply_rotation(arm_rots[b], s_ch)
-            a0 = min(1.0, max(0.0, projection_probability(s, _ANALYZERS[b])))
-            a1 = 1.0 - a0
-            sig0 = 1.0 - math.exp(-eta * src.mu * a0)
-            sig1 = 1.0 - math.exp(-eta * src.mu * a1)
-            d = src.dark_count_prob
-            p0[a * 2 + b] = 1.0 - (1.0 - sig0) * (1.0 - d)
-            p1[a * 2 + b] = 1.0 - (1.0 - sig1) * (1.0 - d)
-    return p0, p1
+    a, c = epc_rot, channel_rot
+    w = a.w * c.w - a.x * c.x - a.y * c.y - a.z * c.z
+    x = a.w * c.x + a.x * c.w + a.y * c.z - a.z * c.y
+    y = a.w * c.y - a.x * c.z + a.y * c.w + a.z * c.x
+    z = a.w * c.z + a.x * c.y - a.y * c.x + a.z * c.w
+    n2 = w * w + x * x + y * y + z * z
+    if basis == "Z":
+        return 1.0 - 2.0 * (y * y + z * z) / n2
+    if basis == "X":
+        return 1.0 - 2.0 * (x * x + z * z) / n2
+    raise ValueError(f"unknown basis {basis!r}")
+
+
+def sifted_cell_probs(m_z: float, m_x: float, src: SourceParams, eta: float) -> list[float]:
+    """Per-pulse probabilities of the eight sifted cells, in tally order.
+
+    ``m_z`` and ``m_x`` are the arms' ``analyzer_element`` values.  Each
+    (sent state, arm) combo has probability 1/8; within a matched combo the
+    sent state's own detector gets the light fraction ``(1 + m) / 2``, the
+    other one the rest.  A double click lands on either detector with
+    probability 1/2, and the misalignment floor then moves a detection to
+    the other detector.
+    """
+    mu_eta = eta * src.mu
+    no_dark = 1.0 - src.dark_count_prob
+    f = src.misalignment_floor
+    q = []
+    for m in (m_z, m_x):
+        a_right = min(1.0, max(0.0, 0.5 * (1.0 + m)))
+        p_right = 1.0 - math.exp(-mu_eta * a_right) * no_dark
+        p_wrong = 1.0 - math.exp(-mu_eta * (1.0 - a_right)) * no_dark
+        half_both = 0.5 * p_right * p_wrong
+        r_right = p_right - half_both
+        r_wrong = p_wrong - half_both
+        right = ((1.0 - f) * r_right + f * r_wrong) / 8.0
+        wrong = ((1.0 - f) * r_wrong + f * r_right) / 8.0
+        # sent bit 0: (right, wrong); sent bit 1: (wrong, right)
+        q += (right, wrong, wrong, right)
+    return q
 
 
 def simulate_batch(
@@ -190,20 +212,15 @@ def simulate_batch(
         raise ValueError("n_pulses must be non-negative")
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must be in (0, 1]")
-    p0, p1 = _click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta)
-    p0, p1 = p0[_MATCHED_COMBOS], p1[_MATCHED_COMBOS]
-    # a double click lands on either detector with probability 1/2
-    r0 = p0 - 0.5 * p0 * p1
-    r1 = p1 - 0.5 * p0 * p1
-    f = src.misalignment_floor
-    # cells in _COUNT_FIELDS order, then "no sifted detection"; each
-    # (alice state, bob arm) combo has probability 1/8
-    q = np.empty(9)
-    q[0:8:2] = ((1.0 - f) * r0 + f * r1) / 8.0
-    q[1:8:2] = ((1.0 - f) * r1 + f * r0) / 8.0
-    q[8] = 1.0 - q[:8].sum()
+    q = sifted_cell_probs(
+        analyzer_element(channel_rot, epc_rot_z, "Z"),
+        analyzer_element(channel_rot, epc_rot_x, "X"),
+        src,
+        eta,
+    )
+    q.append(1.0 - sum(q))  # no sifted detection
     counts = rng.multinomial(n_pulses, q)
-    return DetectionTally(*(int(c) for c in counts[:8]), pulses_sent=n_pulses)
+    return DetectionTally(*counts[:8].tolist(), pulses_sent=n_pulses)
 
 
 def measurement_matrix(tally: DetectionTally, basis: str) -> MeasurementMatrix:

@@ -61,13 +61,11 @@ class StokesVector:
         return (self.s1, self.s2, self.s3)
 
 
-# The four BB84 signal states plus the circular poles.
+# The four BB84 signal states.
 H = StokesVector(1.0, 0.0, 0.0)
 V = StokesVector(-1.0, 0.0, 0.0)
 DIAG = StokesVector(0.0, 1.0, 0.0)
 ANTIDIAG = StokesVector(0.0, -1.0, 0.0)
-RCP = StokesVector(0.0, 0.0, 1.0)
-LCP = StokesVector(0.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .poincare import StokesVector
-
 
 @dataclass(frozen=True)
 class EstimatorScenario:
@@ -65,19 +63,6 @@ def scenario_for_qber(qber: float, mu: float, eta: float, sample_b: int) -> Esti
     if not (0.0 <= qber <= 1.0):
         raise ValueError("qber must be in [0, 1]")
     return EstimatorScenario(math.asin(math.sqrt(qber)), mu, eta, sample_b)
-
-
-def stokes_from_projection_angle(theta: float, retardation: float = 0.0) -> StokesVector:
-    """Stokes vector of the analyzed state for a given projection angle.
-
-    With amplitudes (cos(theta) e^{i phi}, sin(theta)) on (H, V) the Stokes
-    components are (cos 2theta, sin 2theta cos phi, sin 2theta sin phi).
-    """
-    return StokesVector(
-        math.cos(2.0 * theta),
-        math.sin(2.0 * theta) * math.cos(retardation),
-        math.sin(2.0 * theta) * math.sin(retardation),
-    )
 
 
 def detection_probs(scn: EstimatorScenario) -> tuple[float, float]:

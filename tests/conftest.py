@@ -1,7 +1,9 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and readers for the test suite.
 
 The rotation-matrix oracle is built directly from the axis-angle parameters
 via Rodrigues' formula, never from the quaternion code under test.
+``table_from_csv`` reads back the estimator-error table that the package
+only writes.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from poltrack.poincare import StokesVector
 
 
 def rodrigues_matrix(axis, angle: float) -> np.ndarray:
@@ -34,3 +38,32 @@ def random_unit(rng: np.random.Generator) -> tuple[float, float, float]:
 
 def random_axis_angle(rng: np.random.Generator, max_angle: float = 2.0 * math.pi):
     return random_unit(rng), float(rng.uniform(0.0, max_angle))
+
+
+def stokes_from_projection_angle(theta: float, retardation: float = 0.0) -> StokesVector:
+    """Stokes vector of the analyzed state for a given projection angle.
+
+    With amplitudes (cos(theta) e^{i phi}, sin(theta)) on (H, V) the Stokes
+    components are (cos 2theta, sin 2theta cos phi, sin 2theta sin phi).
+    """
+    return StokesVector(
+        math.cos(2.0 * theta),
+        math.sin(2.0 * theta) * math.cos(retardation),
+        math.sin(2.0 * theta) * math.sin(retardation),
+    )
+
+
+def table_from_csv(text: str):
+    """Parse a table CSV back into (qber_values, b_values, cells)."""
+    lines = [ln for ln in text.splitlines() if ln]
+    header = lines[0].split(",")
+    if header[0] != "B":
+        raise ValueError("bad table header")
+    qber_values = tuple(float(q) for q in header[1:])
+    b_values = []
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        b_values.append(int(parts[0]))
+        rows.append([float(x) for x in parts[1:]])
+    return qber_values, tuple(b_values), np.array(rows)

@@ -1,24 +1,77 @@
-"""Per-pulse reference sampler for ``photon_sim.simulate_batch``.
+"""Independent reference plant and per-pulse sampler for ``photon_sim``.
 
-Draws every pulse on its own: the (alice state, bob arm) combo, one uniform
-per detector, a fair race for double clicks and a coin for the misalignment
-floor.  It shares the click-probability table with the module under test
-and is an independent implementation of everything after it, so comparing
-the two checks the count-level sampler in distribution.  Memory grows with
-``n_pulses``; keep batches small.
+``click_prob_table`` builds the per-detector click probabilities of all eight
+(alice state, bob arm) combos the long way: each signal state is rotated
+through the channel and the arm's EPC with the public ``apply_rotation`` and
+projected onto the arm's analyzer with ``projection_probability``.  It shares
+no code with the plant under test.  ``sifted_cells`` folds its matched rows
+into the eight sifted-cell probabilities in closed form, and
+``simulate_batch_per_pulse`` draws every pulse on its own: the combo, one
+uniform per detector, a fair race for double clicks and a coin for the
+misalignment floor.  Comparing the count-level sampler with the per-pulse one
+checks the plant's probability math and the sampler together, in
+distribution.  Memory grows with ``n_pulses``; keep batches small.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from poltrack.photon_sim import DetectionTally, _click_prob_table
+from poltrack.photon_sim import DetectionTally
+from poltrack.poincare import ANTIDIAG, DIAG, H, V, apply_rotation, projection_probability
+
+# Alice's states in index order: H, V, diagonal, anti-diagonal.
+# Index // 2 is the basis (0 = Z, 1 = X), index & 1 the bit.
+ALICE_STATES = (H, V, DIAG, ANTIDIAG)
+ANALYZERS = (H, DIAG)  # bit-0 detector axis per basis arm
+# Table rows (alice_state * 2 + bob_basis) where the bases match, in tally
+# order: H and V sent to the Z arm, D and A sent to the X arm.
+MATCHED_COMBOS = [0, 2, 5, 7]
+
+
+def click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta):
+    """Per-detector click probabilities for each (alice state, bob arm) combo.
+
+    Row index is ``alice_state * 2 + bob_basis``; columns are the bit-0 and
+    bit-1 detectors of the chosen arm.
+    """
+    arm_rots = (epc_rot_z, epc_rot_x)
+    p0 = np.empty(8)
+    p1 = np.empty(8)
+    for a, state in enumerate(ALICE_STATES):
+        s_ch = apply_rotation(channel_rot, state)
+        for b in range(2):
+            s = apply_rotation(arm_rots[b], s_ch)
+            a0 = min(1.0, max(0.0, projection_probability(s, ANALYZERS[b])))
+            a1 = 1.0 - a0
+            sig0 = 1.0 - math.exp(-eta * src.mu * a0)
+            sig1 = 1.0 - math.exp(-eta * src.mu * a1)
+            d = src.dark_count_prob
+            p0[a * 2 + b] = 1.0 - (1.0 - sig0) * (1.0 - d)
+            p1[a * 2 + b] = 1.0 - (1.0 - sig1) * (1.0 - d)
+    return p0, p1
+
+
+def sifted_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta) -> np.ndarray:
+    """The eight sifted-cell probabilities, in tally order, from the table."""
+    p0, p1 = click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta)
+    p0, p1 = p0[MATCHED_COMBOS], p1[MATCHED_COMBOS]
+    # a double click lands on either detector with probability 1/2
+    r0 = p0 - 0.5 * p0 * p1
+    r1 = p1 - 0.5 * p0 * p1
+    f = src.misalignment_floor
+    q = np.empty(8)
+    q[0::2] = ((1.0 - f) * r0 + f * r1) / 8.0
+    q[1::2] = ((1.0 - f) * r1 + f * r0) / 8.0
+    return q
 
 
 def simulate_batch_per_pulse(
     n_pulses, channel_rot, epc_rot_z, epc_rot_x, src, eta, rng
 ) -> DetectionTally:
-    p0, p1 = _click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta)
+    p0, p1 = click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta)
     # packed draw: bits are (alice state << 1) | bob basis
     ab = rng.integers(0, 8, size=n_pulses)
     # mismatched-basis pulses never reach the tally, so detector

@@ -7,8 +7,9 @@ from poltrack.harness import (
     config_to_ini,
     preset_config,
     series_from_csv,
-    table_from_csv,
 )
+
+from conftest import table_from_csv
 
 
 def short_static_ini():
@@ -107,6 +108,17 @@ class TestTable:
 
     def test_bad_grid(self, tmp_path):
         assert main(["table", "--qber", "a,b", "--out", str(tmp_path / "t.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--mu", "-1"), ("--eta", "1.5"), ("--qber", "0.01,1.5"), ("--b", "100,0")],
+    )
+    def test_out_of_range_flag_is_config_error(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["table", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: " in err
+        assert not out.exists()
 
 
 class TestSummary:

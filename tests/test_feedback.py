@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from poltrack import feedback
 from poltrack.feedback import (
     ControllerConfig,
     ControllerState,
@@ -15,6 +17,7 @@ from poltrack.feedback import (
     measure_e,
     track,
 )
+from poltrack.harness import preset_config, run_scenario
 from poltrack.optics import StaticChannel, ScramblerChannel, default_epc, epc_rotation
 from poltrack.photon_sim import (
     InsufficientDataError,
@@ -371,3 +374,30 @@ class TestTrack:
             )
 
         assert run() == run()
+
+
+class TestSimulateBatchHook:
+    """Every batch of a run is drawn through the name ``feedback.simulate_batch``.
+
+    Pulse accounting that rebinds that module-level name, as the benchmark's
+    pulse counter does, would silently miss a batch drawn any other way.
+    """
+
+    def test_one_call_per_monitor_batch_and_evaluation(self, monkeypatch):
+        batches, evaluations = [], []
+        draw, evaluate = feedback.simulate_batch, MonteCarloContext.evaluate
+
+        def counted_draw(n_pulses, *args):
+            batches.append(n_pulses)
+            return draw(n_pulses, *args)
+
+        def counted_evaluate(self, epc_rot, basis):
+            evaluations.append(basis)
+            return evaluate(self, epc_rot, basis)
+
+        monkeypatch.setattr(feedback, "simulate_batch", counted_draw)
+        monkeypatch.setattr(MonteCarloContext, "evaluate", counted_evaluate)
+        series, _ = run_scenario(replace(preset_config("scramble04"), duration=20, seed=7))
+        assert len(series) == 20
+        assert len(evaluations) > len(series)  # the controller corrected
+        assert len(batches) == len(series) + len(evaluations)

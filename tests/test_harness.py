@@ -21,11 +21,12 @@ from poltrack.harness import (
     series_to_csv,
     summarize,
     summary_to_text,
-    table_from_csv,
     table_to_csv,
 )
 from poltrack.stats import delta_table
 from poltrack.timeseries import TimeSeries, TimeSeriesRow
+
+from conftest import table_from_csv
 
 
 def short_cfg(**overrides):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from poltrack.feedback import ExactContext
 from poltrack.photon_sim import (
     _COUNT_FIELDS as FIELDS,
     DetectionTally,
@@ -10,15 +11,25 @@ from poltrack.photon_sim import (
     InsufficientDataError,
     MeasurementMatrix,
     SourceParams,
+    analyzer_element,
     measurement_matrix,
     qber_from_tally,
     reveal_sample,
+    sifted_cell_probs,
     simulate_batch,
 )
-from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
+from poltrack.poincare import (
+    DIAG,
+    H,
+    IDENTITY,
+    StokesVector,
+    apply_rotation,
+    compose,
+    rotation_from_axis_angle,
+)
 
 from conftest import random_axis_angle, rodrigues_matrix
-from per_pulse_oracle import simulate_batch_per_pulse
+from per_pulse_oracle import sifted_cells, simulate_batch_per_pulse
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
@@ -120,6 +131,68 @@ class TestSimulateBatch:
             simulate_batch(10, IDENTITY, IDENTITY, IDENTITY, NOISELESS, 0.0, rng_for(0))
 
 
+def random_rotation(rng):
+    axis, angle = random_axis_angle(rng)
+    return rotation_from_axis_angle(StokesVector(*axis), angle)
+
+
+PLANT_SOURCES = (
+    SourceParams(mu=0.5),
+    SourceParams(mu=0.1, dark_count_prob=1e-3, misalignment_floor=0.02),
+    SourceParams(mu=0.9, dark_count_prob=1e-2, misalignment_floor=0.05),
+    NOISELESS,
+)
+
+
+def plant_cells(channel, epc_z, epc_x, src, eta):
+    m_z = analyzer_element(channel, epc_z, "Z")
+    m_x = analyzer_element(channel, epc_x, "X")
+    return np.array(sifted_cell_probs(m_z, m_x, src, eta))
+
+
+class TestPlant:
+    """The analyzer-element plant equals the per-pulse oracle's click table."""
+
+    def test_cells_match_click_table_for_random_rotations(self):
+        rng = np.random.default_rng(31)
+        for case in range(240):
+            rots = [random_rotation(rng) for _ in range(3)]
+            src = PLANT_SOURCES[case % len(PLANT_SOURCES)]
+            eta = float(rng.uniform(0.01, 1.0))
+            got = plant_cells(*rots, src, eta)
+            want = sifted_cells(*rots, src, eta)
+            assert np.max(np.abs(got - want)) <= 1e-12, (case, got, want)
+
+    @pytest.mark.parametrize("src", PLANT_SOURCES)
+    def test_clamp_edges_match_click_table(self, src):
+        # identity: each state lands on its own detector, a0 = 1 exactly;
+        # a half turn about s3 sends H to V and D to A, a0 = 0 exactly
+        half_turn = rotation_from_axis_angle(S3, math.pi)
+        for channel, m in ((IDENTITY, 1.0), (half_turn, -1.0)):
+            assert analyzer_element(channel, IDENTITY, "Z") == m
+            assert analyzer_element(channel, IDENTITY, "X") == m
+            got = plant_cells(channel, IDENTITY, IDENTITY, src, 1.0)
+            want = sifted_cells(channel, IDENTITY, IDENTITY, src, 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-12, (got, want)
+            if src is NOISELESS:
+                wrong = got[[1, 2, 5, 6]] if m == 1.0 else got[[0, 3, 4, 7]]
+                assert np.all(wrong == 0.0)
+
+    def test_exact_context_matches_rotated_analyzer(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            channel, epc = random_rotation(rng), random_rotation(rng)
+            ctx = ExactContext(channel)
+            for basis, axis in (("Z", H), ("X", DIAG)):
+                image = apply_rotation(compose(epc, channel), axis)
+                j = 0.5 * (1.0 - image.dot(axis))
+                assert abs(ctx.evaluate(epc, basis) - 4.0 * j * j) <= 1e-12
+
+    def test_unknown_basis(self):
+        with pytest.raises(ValueError):
+            analyzer_element(IDENTITY, IDENTITY, "Y")
+
+
 def _cell_moments(counts: np.ndarray):
     """Per-cell mean and variance over repeats, and the sampling variance of each."""
     n = counts.shape[0]
@@ -153,7 +226,12 @@ EQUIVALENCE_CASES = {
 
 
 class TestPerPulseEquivalence:
-    """The count-level sampler matches the per-pulse oracle in distribution."""
+    """The count-level plant and sampler match the per-pulse oracle in distribution.
+
+    The oracle builds its click table from ``apply_rotation`` and
+    ``projection_probability``, so this checks the plant's probability math
+    as well as the multinomial draw.
+    """
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
     def test_cell_mean_and_variance_match(self, case):
@@ -171,6 +249,13 @@ class TestPerPulseEquivalence:
         z_var = (var_a - var_b) / np.sqrt(vv_a + vv_b)
         assert np.all(np.abs(z_mean) <= 4.0), z_mean
         assert np.all(np.abs(z_var) <= 4.0), z_var
+
+
+class TestDetectionTally:
+    @pytest.mark.parametrize("name", FIELDS + ("pulses_sent",))
+    def test_negative_count_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            DetectionTally(**{name: -1})
 
 
 class TestMeasurementMatrix:

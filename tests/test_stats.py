@@ -13,8 +13,9 @@ from poltrack.stats import (
     qber_true,
     required_sample_size,
     scenario_for_qber,
-    stokes_from_projection_angle,
 )
+
+from conftest import stokes_from_projection_angle
 
 
 def rng_for(seed):
