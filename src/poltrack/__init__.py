@@ -45,7 +45,6 @@ from .optics import (
     default_epc,
     drift_axes,
     epc_rotation,
-    squeezer_rotation,
     transmittance,
 )
 from .photon_sim import (

@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -119,7 +120,8 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, replicas: int) -> None:
         (replace(cfg, seed=cfg.seed + i), out_dir / f"replica_{i:02d}")
         for i in range(replicas)
     ]
-    with ProcessPoolExecutor(max_workers=min(replicas, 8)) as pool:
+    # one worker per core at most; the replicas are CPU-bound
+    with ProcessPoolExecutor(max_workers=min(replicas, os.cpu_count() or 1)) as pool:
         summaries = list(pool.map(_run_replica, jobs))
     lines = []
     for i, s in enumerate(summaries):

@@ -81,8 +81,6 @@ class ControllerState:
 
     epc: EpcState
     last_e: float | None = None
-    cycle_count: int = 0
-    correction_active: bool = False
     recenter_count: int = 0
     converged: bool = True
 
@@ -207,9 +205,8 @@ def control_cycle(
     e = state.last_e
     if e is None:
         e = measure_e(state, basis, sim_context)
-    state = replace(state, cycle_count=state.cycle_count + 1)
     if e < config.e_threshold:
-        return replace(state, last_e=e, correction_active=False, converged=True)
+        return replace(state, last_e=e, converged=True)
 
     converged = False
     for _ in range(config.max_cycles_per_correction):
@@ -219,7 +216,7 @@ def control_cycle(
         if e < config.e_threshold:
             converged = True
             break
-    return replace(state, last_e=e, correction_active=not converged, converged=converged)
+    return replace(state, last_e=e, converged=converged)
 
 
 @dataclass(frozen=True)

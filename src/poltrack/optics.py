@@ -13,6 +13,13 @@ at a constant rate.
 
 States are immutable values evolved by pure step functions taking explicit
 random generators; independent simulation instances may run concurrently.
+
+The EPC's hot path (``epc_rotation``, ``EpcState.with_voltage`` and
+``drift_axes``) composes its quaternions and tips its axes on plain floats and
+validates only the objects it returns.  It performs the operations of the
+public ``poincare`` quaternion API (``rotation_from_axis_angle``, ``compose``,
+``apply_rotation``) in the same order, so it agrees with that checked
+reference bit for bit; ``tests/optics_oracle.py`` keeps the object-based form.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .poincare import (
+    AXIS_TOL,
     IDENTITY,
     Rotation,
     StokesVector,
-    apply_rotation,
     compose,
     rotation_from_axis_angle,
 )
@@ -97,7 +104,8 @@ class EpcState:
     def with_voltage(self, i: int, voltage: float) -> "EpcState":
         """Copy with squeezer ``i`` driven at ``voltage``."""
         sqs = list(self.squeezers)
-        sqs[i] = replace(sqs[i], voltage=voltage)
+        sq = sqs[i]
+        sqs[i] = SqueezerState(sq.axis, sq.nominal_axis, sq.gain, voltage, sq.v_min, sq.v_max)
         return EpcState(tuple(sqs))
 
 
@@ -136,32 +144,57 @@ def default_epc(
     return EpcState(tuple(squeezers))
 
 
-def squeezer_rotation(sq: SqueezerState) -> Rotation:
-    """Rotation applied by one squeezer, angle = gain * voltage about its axis."""
-    return rotation_from_axis_angle(sq.axis, sq.gain * sq.voltage)
+def _axis_angle_q(
+    a1: float, a2: float, a3: float, angle: float
+) -> tuple[float, float, float, float]:
+    """``rotation_from_axis_angle`` on plain floats, with the same checks."""
+    n = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    if abs(n - 1.0) > AXIS_TOL:
+        raise ValueError(f"rotation axis must be unit length, got |a| = {n!r}")
+    if not math.isfinite(angle):
+        raise ValueError("rotation angle must be finite")
+    half = 0.5 * angle
+    s = math.sin(half) / n
+    return math.cos(half), s * a1, s * a2, s * a3
 
 
 def epc_rotation(epc: EpcState) -> Rotation:
-    """Composite rotation of the whole EPC; light traverses squeezer 1 first."""
-    r = squeezer_rotation(epc.squeezers[0])
-    for sq in epc.squeezers[1:]:
-        r = compose(squeezer_rotation(sq), r)
-    return r
+    """Composite rotation of the whole EPC; light traverses squeezer 1 first.
+
+    Each stage is the quaternion of angle gain * voltage about its axis,
+    multiplied on the left of the running product and renormalized after
+    every product, exactly as ``compose`` does.
+    """
+    first, *rest = epc.squeezers
+    a = first.axis
+    w, x, y, z = _axis_angle_q(a.s1, a.s2, a.s3, first.gain * first.voltage)
+    for sq in rest:
+        a = sq.axis
+        qw, qx, qy, qz = _axis_angle_q(a.s1, a.s2, a.s3, sq.gain * sq.voltage)
+        pw = qw * w - qx * x - qy * y - qz * z
+        px = qw * x + qx * w + qy * z - qz * y
+        py = qw * y - qx * z + qy * w + qz * x
+        pz = qw * z + qx * y - qy * x + qz * w
+        n = math.sqrt(pw * pw + px * px + py * py + pz * pz)
+        w, x, y, z = pw / n, px / n, py / n, pz / n
+    return Rotation(w, x, y, z)
 
 
-def _tangent_basis(v: StokesVector) -> tuple[StokesVector, StokesVector]:
-    """Two orthonormal directions perpendicular to ``v``."""
-    ref = (0.0, 0.0, 1.0) if abs(v.s3) < 0.9 else (1.0, 0.0, 0.0)
-    cx = v.s2 * ref[2] - v.s3 * ref[1]
-    cy = v.s3 * ref[0] - v.s1 * ref[2]
-    cz = v.s1 * ref[1] - v.s2 * ref[0]
-    e1 = StokesVector.unit(cx, cy, cz)
-    e2 = StokesVector.unit(
-        v.s2 * e1.s3 - v.s3 * e1.s2,
-        v.s3 * e1.s1 - v.s1 * e1.s3,
-        v.s1 * e1.s2 - v.s2 * e1.s1,
-    )
-    return e1, e2
+def _tangent_basis(
+    v1: float, v2: float, v3: float
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Two orthonormal directions perpendicular to the unit vector ``v``."""
+    r1, r2, r3 = (0.0, 0.0, 1.0) if abs(v3) < 0.9 else (1.0, 0.0, 0.0)
+    cx = v2 * r3 - v3 * r2
+    cy = v3 * r1 - v1 * r3
+    cz = v1 * r2 - v2 * r1
+    n = math.sqrt(cx * cx + cy * cy + cz * cz)
+    e1 = (cx / n, cy / n, cz / n)
+    dx = v2 * e1[2] - v3 * e1[1]
+    dy = v3 * e1[0] - v1 * e1[2]
+    dz = v1 * e1[1] - v2 * e1[0]
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    return e1, (dx / n, dy / n, dz / n)
 
 
 def _clamp_to_cone(axis: StokesVector, nominal: StokesVector, max_wander: float) -> StokesVector:
@@ -175,8 +208,8 @@ def _clamp_to_cone(axis: StokesVector, nominal: StokesVector, max_wander: float)
     tn = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
     if tn < 1e-12:
         # antipodal corner case; fall back to an arbitrary tangent direction
-        t, _ = _tangent_basis(nominal)
-        t1, t2, t3, tn = t.s1, t.s2, t.s3, 1.0
+        (t1, t2, t3), _ = _tangent_basis(nominal.s1, nominal.s2, nominal.s3)
+        tn = 1.0
     cw, sw = math.cos(max_wander), math.sin(max_wander)
     return StokesVector.unit(
         cw * nominal.s1 + sw * t1 / tn,
@@ -208,14 +241,36 @@ def drift_axes(
     for sq in epc.squeezers:
         angle = rng.normal(0.0, scale)
         psi = rng.uniform(0.0, 2.0 * math.pi)
-        e1, e2 = _tangent_basis(sq.axis)
-        tip_axis = StokesVector.unit(
-            math.cos(psi) * e1.s1 + math.sin(psi) * e2.s1,
-            math.cos(psi) * e1.s2 + math.sin(psi) * e2.s2,
-            math.cos(psi) * e1.s3 + math.sin(psi) * e2.s3,
+        s1, s2, s3 = sq.axis.s1, sq.axis.s2, sq.axis.s3
+        e1, e2 = _tangent_basis(s1, s2, s3)
+        cp, sp = math.cos(psi), math.sin(psi)
+        t1 = cp * e1[0] + sp * e2[0]
+        t2 = cp * e1[1] + sp * e2[1]
+        t3 = cp * e1[2] + sp * e2[2]
+        n = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
+        w, ux, uy, uz = _axis_angle_q(t1 / n, t2 / n, t3 / n, angle)
+        # apply_rotation: s' = s + 2w (u x s) + 2 u x (u x s), renormalized
+        cx = uy * s3 - uz * s2
+        cy = uz * s1 - ux * s3
+        cz = ux * s2 - uy * s1
+        dx = uy * cz - uz * cy
+        dy = uz * cx - ux * cz
+        dz = ux * cy - uy * cx
+        v1 = s1 + 2.0 * (w * cx + dx)
+        v2 = s2 + 2.0 * (w * cy + dy)
+        v3 = s3 + 2.0 * (w * cz + dz)
+        n = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+        moved = StokesVector(v1 / n, v2 / n, v3 / n)
+        squeezers.append(
+            SqueezerState(
+                _clamp_to_cone(moved, sq.nominal_axis, max_wander),
+                sq.nominal_axis,
+                sq.gain,
+                sq.voltage,
+                sq.v_min,
+                sq.v_max,
+            )
         )
-        moved = apply_rotation(rotation_from_axis_angle(tip_axis, angle), sq.axis)
-        squeezers.append(replace(sq, axis=_clamp_to_cone(moved, sq.nominal_axis, max_wander)))
     return EpcState(tuple(squeezers))
 
 

@@ -3,7 +3,8 @@
 The rotation-matrix oracle is built directly from the axis-angle parameters
 via Rodrigues' formula, never from the quaternion code under test.
 ``table_from_csv`` reads back the estimator-error table that the package
-only writes.
+only writes.  ``squeezer_rotation`` is one EPC stage as a ``Rotation``, which
+the package itself only composes on floats.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import math
 
 import numpy as np
 
-from poltrack.poincare import StokesVector
+from poltrack.optics import SqueezerState
+from poltrack.poincare import Rotation, StokesVector, rotation_from_axis_angle
 
 
 def rodrigues_matrix(axis, angle: float) -> np.ndarray:
@@ -28,6 +30,11 @@ def rodrigues_matrix(axis, angle: float) -> np.ndarray:
             [uz * ux * k - uy * s, uz * uy * k + ux * s, c + uz * uz * k],
         ]
     )
+
+
+def squeezer_rotation(sq: SqueezerState) -> Rotation:
+    """Rotation applied by one squeezer, angle = gain * voltage about its axis."""
+    return rotation_from_axis_angle(sq.axis, sq.gain * sq.voltage)
 
 
 def random_unit(rng: np.random.Generator) -> tuple[float, float, float]:

@@ -1,0 +1,111 @@
+"""Reference EPC model on validated ``poincare`` objects.
+
+This is the object-based EPC composition and axis drift that the package ran
+before ``poltrack.optics`` moved them onto plain floats, kept verbatim.  Every
+step goes through the public quaternion API (``rotation_from_axis_angle``,
+``compose``, ``apply_rotation``), which ``tests/test_poincare.py`` checks
+against an independent rotation-matrix oracle.  The float path in
+``poltrack.optics`` performs the same operations in the same order, so
+``tests/test_optics.py`` requires bitwise equality with this module, not
+closeness.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from poltrack.optics import (
+    DEFAULT_AXIS_DRIFT_SIGMA,
+    DEFAULT_MAX_AXIS_WANDER,
+    EpcState,
+)
+from poltrack.poincare import (
+    Rotation,
+    StokesVector,
+    apply_rotation,
+    compose,
+    rotation_from_axis_angle,
+)
+
+from conftest import squeezer_rotation
+
+
+def epc_rotation(epc: EpcState) -> Rotation:
+    """Composite rotation of the whole EPC; light traverses squeezer 1 first."""
+    r = squeezer_rotation(epc.squeezers[0])
+    for sq in epc.squeezers[1:]:
+        r = compose(squeezer_rotation(sq), r)
+    return r
+
+
+def _tangent_basis(v: StokesVector) -> tuple[StokesVector, StokesVector]:
+    """Two orthonormal directions perpendicular to ``v``."""
+    ref = (0.0, 0.0, 1.0) if abs(v.s3) < 0.9 else (1.0, 0.0, 0.0)
+    cx = v.s2 * ref[2] - v.s3 * ref[1]
+    cy = v.s3 * ref[0] - v.s1 * ref[2]
+    cz = v.s1 * ref[1] - v.s2 * ref[0]
+    e1 = StokesVector.unit(cx, cy, cz)
+    e2 = StokesVector.unit(
+        v.s2 * e1.s3 - v.s3 * e1.s2,
+        v.s3 * e1.s1 - v.s1 * e1.s3,
+        v.s1 * e1.s2 - v.s2 * e1.s1,
+    )
+    return e1, e2
+
+
+def _clamp_to_cone(axis: StokesVector, nominal: StokesVector, max_wander: float) -> StokesVector:
+    """Pull ``axis`` back onto the wander cone around ``nominal`` if outside."""
+    c = axis.dot(nominal)
+    if c >= math.cos(max_wander):
+        return axis
+    t1 = axis.s1 - c * nominal.s1
+    t2 = axis.s2 - c * nominal.s2
+    t3 = axis.s3 - c * nominal.s3
+    tn = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
+    if tn < 1e-12:
+        # antipodal corner case; fall back to an arbitrary tangent direction
+        t, _ = _tangent_basis(nominal)
+        t1, t2, t3, tn = t.s1, t.s2, t.s3, 1.0
+    cw, sw = math.cos(max_wander), math.sin(max_wander)
+    return StokesVector.unit(
+        cw * nominal.s1 + sw * t1 / tn,
+        cw * nominal.s2 + sw * t2 / tn,
+        cw * nominal.s3 + sw * t3 / tn,
+    )
+
+
+def drift_axes(
+    epc: EpcState,
+    dt: float,
+    rng: np.random.Generator,
+    *,
+    sigma: float = DEFAULT_AXIS_DRIFT_SIGMA,
+    max_wander: float = DEFAULT_MAX_AXIS_WANDER,
+) -> EpcState:
+    """Random mechanical wander of the squeezer axes over ``dt`` feedback cycles.
+
+    Each axis is tipped in a uniformly random tangent direction by an angle
+    drawn from N(0, sigma*sqrt(dt)), then clamped to stay within
+    ``max_wander`` of its nominal orientation.  Deterministic given the rng.
+    """
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
+    if dt == 0 or sigma == 0.0:
+        return epc
+    scale = sigma * math.sqrt(dt)
+    squeezers = []
+    for sq in epc.squeezers:
+        angle = rng.normal(0.0, scale)
+        psi = rng.uniform(0.0, 2.0 * math.pi)
+        e1, e2 = _tangent_basis(sq.axis)
+        tip_axis = StokesVector.unit(
+            math.cos(psi) * e1.s1 + math.sin(psi) * e2.s1,
+            math.cos(psi) * e1.s2 + math.sin(psi) * e2.s2,
+            math.cos(psi) * e1.s3 + math.sin(psi) * e2.s3,
+        )
+        moved = apply_rotation(rotation_from_axis_angle(tip_axis, angle), sq.axis)
+        squeezers.append(replace(sq, axis=_clamp_to_cone(moved, sq.nominal_axis, max_wander)))
+    return EpcState(tuple(squeezers))

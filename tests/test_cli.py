@@ -75,6 +75,12 @@ class TestRun:
         a = (out / "replica_00" / "series.csv").read_bytes()
         b = (out / "replica_01" / "series.csv").read_bytes()
         assert a != b  # seed-varied
+        # replica i is the single-process run at the config seed plus i
+        seed = preset_config("static").seed
+        for i, replica in enumerate((a, b)):
+            single = tmp_path / f"single_{i}"
+            assert main(["run", str(cfg_path), "--out", str(single), "--seed", str(seed + i)]) == 0
+            assert replica == (single / "series.csv").read_bytes()
 
 
 class TestPreset:

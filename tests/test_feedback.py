@@ -242,7 +242,6 @@ class TestControlCycle:
         out = control_cycle(state, "Z", ctx, ControllerConfig())
         assert out.epc.voltages == state.epc.voltages
         assert out.converged
-        assert not out.correction_active
 
     def test_hold_persists_across_cycles(self):
         ctx = ExactContext(IDENTITY)
@@ -251,7 +250,7 @@ class TestControlCycle:
         for _ in range(5):
             state = control_cycle(state, "Z", ctx, cfg)
         assert state.epc.voltages == default_epc().voltages
-        assert state.cycle_count == 5
+        assert state.converged
 
     def test_converges_from_thirty_degree_misalignment(self):
         channel = rotation_from_axis_angle(S2, math.radians(30.0))
@@ -272,7 +271,6 @@ class TestControlCycle:
         out = control_cycle(state, "Z", ctx, cfg)
         assert out.epc.voltages == state.epc.voltages
         assert not out.converged
-        assert out.correction_active
 
     def test_positive_tau_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import optics_oracle
+from poltrack import optics
 from poltrack.optics import (
     EpcState,
     LinkBudget,
@@ -14,7 +17,6 @@ from poltrack.optics import (
     default_epc,
     drift_axes,
     epc_rotation,
-    squeezer_rotation,
     transmittance,
 )
 from poltrack.poincare import (
@@ -26,7 +28,7 @@ from poltrack.poincare import (
     rotation_from_axis_angle,
 )
 
-from conftest import random_unit, rodrigues_matrix
+from conftest import random_unit, rodrigues_matrix, squeezer_rotation
 
 S1 = StokesVector(1.0, 0.0, 0.0)
 S2 = StokesVector(0.0, 1.0, 0.0)
@@ -172,6 +174,91 @@ class TestDriftAxes:
         a = drift_axes(epc, 3, np.random.default_rng(99), sigma=0.01)
         b = drift_axes(epc, 3, np.random.default_rng(99), sigma=0.01)
         assert a == b
+
+
+def _random_epc(rng, wander_steps=0, sigma=0.5):
+    """Jittered-gain EPC at random voltages, its axes tipped off nominal."""
+    epc = default_epc(rng, gain_jitter=0.1)
+    for i in range(4):
+        epc = epc.with_voltage(i, float(rng.uniform(0.0, 150.0)))
+    for _ in range(wander_steps):
+        epc = optics_oracle.drift_axes(epc, 1, rng, sigma=sigma, max_wander=math.pi)
+    return epc
+
+
+class TestFloatPathMatchesOracle:
+    """The float EPC path equals the object-based reference bit for bit."""
+
+    def test_epc_rotation_bitwise(self):
+        rng = np.random.default_rng(51)
+        for k in range(400):
+            epc = _random_epc(rng, wander_steps=k % 3)
+            assert epc_rotation(epc) == optics_oracle.epc_rotation(epc)
+
+    def test_keeps_rotation_from_axis_angle_checks(self):
+        with pytest.raises(ValueError, match="unit length"):
+            optics._axis_angle_q(0.0, 1.1, 0.0, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            optics._axis_angle_q(0.0, 1.0, 0.0, math.nan)
+        # a finite gain can still overflow the angle gain * voltage
+        epc = default_epc().with_voltage(2, 150.0)
+        sqs = list(epc.squeezers)
+        sqs[2] = replace(sqs[2], gain=1e308)
+        huge = EpcState(tuple(sqs))
+        for path in (epc_rotation, optics_oracle.epc_rotation):
+            with pytest.raises(ValueError, match="finite"):
+                path(huge)
+
+    def test_with_voltage_matches_replace(self):
+        rng = np.random.default_rng(52)
+        for _ in range(300):
+            epc = _random_epc(rng, wander_steps=1)
+            i = int(rng.integers(0, 4))
+            v = float(rng.uniform(0.0, 150.0))
+            sqs = list(epc.squeezers)
+            sqs[i] = replace(sqs[i], voltage=v)
+            assert epc.with_voltage(i, v) == EpcState(tuple(sqs))
+        with pytest.raises(ValueError, match="outside"):
+            epc.with_voltage(0, 151.0)
+
+    def test_drift_axes_bitwise(self, monkeypatch):
+        clamped = 0
+        reference_clamp = optics_oracle._clamp_to_cone
+
+        def counting_clamp(axis, nominal, max_wander):
+            nonlocal clamped
+            out = reference_clamp(axis, nominal, max_wander)
+            clamped += out is not axis
+            return out
+
+        monkeypatch.setattr(optics_oracle, "_clamp_to_cone", counting_clamp)
+        polar = 0
+        setup = np.random.default_rng(53)
+        for _ in range(300):
+            epc = _random_epc(setup)
+            sigma = float(setup.uniform(0.001, 2.0))
+            max_wander = float(setup.uniform(0.05, 3.0))
+            dt = int(setup.choice([1, 1, 2, 7]))
+            seed = int(setup.integers(2**32))
+            rng_float = np.random.default_rng(seed)
+            rng_oracle = np.random.default_rng(seed)
+            for _ in range(10):
+                polar += sum(abs(sq.axis.s3) >= 0.9 for sq in epc.squeezers)
+                got = drift_axes(epc, dt, rng_float, sigma=sigma, max_wander=max_wander)
+                want = optics_oracle.drift_axes(
+                    epc, dt, rng_oracle, sigma=sigma, max_wander=max_wander
+                )
+                assert got == want
+                assert rng_float.bit_generator.state == rng_oracle.bit_generator.state
+                epc = got
+        assert clamped > 0, "no step left the wander cone"
+        assert polar > 0, "no axis reached the |s3| >= 0.9 tangent branch"
+
+    @pytest.mark.parametrize("nominal", [S1, S2, S3])
+    def test_antipodal_clamp_bitwise(self, nominal):
+        got = optics._clamp_to_cone(-nominal, nominal, 0.3)
+        assert got == optics_oracle._clamp_to_cone(-nominal, nominal, 0.3)
+        assert got.dot(nominal) == pytest.approx(math.cos(0.3))
 
 
 class TestChannels:
