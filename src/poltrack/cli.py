@@ -101,6 +101,13 @@ def _run_replica(args: tuple[ScenarioConfig, Path]) -> Summary:
     return _write_run_outputs(out_dir, cfg)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _execute(cfg: ScenarioConfig, out_dir: Path, replicas: int) -> None:
     if cfg.kind == "sample-size-table":
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,8 +127,8 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, replicas: int) -> None:
         (replace(cfg, seed=cfg.seed + i), out_dir / f"replica_{i:02d}")
         for i in range(replicas)
     ]
-    # one worker per core at most; the replicas are CPU-bound
-    with ProcessPoolExecutor(max_workers=min(replicas, os.cpu_count() or 1)) as pool:
+    # one worker per usable core at most; the replicas are CPU-bound
+    with ProcessPoolExecutor(max_workers=min(replicas, _usable_cpus())) as pool:
         summaries = list(pool.map(_run_replica, jobs))
     lines = []
     for i, s in enumerate(summaries):

@@ -16,10 +16,10 @@ random generators; independent simulation instances may run concurrently.
 
 The EPC's hot path (``epc_rotation``, ``EpcState.with_voltage`` and
 ``drift_axes``) composes its quaternions and tips its axes on plain floats and
-validates only the objects it returns.  It performs the operations of the
+validates only the objects it returns.  It calls the float kernels that the
 public ``poincare`` quaternion API (``rotation_from_axis_angle``, ``compose``,
-``apply_rotation``) in the same order, so it agrees with that checked
-reference bit for bit; ``tests/optics_oracle.py`` keeps the object-based form.
+``apply_rotation``) wraps, so it agrees with that checked reference bit for
+bit; ``tests/optics_oracle.py`` keeps the object-based form.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .poincare import (
-    AXIS_TOL,
     IDENTITY,
     Rotation,
     StokesVector,
+    _axis_angle_q,
+    _qmul,
+    _rotate,
     compose,
     rotation_from_axis_angle,
 )
@@ -144,40 +146,20 @@ def default_epc(
     return EpcState(tuple(squeezers))
 
 
-def _axis_angle_q(
-    a1: float, a2: float, a3: float, angle: float
-) -> tuple[float, float, float, float]:
-    """``rotation_from_axis_angle`` on plain floats, with the same checks."""
-    n = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    if abs(n - 1.0) > AXIS_TOL:
-        raise ValueError(f"rotation axis must be unit length, got |a| = {n!r}")
-    if not math.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    half = 0.5 * angle
-    s = math.sin(half) / n
-    return math.cos(half), s * a1, s * a2, s * a3
-
-
 def epc_rotation(epc: EpcState) -> Rotation:
     """Composite rotation of the whole EPC; light traverses squeezer 1 first.
 
     Each stage is the quaternion of angle gain * voltage about its axis,
-    multiplied on the left of the running product and renormalized after
-    every product, exactly as ``compose`` does.
+    multiplied on the left of the running product by ``compose``'s kernel,
+    which renormalizes after every product.
     """
     first, *rest = epc.squeezers
     a = first.axis
-    w, x, y, z = _axis_angle_q(a.s1, a.s2, a.s3, first.gain * first.voltage)
+    q = _axis_angle_q(a.s1, a.s2, a.s3, first.gain * first.voltage)
     for sq in rest:
         a = sq.axis
-        qw, qx, qy, qz = _axis_angle_q(a.s1, a.s2, a.s3, sq.gain * sq.voltage)
-        pw = qw * w - qx * x - qy * y - qz * z
-        px = qw * x + qx * w + qy * z - qz * y
-        py = qw * y - qx * z + qy * w + qz * x
-        pz = qw * z + qx * y - qy * x + qz * w
-        n = math.sqrt(pw * pw + px * px + py * py + pz * pz)
-        w, x, y, z = pw / n, px / n, py / n, pz / n
-    return Rotation(w, x, y, z)
+        q = _qmul(_axis_angle_q(a.s1, a.s2, a.s3, sq.gain * sq.voltage), q)
+    return Rotation(*q)
 
 
 def _tangent_basis(
@@ -248,19 +230,8 @@ def drift_axes(
         t2 = cp * e1[1] + sp * e2[1]
         t3 = cp * e1[2] + sp * e2[2]
         n = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
-        w, ux, uy, uz = _axis_angle_q(t1 / n, t2 / n, t3 / n, angle)
-        # apply_rotation: s' = s + 2w (u x s) + 2 u x (u x s), renormalized
-        cx = uy * s3 - uz * s2
-        cy = uz * s1 - ux * s3
-        cz = ux * s2 - uy * s1
-        dx = uy * cz - uz * cy
-        dy = uz * cx - ux * cz
-        dz = ux * cy - uy * cx
-        v1 = s1 + 2.0 * (w * cx + dx)
-        v2 = s2 + 2.0 * (w * cy + dy)
-        v3 = s3 + 2.0 * (w * cz + dz)
-        n = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-        moved = StokesVector(v1 / n, v2 / n, v3 / n)
+        q = _axis_angle_q(t1 / n, t2 / n, t3 / n, angle)
+        moved = StokesVector(*_rotate(q, (s1, s2, s3)))
         squeezers.append(
             SqueezerState(
                 _clamp_to_cone(moved, sq.nominal_axis, max_wander),

@@ -17,6 +17,12 @@ Conventions used throughout the package:
 
 All types are immutable values and all operations are pure functions, so they
 are safe to use concurrently without coordination.
+
+The arithmetic of ``rotation_from_axis_angle``, ``compose`` and
+``apply_rotation`` lives in private kernels on plain float tuples
+(``_axis_angle_q``, ``_qmul``, ``_rotate``); the public functions wrap them,
+and ``optics`` calls them directly on its hot path, so both share one
+product convention, operation order and renormalization.
 """
 
 from __future__ import annotations
@@ -100,38 +106,66 @@ class Rotation:
 IDENTITY = Rotation(1.0, 0.0, 0.0, 0.0)
 
 
+def _axis_angle_q(
+    a1: float, a2: float, a3: float, angle: float
+) -> tuple[float, float, float, float]:
+    """Quaternion ``(w, x, y, z)`` of ``angle`` about the axis ``(a1, a2, a3)``."""
+    n = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    if abs(n - 1.0) > AXIS_TOL:
+        raise ValueError(f"rotation axis must be unit length, got |a| = {n!r}")
+    if not math.isfinite(angle):
+        raise ValueError("rotation angle must be finite")
+    half = 0.5 * angle
+    s = math.sin(half) / n
+    return math.cos(half), s * a1, s * a2, s * a3
+
+
+def _qmul(
+    outer: tuple[float, float, float, float], inner: tuple[float, float, float, float]
+) -> tuple[float, float, float, float]:
+    """Renormalized quaternion product ``outer * inner`` of two ``(w, x, y, z)``."""
+    ow, ox, oy, oz = outer
+    iw, ix, iy, iz = inner
+    w = ow * iw - ox * ix - oy * iy - oz * iz
+    x = ow * ix + ox * iw + oy * iz - oz * iy
+    y = ow * iy - ox * iz + oy * iw + oz * ix
+    z = ow * iz + ox * iy - oy * ix + oz * iw
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def _rotate(
+    q: tuple[float, float, float, float], s: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """``q s q*`` for a quaternion ``(w, x, y, z)`` and a 3-vector; renormalized."""
+    # v' = v + 2w (u x v) + 2 u x (u x v), with u the quaternion vector part.
+    w, ux, uy, uz = q
+    s1, s2, s3 = s
+    cx = uy * s3 - uz * s2
+    cy = uz * s1 - ux * s3
+    cz = ux * s2 - uy * s1
+    dx = uy * cz - uz * cy
+    dy = uz * cx - ux * cz
+    dz = ux * cy - uy * cx
+    v1 = s1 + 2.0 * (w * cx + dx)
+    v2 = s2 + 2.0 * (w * cy + dy)
+    v3 = s3 + 2.0 * (w * cz + dz)
+    n = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    return v1 / n, v2 / n, v3 / n
+
+
 def rotation_from_axis_angle(axis: StokesVector, angle: float) -> Rotation:
     """Quaternion with scalar part cos(angle/2) and vector part sin(angle/2)*axis.
 
     The axis must be unit length within ``AXIS_TOL``; it is renormalized
     exactly before use so the result satisfies the quaternion norm invariant.
     """
-    n = math.sqrt(axis.s1 * axis.s1 + axis.s2 * axis.s2 + axis.s3 * axis.s3)
-    if abs(n - 1.0) > AXIS_TOL:
-        raise ValueError(f"rotation axis must be unit length, got |a| = {n!r}")
-    if not math.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    half = 0.5 * angle
-    c = math.cos(half)
-    s = math.sin(half) / n
-    return Rotation(c, s * axis.s1, s * axis.s2, s * axis.s3)
+    return Rotation(*_axis_angle_q(axis.s1, axis.s2, axis.s3, angle))
 
 
 def apply_rotation(r: Rotation, s: StokesVector) -> StokesVector:
     """Rotate a Stokes vector, ``s' = r s r*``; the output is renormalized."""
-    # v' = v + 2w (u x v) + 2 u x (u x v), with u the quaternion vector part.
-    ux, uy, uz = r.x, r.y, r.z
-    cx = uy * s.s3 - uz * s.s2
-    cy = uz * s.s1 - ux * s.s3
-    cz = ux * s.s2 - uy * s.s1
-    dx = uy * cz - uz * cy
-    dy = uz * cx - ux * cz
-    dz = ux * cy - uy * cx
-    v1 = s.s1 + 2.0 * (r.w * cx + dx)
-    v2 = s.s2 + 2.0 * (r.w * cy + dy)
-    v3 = s.s3 + 2.0 * (r.w * cz + dz)
-    n = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    return StokesVector(v1 / n, v2 / n, v3 / n)
+    return StokesVector(*_rotate((r.w, r.x, r.y, r.z), (s.s1, s.s2, s.s3)))
 
 
 def compose(outer: Rotation, inner: Rotation) -> Rotation:
@@ -140,12 +174,8 @@ def compose(outer: Rotation, inner: Rotation) -> Rotation:
     Satisfies apply(compose(b, a), s) == apply(b, apply(a, s)); the result is
     renormalized.
     """
-    w = outer.w * inner.w - outer.x * inner.x - outer.y * inner.y - outer.z * inner.z
-    x = outer.w * inner.x + outer.x * inner.w + outer.y * inner.z - outer.z * inner.y
-    y = outer.w * inner.y - outer.x * inner.z + outer.y * inner.w + outer.z * inner.x
-    z = outer.w * inner.z + outer.x * inner.y - outer.y * inner.x + outer.z * inner.w
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    return Rotation(w / n, x / n, y / n, z / n)
+    q = _qmul((outer.w, outer.x, outer.y, outer.z), (inner.w, inner.x, inner.y, inner.z))
+    return Rotation(*q)
 
 
 def inverse(r: Rotation) -> Rotation:

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from poltrack import cli
 from poltrack.cli import main
 from poltrack.harness import (
     config_to_ini,
@@ -81,6 +82,33 @@ class TestRun:
             single = tmp_path / f"single_{i}"
             assert main(["run", str(cfg_path), "--out", str(single), "--seed", str(seed + i)]) == 0
             assert replica == (single / "series.csv").read_bytes()
+
+    def test_replica_pool_sized_from_affinity(self, tmp_path, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # two usable CPUs on a host that reports many more
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        cfg_path = tmp_path / "scenario.ini"
+        cfg_path.write_text(short_static_ini())
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out), "--replicas", "3"]) == 0
+        assert workers == [2]
+        assert (out / "replica_02" / "series.csv").exists()
 
 
 class TestPreset:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import optics_oracle
-from poltrack import optics
+from poltrack import optics, poincare
 from poltrack.optics import (
     EpcState,
     LinkBudget,
@@ -197,9 +197,9 @@ class TestFloatPathMatchesOracle:
 
     def test_keeps_rotation_from_axis_angle_checks(self):
         with pytest.raises(ValueError, match="unit length"):
-            optics._axis_angle_q(0.0, 1.1, 0.0, 0.1)
+            poincare._axis_angle_q(0.0, 1.1, 0.0, 0.1)
         with pytest.raises(ValueError, match="finite"):
-            optics._axis_angle_q(0.0, 1.0, 0.0, math.nan)
+            poincare._axis_angle_q(0.0, 1.0, 0.0, math.nan)
         # a finite gain can still overflow the angle gain * voltage
         epc = default_epc().with_voltage(2, 150.0)
         sqs = list(epc.squeezers)

@@ -1,6 +1,6 @@
 """Best-of-N wall time of each poltrack layer, in microseconds per call.
 
-    PYTHONPATH=src python3 tools/timeit_layers.py [--repeat 7]
+    PYTHONPATH=src python3 tools/timeit_layers.py
 
 Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
 quaternion ``compose``; ``epc_rotation``, ``EpcState.with_voltage`` and
@@ -9,7 +9,7 @@ one ``adjust_squeezer`` and one ``control_cycle`` against an ``ExactContext``
 (a full correction from a fixed 30 degree misalignment); one ``track``
 cycle, averaged over a 50-cycle run from the preset's starting EPCs; and
 ``series_to_csv`` of that 50-cycle series.
-Each figure is the fastest of ``--repeat`` timeit repeats, with the loop count
+Each figure is the fastest of ``REPEAT`` timeit repeats, with the loop count
 per repeat chosen by ``Timer.autorange``.  Prints one JSON object.  Uses the
 standard library and poltrack (with numpy, its one dependency) only, so the
 same script times any checkout that has these public names.
@@ -17,7 +17,6 @@ same script times any checkout that has these public names.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -32,20 +31,16 @@ from poltrack.harness import build_channel
 
 SEED = 12345
 TRACK_CYCLES = 50
+REPEAT = 7
 
 
-def best_us(stmt, repeat: int, per_call: int = 1) -> float:
+def best_us(stmt, per_call: int = 1) -> float:
     timer = timeit.Timer(stmt)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeat=repeat, number=number)) / number / per_call * 1e6
+    return min(timer.repeat(repeat=REPEAT, number=number)) / number / per_call * 1e6
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=7, help="timeit repeats; the best is kept")
-    args = parser.parse_args()
-    repeat = args.repeat
-
     cfg = replace(pt.preset_config("drift24h"), seed=SEED)
     rng = np.random.default_rng(SEED)
     start_z, start_x = (
@@ -100,12 +95,12 @@ def main() -> None:
         "series_to_csv_50": lambda: pt.series_to_csv(series),
     }
     result = {
-        name: best_us(stmt, repeat, TRACK_CYCLES if name == "track_cycle" else 1)
+        name: best_us(stmt, TRACK_CYCLES if name == "track_cycle" else 1)
         for name, stmt in timings.items()
     }
     result["_meta"] = {
         "unit": "us per call, best of repeats",
-        "repeat": repeat,
+        "repeat": REPEAT,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
