@@ -17,7 +17,6 @@ from .feedback import (
     adjust_squeezer,
     control_cycle,
     feedback_error,
-    measure_e,
     track,
 )
 from .harness import (

@@ -21,7 +21,7 @@ is owned by a single execution context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class ControllerState:
     """Loop state of one basis controller driving its EPC."""
 
     epc: EpcState
-    last_e: float | None = None
     recenter_count: int = 0
     converged: bool = True
 
@@ -140,23 +139,16 @@ class ExactContext:
 
     With no detector noise both rows of the measurement matrix have the same
     wrong-port probability j = (1 - m) / 2, where m is the plant's
-    ``analyzer_element`` of the basis, so E = 4 j^2.
+    ``analyzer_element`` of the basis, so E = 4 j^2.  This is the reference
+    the controller is checked against, not the mean of the noisy plant.
     """
 
     def __init__(self, channel_rot: Rotation):
         self.channel_rot = channel_rot
 
-    def wrong_port_rate(self, epc_rot: Rotation, basis: str) -> float:
-        return 0.5 * (1.0 - analyzer_element(self.channel_rot, epc_rot, basis))
-
     def evaluate(self, epc_rot: Rotation, basis: str) -> float:
-        j = self.wrong_port_rate(epc_rot, basis)
+        j = 0.5 * (1.0 - analyzer_element(self.channel_rot, epc_rot, basis))
         return 4.0 * j * j
-
-
-def measure_e(state: ControllerState, basis: str, sim_context) -> float:
-    """One fresh evaluation of the feedback signal at the current voltages."""
-    return sim_context.evaluate(epc_rotation(state.epc), basis)
 
 
 def adjust_squeezer(
@@ -185,38 +177,30 @@ def adjust_squeezer(
     if not (sq.v_min <= v_new <= sq.v_max):
         v_new = sq.center
         recenters += 1
-    return replace(
-        state,
-        epc=epc.with_voltage(i, v_new),
-        last_e=None,  # E at the landing voltage is not measured yet
-        recenter_count=state.recenter_count + recenters,
+    return ControllerState(
+        epc.with_voltage(i, v_new), state.recenter_count + recenters, state.converged
     )
 
 
 def control_cycle(
-    state: ControllerState, basis: str, sim_context, config: ControllerConfig
+    state: ControllerState, e: float, basis: str, sim_context, config: ControllerConfig
 ) -> ControllerState:
-    """One feedback cycle: hold if E is below threshold, else correct.
+    """One feedback cycle on the measured feedback signal ``e``.
 
-    A correction sweeps squeezers 1..4 and re-measures E after each sweep,
-    repeating until E < e_threshold or ``max_cycles_per_correction`` sweeps
-    have run, in which case the state comes back flagged as not converged.
+    Holds if ``e`` is below threshold, else corrects: a correction sweeps
+    squeezers 1..4 and re-measures E after each sweep, repeating until
+    E < e_threshold or ``max_cycles_per_correction`` sweeps have run, in which
+    case the state comes back flagged as not converged.
     """
-    e = state.last_e
-    if e is None:
-        e = measure_e(state, basis, sim_context)
     if e < config.e_threshold:
-        return replace(state, last_e=e, converged=True)
+        return ControllerState(state.epc, state.recenter_count, converged=True)
 
-    converged = False
     for _ in range(config.max_cycles_per_correction):
         for i in range(4):
             state = adjust_squeezer(state, i, basis, sim_context, config)
-        e = measure_e(state, basis, sim_context)
-        if e < config.e_threshold:
-            converged = True
-            break
-    return replace(state, last_e=e, converged=converged)
+        if sim_context.evaluate(epc_rotation(state.epc), basis) < config.e_threshold:
+            return ControllerState(state.epc, state.recenter_count, converged=True)
+    return ControllerState(state.epc, state.recenter_count, converged=False)
 
 
 @dataclass(frozen=True)
@@ -262,24 +246,19 @@ def track(
     rng_ctrl_z = np.random.Generator(np.random.Philox(kids[4]))
     rng_ctrl_x = np.random.Generator(np.random.Philox(kids[5]))
 
+    def drifted(state: ControllerState) -> ControllerState:
+        epc = drift_axes(
+            state.epc, 1, rng_drift,
+            sigma=world.axis_drift_sigma, max_wander=world.max_axis_wander,
+        )
+        return ControllerState(epc, state.recenter_count, state.converged)
+
     channel = world.channel
     rows = []
     for cycle in range(1, duration + 1):
         channel, ch_rot = channel_step(channel, 1, rng_channel)
-        z_state = replace(
-            z_state,
-            epc=drift_axes(
-                z_state.epc, 1, rng_drift,
-                sigma=world.axis_drift_sigma, max_wander=world.max_axis_wander,
-            ),
-        )
-        x_state = replace(
-            x_state,
-            epc=drift_axes(
-                x_state.epc, 1, rng_drift,
-                sigma=world.axis_drift_sigma, max_wander=world.max_axis_wander,
-            ),
-        )
+        z_state = drifted(z_state)
+        x_state = drifted(x_state)
 
         tally = simulate_batch(
             z_config.batch_pulses,
@@ -306,8 +285,8 @@ def track(
             ctx_z = MonteCarloContext(ch_rot, world.source, world.eta, z_config, rng_ctrl_z)
             ctx_x = MonteCarloContext(ch_rot, world.source, world.eta, x_config, rng_ctrl_x)
             try:
-                z_state = control_cycle(replace(z_state, last_e=e_z), "Z", ctx_z, z_config)
-                x_state = control_cycle(replace(x_state, last_e=e_x), "X", ctx_x, x_config)
+                z_state = control_cycle(z_state, e_z, "Z", ctx_z, z_config)
+                x_state = control_cycle(x_state, e_x, "X", ctx_x, x_config)
             except InsufficientDataError:
                 data_ok = False
 

@@ -175,12 +175,22 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+_PARSERS = {bool: _parse_bool, float: _parse_float}
+
+
 def _converter(tp):
     """Text-to-value conversion for a field's declared type."""
     if typing.get_origin(tp) is tuple:
-        item = typing.get_args(tp)[0]
+        item = _converter(typing.get_args(tp)[0])
         return lambda text: tuple(item(x) for x in text.split(","))
-    return _parse_bool if tp is bool else tp  # or str, int, float
+    return _PARSERS.get(tp, tp)  # str and int convert as themselves
 
 
 _SCENARIO_TYPES = typing.get_type_hints(ScenarioConfig)

@@ -25,8 +25,7 @@ or into "no sifted detection" with fixed probabilities.  A batch is
 therefore sampled at the count level, as a single multinomial draw over
 those nine outcomes, at a cost independent of the number of pulses.
 
-Batches are pure functions of their random generator; tallies from disjoint
-generator streams merge by component-wise addition.
+Batches are pure functions of their random generator.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poincare import Rotation
+from .poincare import Rotation, _qprod
 
 BASES = ("Z", "X")
 _ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
@@ -120,12 +119,6 @@ class DetectionTally:
             return (self.n_dd, self.n_da, self.n_ad, self.n_aa)
         raise ValueError(f"unknown basis {basis!r}")
 
-    def __add__(self, other: "DetectionTally") -> "DetectionTally":
-        return DetectionTally(
-            *(getattr(self, f) + getattr(other, f) for f in _COUNT_FIELDS),
-            pulses_sent=self.pulses_sent + other.pulses_sent,
-        )
-
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
@@ -153,10 +146,7 @@ def analyzer_element(channel_rot: Rotation, epc_rot: Rotation, basis: str) -> fl
     the product's norm as ``poincare.compose`` does.
     """
     a, c = epc_rot, channel_rot
-    w = a.w * c.w - a.x * c.x - a.y * c.y - a.z * c.z
-    x = a.w * c.x + a.x * c.w + a.y * c.z - a.z * c.y
-    y = a.w * c.y - a.x * c.z + a.y * c.w + a.z * c.x
-    z = a.w * c.z + a.x * c.y - a.y * c.x + a.z * c.w
+    w, x, y, z = _qprod((a.w, a.x, a.y, a.z), (c.w, c.x, c.y, c.z))
     n2 = w * w + x * x + y * y + z * z
     if basis == "Z":
         return 1.0 - 2.0 * (y * y + z * z) / n2

@@ -21,8 +21,10 @@ are safe to use concurrently without coordination.
 The arithmetic of ``rotation_from_axis_angle``, ``compose`` and
 ``apply_rotation`` lives in private kernels on plain float tuples
 (``_axis_angle_q``, ``_qmul``, ``_rotate``); the public functions wrap them,
-and ``optics`` calls them directly on its hot path, so both share one
-product convention, operation order and renormalization.
+and ``optics`` calls them directly on its hot path.  ``_qmul`` renormalizes
+the unnormalized product ``_qprod``, which ``photon_sim.analyzer_element``
+reads directly, so the whole package shares one product convention,
+operation order and renormalization.
 """
 
 from __future__ import annotations
@@ -120,16 +122,25 @@ def _axis_angle_q(
     return math.cos(half), s * a1, s * a2, s * a3
 
 
+def _qprod(
+    outer: tuple[float, float, float, float], inner: tuple[float, float, float, float]
+) -> tuple[float, float, float, float]:
+    """Quaternion product ``outer * inner`` of two ``(w, x, y, z)``, unnormalized."""
+    ow, ox, oy, oz = outer
+    iw, ix, iy, iz = inner
+    return (
+        ow * iw - ox * ix - oy * iy - oz * iz,
+        ow * ix + ox * iw + oy * iz - oz * iy,
+        ow * iy - ox * iz + oy * iw + oz * ix,
+        ow * iz + ox * iy - oy * ix + oz * iw,
+    )
+
+
 def _qmul(
     outer: tuple[float, float, float, float], inner: tuple[float, float, float, float]
 ) -> tuple[float, float, float, float]:
     """Renormalized quaternion product ``outer * inner`` of two ``(w, x, y, z)``."""
-    ow, ox, oy, oz = outer
-    iw, ix, iy, iz = inner
-    w = ow * iw - ox * ix - oy * iy - oz * iz
-    x = ow * ix + ox * iw + oy * iz - oz * iy
-    y = ow * iy - ox * iz + oy * iw + oz * ix
-    z = ow * iz + ox * iy - oy * ix + oz * iw
+    w, x, y, z = _qprod(outer, inner)
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return w / n, x / n, y / n, z / n
 

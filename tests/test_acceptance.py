@@ -152,7 +152,9 @@ def test_criterion_4_convergence():
         axis, _ = random_axis_angle(rng)
         angle = float(rng.uniform(0.0, math.pi / 2))
         ctx = ExactContext(rotation_from_axis_angle(StokesVector(*axis), angle))
-        state = control_cycle(ControllerState(epc=default_epc(rng, gain_jitter=0.1)), "Z", ctx, cfg)
+        state = ControllerState(epc=default_epc(rng, gain_jitter=0.1))
+        e = ctx.evaluate(epc_rotation(state.epc), "Z")
+        state = control_cycle(state, e, "Z", ctx, cfg)
         if state.converged and ctx.evaluate(epc_rotation(state.epc), "Z") < e_thr:
             ok += 1
     assert ok >= 48, f"noiseless convergence {ok}/50"
@@ -178,7 +180,9 @@ def test_criterion_4_convergence():
         ctx = MonteCarloContext(
             channel, src, 1.0, mc_cfg, np.random.Generator(np.random.Philox(9000 + case))
         )
-        state = control_cycle(ControllerState(epc=default_epc(rng, gain_jitter=0.1)), "Z", ctx, mc_cfg)
+        state = ControllerState(epc=default_epc(rng, gain_jitter=0.1))
+        e = ctx.evaluate(epc_rotation(state.epc), "Z")
+        state = control_cycle(state, e, "Z", ctx, mc_cfg)
         e_true = ExactContext(channel).evaluate(epc_rotation(state.epc), "Z")
         if e_true < e_thr + slack:
             ok_mc += 1

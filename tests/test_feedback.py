@@ -14,7 +14,6 @@ from poltrack.feedback import (
     adjust_squeezer,
     control_cycle,
     feedback_error,
-    measure_e,
     track,
 )
 from poltrack.harness import preset_config, run_scenario
@@ -23,6 +22,7 @@ from poltrack.photon_sim import (
     InsufficientDataError,
     MeasurementMatrix,
     SourceParams,
+    analyzer_element,
 )
 from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
 
@@ -43,6 +43,21 @@ def mm_from_wrong_rates(j2, j3):
 def mc_context(channel_rot, seed, batch=16_000, source=NOISELESS, eta=1.0):
     cfg = ControllerConfig(batch_pulses=batch, sample_fraction=1.0)
     return MonteCarloContext(channel_rot, source, eta, cfg, rng_for(seed)), cfg
+
+
+def measure_e(state, basis, ctx):
+    """One fresh evaluation of E at the state's current voltages."""
+    return ctx.evaluate(epc_rotation(state.epc), basis)
+
+
+class CountingContext(ExactContext):
+    """ExactContext that counts its evaluations."""
+
+    calls = 0
+
+    def evaluate(self, epc_rot, basis):
+        self.calls += 1
+        return super().evaluate(epc_rot, basis)
 
 
 class TestFeedbackError:
@@ -110,8 +125,9 @@ class TestBasisAlignmentFixedPoint:
         ctx = ExactContext(IDENTITY)
         assert ctx.evaluate(IDENTITY, "Z") == 0.0
         assert ctx.evaluate(IDENTITY, "X") == 0.0
-        assert ctx.wrong_port_rate(IDENTITY, "Z") == 0.0
-        assert ctx.wrong_port_rate(IDENTITY, "X") == 0.0
+        # wrong-port rate (1 - m) / 2 of each arm
+        assert analyzer_element(IDENTITY, IDENTITY, "Z") == 1.0
+        assert analyzer_element(IDENTITY, IDENTITY, "X") == 1.0
 
 
 class TestMeasureE:
@@ -200,13 +216,6 @@ class TestAdjustSqueezer:
         assert out.recenter_count == 1
         assert out.epc.squeezers[2].voltage == out.epc.squeezers[2].center
 
-    def test_stores_no_feedback_value_from_the_probe(self):
-        # E2 was measured at the probe voltage, not where the step lands
-        ctx = ExactContext(rotation_from_axis_angle(S3, 0.8))
-        state = ControllerState(epc=default_epc(), last_e=0.5)
-        out = adjust_squeezer(state, 1, "Z", ctx, ControllerConfig())
-        assert out.last_e is None
-
     def test_gradient_error_shrinks_linearly_with_dither(self):
         # forward-difference slope error is first order in the dither size
         channel = rotation_from_axis_angle(S3, 0.9)
@@ -238,8 +247,8 @@ class TestAdjustSqueezer:
 class TestControlCycle:
     def test_below_threshold_holds_voltages(self):
         ctx = ExactContext(IDENTITY)
-        state = ControllerState(epc=default_epc(), last_e=0.0001)
-        out = control_cycle(state, "Z", ctx, ControllerConfig())
+        state = ControllerState(epc=default_epc())
+        out = control_cycle(state, 0.0001, "Z", ctx, ControllerConfig())
         assert out.epc.voltages == state.epc.voltages
         assert out.converged
 
@@ -248,7 +257,7 @@ class TestControlCycle:
         state = ControllerState(epc=default_epc())
         cfg = ControllerConfig()
         for _ in range(5):
-            state = control_cycle(state, "Z", ctx, cfg)
+            state = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
         assert state.epc.voltages == default_epc().voltages
         assert state.converged
 
@@ -256,11 +265,12 @@ class TestControlCycle:
         channel = rotation_from_axis_angle(S2, math.radians(30.0))
         ctx = ExactContext(channel)
         cfg = ControllerConfig(max_cycles_per_correction=200)
-        state = control_cycle(ControllerState(epc=default_epc()), "Z", ctx, cfg)
+        state = ControllerState(epc=default_epc())
+        state = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
         assert state.converged
-        assert state.last_e < cfg.e_threshold
+        assert measure_e(state, "Z", ctx) < cfg.e_threshold
         # wrong-port rate is bounded by sqrt(E/2) via Cauchy-Schwarz
-        qber_b = ctx.wrong_port_rate(epc_rotation(state.epc), "Z")
+        qber_b = 0.5 * (1.0 - analyzer_element(channel, epc_rotation(state.epc), "Z"))
         assert qber_b < math.sqrt(cfg.e_threshold / 2.0)
 
     def test_degenerate_zero_tau_never_moves(self):
@@ -268,9 +278,49 @@ class TestControlCycle:
         ctx = ExactContext(channel)
         cfg = ControllerConfig(tau=-0.0, max_cycles_per_correction=3)
         state = ControllerState(epc=default_epc())
-        out = control_cycle(state, "Z", ctx, cfg)
+        out = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
         assert out.epc.voltages == state.epc.voltages
         assert not out.converged
+
+    def test_hold_makes_no_evaluation(self):
+        # the cycle decides on the E it is given, even on a misaligned plant
+        ctx = CountingContext(rotation_from_axis_angle(S2, math.radians(30.0)))
+        state = ControllerState(epc=default_epc())
+        out = control_cycle(state, 0.0, "Z", ctx, ControllerConfig())
+        assert ctx.calls == 0
+        assert out.epc == state.epc
+        assert out.converged
+
+    def test_correction_costs_nine_evaluations_per_sweep(self):
+        # each sweep is four two-point probes plus one re-measurement
+        channel = rotation_from_axis_angle(S2, math.radians(30.0))
+        start = ControllerState(epc=default_epc())
+        e0 = ExactContext(channel).evaluate(epc_rotation(start.epc), "Z")
+
+        def run(cap):
+            ctx = CountingContext(channel)
+            cfg = ControllerConfig(max_cycles_per_correction=cap)
+            return control_cycle(start, e0, "Z", ctx, cfg), ctx.calls
+
+        out, calls = run(200)
+        assert out.converged
+        sweeps, rest = divmod(calls, 9)
+        assert rest == 0 and sweeps >= 2
+        # one sweep fewer does not converge: it took exactly ``sweeps``
+        out, calls = run(sweeps - 1)
+        assert not out.converged
+        assert calls == 9 * (sweeps - 1)
+
+    def test_capped_correction_budget_includes_recentered_probe(self):
+        # squeezer 2 has no headroom to probe, so its first adjustment
+        # recenters before probing; zero tau keeps the correction capped
+        ctx = CountingContext(rotation_from_axis_angle(S2, math.radians(30.0)))
+        cfg = ControllerConfig(tau=-0.0, max_cycles_per_correction=3)
+        state = ControllerState(epc=default_epc().with_voltage(2, 149.5))
+        out = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
+        assert not out.converged
+        assert out.recenter_count == 1
+        assert ctx.calls == 1 + 9 * 3  # the first is this test's own reading
 
     def test_positive_tau_rejected(self):
         with pytest.raises(ValueError):

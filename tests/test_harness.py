@@ -226,6 +226,22 @@ class TestConfigValidation:
             parse_config(f"[{section}]\n{key} = {value}\n")
         assert str(err.value).startswith(f"{section}.{key}: ")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("epc", "gain_rad_per_volt", "inf"),
+            ("link", "length_km", "inf"),
+            ("channel", "angle_deg", "inf"),
+            ("scenario", "fc_seconds", "inf"),
+            ("source", "mean_photons", "nan"),
+            ("channel", "axis", "0,nan,1"),
+        ],
+    )
+    def test_non_finite_value_reported_with_field(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert str(err.value) == f"{section}.{key}: must be finite"
+
     def test_zero_batch_pulses_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[controller]\nbatch_pulses = 0\n")

@@ -98,16 +98,6 @@ class TestSimulateBatch:
         b = simulate_batch(50_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(6))
         assert a == b
 
-    def test_merge_is_componentwise_addition(self):
-        src = SourceParams(mu=0.2)
-        a = simulate_batch(20_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(8))
-        b = simulate_batch(30_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(9))
-        c = simulate_batch(10_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(10))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a + b).sifted_total == a.sifted_total + b.sifted_total
-        assert (a + b).pulses_sent == 50_000
-
     def test_dark_counts_never_decrease_qber(self):
         channel = rotation_from_axis_angle(S2, 0.2)
         qbers = []

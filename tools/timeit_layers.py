@@ -6,7 +6,8 @@ Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
 quaternion ``compose``; ``epc_rotation``, ``EpcState.with_voltage`` and
 ``drift_axes`` of a jittered-gain EPC; one ``MonteCarloContext.evaluate``;
 one ``adjust_squeezer`` and one ``control_cycle`` against an ``ExactContext``
-(a full correction from a fixed 30 degree misalignment); one ``track``
+(measuring E, then a full correction from a fixed 30 degree misalignment);
+one ``track``
 cycle, averaged over a 50-cycle run from the preset's starting EPCs; and
 ``series_to_csv`` of that 50-cycle series.
 Each figure is the fastest of ``REPEAT`` timeit repeats, with the loop count
@@ -90,7 +91,9 @@ def main() -> None:
         ),
         "MonteCarloContext.evaluate": lambda: mc.evaluate(epc_rot, "Z"),
         "adjust_squeezer": lambda: pt.adjust_squeezer(state, 1, "Z", misaligned, ctrl),
-        "control_cycle": lambda: pt.control_cycle(state, "Z", misaligned, ctrl),
+        "control_cycle": lambda: pt.control_cycle(
+            state, misaligned.evaluate(pt.epc_rotation(state.epc), "Z"), "Z", misaligned, ctrl
+        ),
         "track_cycle": track,
         "series_to_csv_50": lambda: pt.series_to_csv(series),
     }
