@@ -142,6 +142,22 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, replicas: int) -> None:
     print("\n".join(lines))
 
 
+def _run(cfg: ScenarioConfig, args: argparse.Namespace, default_out: Path) -> None:
+    """Apply the run flags to ``cfg``, check the result and execute it.
+
+    The check comes after the overrides, so a bad ``--seed`` is a config
+    error here rather than a runtime error inside a replica worker.
+    """
+    if args.replicas < 1:
+        raise ConfigError("--replicas: must be at least 1")
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.no_control:
+        cfg = replace(cfg, control_enabled=False)
+    validate_config(cfg, {"seed": "--seed"} if args.seed is not None else None)
+    _execute(cfg, args.out if args.out is not None else default_out, args.replicas)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -151,23 +167,11 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 print(f"cannot read config: {exc}", file=sys.stderr)
                 return 2
-            cfg = parse_config(text)
-            if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed)
-            if args.no_control:
-                cfg = replace(cfg, control_enabled=False)
-            out = args.out if args.out is not None else Path(f"runs/{args.config.stem}")
-            _execute(cfg, out, args.replicas)
+            _run(parse_config(text), args, Path(f"runs/{args.config.stem}"))
             return 0
 
         if args.command == "preset":
-            cfg = preset_config(args.name, full=args.full)
-            if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed)
-            if args.no_control:
-                cfg = replace(cfg, control_enabled=False)
-            out = args.out if args.out is not None else Path(f"runs/{args.name}")
-            _execute(cfg, out, args.replicas)
+            _run(preset_config(args.name, full=args.full), args, Path(f"runs/{args.name}"))
             return 0
 
         if args.command == "table":

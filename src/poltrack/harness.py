@@ -292,6 +292,7 @@ def validate_config(cfg: ScenarioConfig, labels: dict[str, str] | None = None) -
     checks = (
         ("kind", cfg.kind in SCENARIO_KINDS, f"must be one of {', '.join(SCENARIO_KINDS)}"),
         ("duration", cfg.kind == "sample-size-table" or cfg.duration >= 1, "must be at least 1"),
+        ("seed", cfg.seed >= 0, "must be non-negative"),
         ("fc_seconds", cfg.fc_seconds > 0.0, "must be positive"),
         ("channel.model", ch.model in ("static", "random_walk", "scrambler"),
          "must be static, random_walk, or scrambler"),
@@ -304,7 +305,7 @@ def validate_config(cfg: ScenarioConfig, labels: dict[str, str] | None = None) -
         ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
         ("epc.axis_drift_sigma", not epc.axis_drift_sigma < 0.0, "must be non-negative"),
         ("epc.max_axis_wander", epc.max_axis_wander >= 0.0, "must be non-negative"),
-        ("table.mu", table.mu > 0.0, "must be positive"),
+        ("table.mu", 0.0 < table.mu < math.inf, "must be positive and finite"),
         ("table.eta", 0.0 < table.eta <= 1.0, "must be in (0, 1]"),
         ("table.qber_values", all(0.0 <= q <= 1.0 for q in table.qber_values),
          "every entry must be in [0, 1]"),

@@ -240,9 +240,17 @@ def reveal_sample(
     """Publicly revealed subset: each sifted event kept with prob ``fraction``.
 
     The remainder is conceptually retained as key material and not modeled
-    further; ``pulses_sent`` is carried over unchanged as provenance.
+    further; ``pulses_sent`` is carried over unchanged as provenance.  With
+    ``fraction`` 1 every event is revealed and the tally itself is returned.
     """
     if not (0.0 < fraction <= 1.0):
         raise ValueError("fraction must be in (0, 1]")
+    if fraction == 1.0:
+        # numpy's binomial(n, 1.0) returns n but still draws one double when
+        # n > 0 and none when n == 0.  Drawing as many doubles leaves the
+        # generator where the per-cell draws would, so later batches, and
+        # seeded output, are unchanged.
+        rng.random(sum(getattr(tally, f) > 0 for f in _COUNT_FIELDS))
+        return tally
     kept = (int(rng.binomial(getattr(tally, f), fraction)) for f in _COUNT_FIELDS)
     return DetectionTally(*kept, pulses_sent=tally.pulses_sent)

@@ -4,17 +4,41 @@ The rotation-matrix oracle is built directly from the axis-angle parameters
 via Rodrigues' formula, never from the quaternion code under test.
 ``table_from_csv`` reads back the estimator-error table that the package
 only writes.  ``squeezer_rotation`` is one EPC stage as a ``Rotation``, which
-the package itself only composes on floats.
+the package itself only composes on floats.  ``numpy_streams_as_golden``
+skips a test that pins a ``Generator`` stream under another numpy release.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from poltrack.optics import SqueezerState
 from poltrack.poincare import Rotation, StokesVector, rotation_from_axis_angle
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+
+
+def _major_minor(version: str) -> tuple[str, ...]:
+    return tuple(version.split(".")[:2])
+
+
+# numpy's Generator streams are not guaranteed stable across releases (NEP 19),
+# so a test that pins one runs only under the numpy major.minor that made the
+# golden files, and is skipped rather than failed under any other.
+numpy_streams_as_golden = pytest.mark.skipif(
+    _major_minor(np.__version__) != _major_minor(GOLDEN_MANIFEST["numpy"]),
+    reason=(
+        f"golden files were made with numpy {GOLDEN_MANIFEST['numpy']}; numpy "
+        f"{np.__version__} may draw different Generator streams (NEP 19)"
+    ),
+)
 
 
 def rodrigues_matrix(axis, angle: float) -> np.ndarray:

@@ -119,6 +119,21 @@ class TestPreset:
         assert qs == (0.01, 0.02, 0.03)
         assert cells.shape == (len(bs), 3)
 
+    @pytest.mark.parametrize("replicas", ["1", "2"])
+    def test_negative_seed_is_config_error(self, replicas, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["preset", "static", "--seed", "-3", "--replicas", replicas, "--out", str(out)])
+        assert code == 2
+        assert "--seed: must be non-negative" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("series.csv"))
+
+    @pytest.mark.parametrize("replicas", ["0", "-2"])
+    def test_replicas_below_one_is_config_error(self, replicas, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["preset", "static", "--replicas", replicas, "--out", str(out)]) == 2
+        assert "--replicas: must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("series.csv"))
+
     def test_unknown_preset_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as err:
             main(["preset", "warp"])
@@ -145,7 +160,13 @@ class TestTable:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--mu", "-1"), ("--eta", "1.5"), ("--qber", "0.01,1.5"), ("--b", "100,0")],
+        [
+            ("--mu", "-1"),
+            ("--mu", "inf"),
+            ("--eta", "1.5"),
+            ("--qber", "0.01,1.5"),
+            ("--b", "100,0"),
+        ],
     )
     def test_out_of_range_flag_is_config_error(self, flag, value, tmp_path, capsys):
         out = tmp_path / "t.csv"

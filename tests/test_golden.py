@@ -9,37 +9,23 @@ not guaranteed stable across releases (NEP 19), so under a different numpy
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from poltrack.harness import preset_config, run_scenario, series_to_csv
 
-GOLDEN = Path(__file__).parent / "golden"
-MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+from conftest import GOLDEN, GOLDEN_MANIFEST, numpy_streams_as_golden
 
 
-def _major_minor(version: str) -> tuple[str, ...]:
-    return tuple(version.split(".")[:2])
-
-
-@pytest.mark.skipif(
-    _major_minor(np.__version__) != _major_minor(MANIFEST["numpy"]),
-    reason=(
-        f"golden files were made with numpy {MANIFEST['numpy']}; numpy {np.__version__} "
-        "may draw different Generator streams (NEP 19)"
-    ),
-)
-@pytest.mark.parametrize("filename", sorted(MANIFEST["files"]))
+@numpy_streams_as_golden
+@pytest.mark.parametrize("filename", sorted(GOLDEN_MANIFEST["files"]))
 def test_seeded_series_matches_golden(filename):
-    spec = MANIFEST["files"][filename]
+    spec = GOLDEN_MANIFEST["files"][filename]
     cfg = replace(
         preset_config(spec["preset"], full=spec["full"]),
         duration=spec["cycles"],
-        seed=MANIFEST["seed"],
+        seed=GOLDEN_MANIFEST["seed"],
     )
     series, _ = run_scenario(cfg)
     got = series_to_csv(series).encode("utf-8")

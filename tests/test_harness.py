@@ -212,6 +212,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, key, value",
         [
+            ("scenario", "seed", "-1"),
             ("channel", "step_sigma_rad", "-0.01"),
             ("epc", "max_axis_wander_rad", "-0.1"),
             ("table", "mu", "0"),

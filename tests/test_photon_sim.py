@@ -28,7 +28,7 @@ from poltrack.poincare import (
     rotation_from_axis_angle,
 )
 
-from conftest import random_axis_angle, rodrigues_matrix
+from conftest import numpy_streams_as_golden, random_axis_angle, rodrigues_matrix
 from per_pulse_oracle import sifted_cells, simulate_batch_per_pulse
 
 S2 = StokesVector(0.0, 1.0, 0.0)
@@ -299,6 +299,24 @@ class TestRevealSample:
     def test_full_fraction_is_identity(self):
         t = DetectionTally(n_hh=100, n_hv=5, n_vh=7, n_vv=90, pulses_sent=1000)
         assert reveal_sample(t, 1.0, rng_for(14)) == t
+
+    @numpy_streams_as_golden
+    def test_full_fraction_keeps_the_stream(self):
+        # Returning the tally must leave the generator where per-cell
+        # binomial(n, 1.0) draws would, or every later batch of a seeded run
+        # changes.  Tallies have about a third of their cells empty, because
+        # an empty cell draws nothing.
+        gen = rng_for(18)
+        tallies = [DetectionTally()]
+        for _ in range(500):
+            counts = gen.integers(1, 100_000, size=8) * (gen.random(8) >= 1 / 3)
+            tallies.append(DetectionTally(*counts.tolist(), pulses_sent=10**6))
+        for i, t in enumerate(tallies):
+            rng_a, rng_b = rng_for(2000 + i), rng_for(2000 + i)
+            assert reveal_sample(t, 1.0, rng_a) is t
+            for field in FIELDS:
+                rng_b.binomial(getattr(t, field), 1.0)
+            assert rng_a.random(4).tolist() == rng_b.random(4).tolist(), t
 
     def test_expected_size(self):
         t = DetectionTally(n_hh=12_500, n_vv=12_500)

@@ -32,6 +32,9 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "epc_rotation",
         "with_voltage",
         "drift_axes",
+        "simulate_batch",
+        "reveal_sample_full",
+        "reveal_sample_0.1",
         "MonteCarloContext.evaluate",
         "adjust_squeezer",
         "control_cycle",

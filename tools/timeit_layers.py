@@ -4,7 +4,10 @@
 
 Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
 quaternion ``compose``; ``epc_rotation``, ``EpcState.with_voltage`` and
-``drift_axes`` of a jittered-gain EPC; one ``MonteCarloContext.evaluate``;
+``drift_axes`` of a jittered-gain EPC; the plant's two draws on their own,
+``simulate_batch`` of one desk batch, ``reveal_sample`` of that tally at
+fraction 1 and of a ``--full``-sized tally at the ``--full`` fraction 0.1;
+one ``MonteCarloContext.evaluate``;
 one ``adjust_squeezer`` and one ``control_cycle`` against an ``ExactContext``
 (measuring E, then a full correction from a fixed 30 degree misalignment);
 one ``track``
@@ -64,6 +67,14 @@ def main() -> None:
     _, ch_rot = pt.channel_step(world.channel, 1, np.random.default_rng(SEED))
     mc = pt.MonteCarloContext(ch_rot, world.source, world.eta, cfg.controller_z, rng)
 
+    def draw(pulses, source, eta):
+        return pt.simulate_batch(pulses, ch_rot, epc_rot, epc_rot, source, eta, rng)
+
+    desk_tally = draw(cfg.controller_z.batch_pulses, world.source, world.eta)
+    full = pt.preset_config("drift24h", full=True)
+    full_ctrl = full.controller_z
+    full_tally = draw(full_ctrl.batch_pulses, full.source, pt.transmittance(full.link))
+
     misaligned = pt.ExactContext(pt.rotation_from_axis_angle(pt.DIAG, math.radians(30.0)))
     ctrl = pt.ControllerConfig(max_cycles_per_correction=200)
     state = pt.ControllerState(epc=pt.default_epc())
@@ -88,6 +99,11 @@ def main() -> None:
         "with_voltage": lambda: epc.with_voltage(2, 80.0),
         "drift_axes": lambda: pt.drift_axes(
             epc, 1, rng, sigma=cfg.epc.axis_drift_sigma, max_wander=cfg.epc.max_axis_wander
+        ),
+        "simulate_batch": lambda: draw(cfg.controller_z.batch_pulses, world.source, world.eta),
+        "reveal_sample_full": lambda: pt.reveal_sample(desk_tally, 1.0, rng),
+        f"reveal_sample_{full_ctrl.sample_fraction}": lambda: pt.reveal_sample(
+            full_tally, full_ctrl.sample_fraction, rng
         ),
         "MonteCarloContext.evaluate": lambda: mc.evaluate(epc_rot, "Z"),
         "adjust_squeezer": lambda: pt.adjust_squeezer(state, 1, "Z", misaligned, ctrl),
