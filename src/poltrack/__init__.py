@@ -44,6 +44,7 @@ from .optics import (
     default_epc,
     drift_axes,
     epc_rotation,
+    probe_rotation,
     transmittance,
 )
 from .photon_sim import (
@@ -78,8 +79,6 @@ from .stats import (
     delta_qber,
     delta_table,
     detection_probs,
-    monte_carlo_sigma,
-    qber_true,
     required_sample_size,
     scenario_for_qber,
 )

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import ChannelModel, EpcState, channel_step, drift_axes, epc_rotation
+from .optics import (
+    ChannelModel,
+    EpcState,
+    channel_step,
+    drift_axes,
+    epc_rotation,
+    probe_rotation,
+)
 from .photon_sim import (
     InsufficientDataError,
     MeasurementMatrix,
@@ -159,6 +166,8 @@ def adjust_squeezer(
     Measures E at the working voltage, probes at voltage + D, and lands on
     voltage + tau * (E2 - E1) / D.  Any move that would leave the drive range
     resets the squeezer to its range center and bumps the recenter counter.
+    The probe only rotates the EPC (``probe_rotation``); no probed state is
+    built.
     """
     if not 0 <= i <= 3:
         raise ValueError("squeezer index must be 0..3")
@@ -172,7 +181,7 @@ def adjust_squeezer(
         recenters += 1
         epc = epc.with_voltage(i, v)
     e1 = sim_context.evaluate(epc_rotation(epc), basis)
-    e2 = sim_context.evaluate(epc_rotation(epc.with_voltage(i, v + config.dither)), basis)
+    e2 = sim_context.evaluate(probe_rotation(epc, i, v + config.dither), basis)
     v_new = v + config.tau * (e2 - e1) / config.dither
     if not (sq.v_min <= v_new <= sq.v_max):
         v_new = sq.center
@@ -253,6 +262,14 @@ def track(
         )
         return ControllerState(epc, state.recenter_count, state.converged)
 
+    def controlled(state, e, basis, config, rng, ch_rot) -> ControllerState:
+        # A hold (e below threshold) makes no evaluation, so only a
+        # correction gets a context.
+        ctx = None
+        if not e < config.e_threshold:
+            ctx = MonteCarloContext(ch_rot, world.source, world.eta, config, rng)
+        return control_cycle(state, e, basis, ctx, config)
+
     channel = world.channel
     rows = []
     for cycle in range(1, duration + 1):
@@ -282,11 +299,9 @@ def track(
             data_ok = False
 
         if control_enabled and data_ok:
-            ctx_z = MonteCarloContext(ch_rot, world.source, world.eta, z_config, rng_ctrl_z)
-            ctx_x = MonteCarloContext(ch_rot, world.source, world.eta, x_config, rng_ctrl_x)
             try:
-                z_state = control_cycle(z_state, e_z, "Z", ctx_z, z_config)
-                x_state = control_cycle(x_state, e_x, "X", ctx_x, x_config)
+                z_state = controlled(z_state, e_z, "Z", z_config, rng_ctrl_z, ch_rot)
+                x_state = controlled(x_state, e_x, "X", x_config, rng_ctrl_x, ch_rot)
             except InsufficientDataError:
                 data_ok = False
 

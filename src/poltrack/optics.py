@@ -14,18 +14,30 @@ at a constant rate.
 States are immutable values evolved by pure step functions taking explicit
 random generators; independent simulation instances may run concurrently.
 
-The EPC's hot path (``epc_rotation``, ``EpcState.with_voltage`` and
-``drift_axes``) composes its quaternions and tips its axes on plain floats and
-validates only the objects it returns.  It calls the float kernels that the
-public ``poincare`` quaternion API (``rotation_from_axis_angle``, ``compose``,
-``apply_rotation``) wraps, so it agrees with that checked reference bit for
-bit; ``tests/optics_oracle.py`` keeps the object-based form.
+The EPC's hot path (``epc_rotation``, ``probe_rotation``,
+``EpcState.with_voltage`` and ``drift_axes``) composes its quaternions and
+tips its axes on plain floats and validates only the objects it returns.  It
+calls the float kernels that the public ``poincare`` quaternion API
+(``rotation_from_axis_angle``, ``compose``, ``apply_rotation``) wraps, so it
+agrees with that checked reference bit for bit; ``tests/optics_oracle.py``
+keeps the object-based form.
+
+A squeezer's stage quaternion depends only on its own immutable state, so
+each ``SqueezerState`` computes it on first use and keeps it, and
+``epc_rotation`` composes the kept stages.  A controller re-rotates one EPC
+many times while changing one squeezer at a time, so only the changed stage
+is recomputed.  ``probe_rotation`` goes one step further for the controller's
+dither probe: it swaps one stage for the probe voltage's quaternion without
+building the probed ``EpcState`` at all.  The stage is computed lazily, not
+on construction, so a state whose angle gain * voltage overflows can be
+built and fails with the "rotation angle must be finite" check only when it
+is rotated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +62,31 @@ DEFAULT_GAIN_JITTER = 0.1  # relative squeezer-to-squeezer spread
 DEFAULT_AXIS_DRIFT_SIGMA = 0.002  # rad per feedback cycle
 DEFAULT_MAX_AXIS_WANDER = math.radians(10.0)  # cone half-angle around nominal
 
+_TWO_PI = 2.0 * math.pi
+
 SQUEEZER_AXIS_A = StokesVector(1.0, 0.0, 0.0)
 SQUEEZER_AXIS_B = StokesVector(0.0, 1.0, 0.0)
+
+
+class _kept:
+    """``functools.cached_property`` without its lock.
+
+    On first access it stores the value in the instance ``__dict__``, where
+    every later access finds it as a plain attribute.  Python 3.11's
+    ``cached_property`` takes a class-wide lock on each first access, which
+    costs about as much as the stage quaternion it would keep.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -69,16 +104,27 @@ class SqueezerState:
         if not (self.v_min < self.v_max):
             raise ValueError("squeezer voltage range is empty")
         if not (self.v_min <= self.voltage <= self.v_max):
-            raise ValueError(
-                f"voltage {self.voltage!r} outside [{self.v_min!r}, {self.v_max!r}]"
-            )
+            raise self._out_of_range(self.voltage)
         if not (self.gain > 0.0 and math.isfinite(self.gain)):
             raise ValueError("squeezer gain must be positive and finite")
+
+    def _out_of_range(self, voltage: float) -> ValueError:
+        return ValueError(f"voltage {voltage!r} outside [{self.v_min!r}, {self.v_max!r}]")
 
     @property
     def center(self) -> float:
         """Center of the drive range, the reset target for endless control."""
         return 0.5 * (self.v_min + self.v_max)
+
+    def stage_at(self, voltage: float) -> tuple[float, float, float, float]:
+        """Quaternion ``(w, x, y, z)`` of angle gain * ``voltage`` about the axis."""
+        a = self.axis
+        return _axis_angle_q(a.s1, a.s2, a.s3, self.gain * voltage)
+
+    @_kept
+    def stage(self) -> tuple[float, float, float, float]:
+        """This squeezer's quaternion at its own voltage, computed on first use."""
+        return self.stage_at(self.voltage)
 
 
 @dataclass(frozen=True)
@@ -146,20 +192,35 @@ def default_epc(
     return EpcState(tuple(squeezers))
 
 
+def _compose_stages(q0, q1, q2, q3) -> Rotation:
+    """Rotation of four stage quaternions, light through ``q0`` first."""
+    return Rotation(*_qmul(q3, _qmul(q2, _qmul(q1, q0))))
+
+
 def epc_rotation(epc: EpcState) -> Rotation:
     """Composite rotation of the whole EPC; light traverses squeezer 1 first.
 
-    Each stage is the quaternion of angle gain * voltage about its axis,
-    multiplied on the left of the running product by ``compose``'s kernel,
-    which renormalizes after every product.
+    Each stage is the squeezer's kept quaternion of angle gain * voltage about
+    its axis, multiplied on the left of the running product by ``compose``'s
+    kernel, which renormalizes after every product.
     """
-    first, *rest = epc.squeezers
-    a = first.axis
-    q = _axis_angle_q(a.s1, a.s2, a.s3, first.gain * first.voltage)
-    for sq in rest:
-        a = sq.axis
-        q = _qmul(_axis_angle_q(a.s1, a.s2, a.s3, sq.gain * sq.voltage), q)
-    return Rotation(*q)
+    s0, s1, s2, s3 = epc.squeezers
+    return _compose_stages(s0.stage, s1.stage, s2.stage, s3.stage)
+
+
+def probe_rotation(epc: EpcState, i: int, voltage: float) -> Rotation:
+    """``epc_rotation(epc.with_voltage(i, voltage))``, without building that EPC.
+
+    Swaps squeezer ``i``'s stage for its quaternion at ``voltage``, which must
+    lie in the squeezer's drive range, and composes the stages in the same
+    order, so the result is the same bit for bit.
+    """
+    sq = epc.squeezers[i]
+    if not (sq.v_min <= voltage <= sq.v_max):
+        raise sq._out_of_range(voltage)
+    stages = [s.stage for s in epc.squeezers]
+    stages[i] = sq.stage_at(voltage)
+    return _compose_stages(*stages)
 
 
 def _tangent_basis(
@@ -221,8 +282,10 @@ def drift_axes(
     scale = sigma * math.sqrt(dt)
     squeezers = []
     for sq in epc.squeezers:
-        angle = rng.normal(0.0, scale)
-        psi = rng.uniform(0.0, 2.0 * math.pi)
+        # numpy's normal(0, scale) and uniform(0, 2 pi) return 0 + scale * z
+        # and 0 + 2 pi * u for these same draws, so the stream is unchanged.
+        angle = scale * rng.standard_normal()
+        psi = _TWO_PI * rng.random()
         s1, s2, s3 = sq.axis.s1, sq.axis.s2, sq.axis.s3
         e1, e2 = _tangent_basis(s1, s2, s3)
         cp, sp = math.cos(psi), math.sin(psi)
@@ -302,7 +365,7 @@ def channel_step(
     if isinstance(ch, ScramblerChannel):
         accumulated = (ch.accumulated + ch.rate * dt) % 360.0
         rot = rotation_from_axis_angle(ch.axis, math.radians(accumulated))
-        return replace(ch, accumulated=accumulated), rot
+        return ScramblerChannel(ch.axis, ch.rate, accumulated), rot
     if isinstance(ch, RandomWalkChannel):
         steps = int(dt)
         if steps != dt:
@@ -314,7 +377,10 @@ def channel_step(
             angle = rng.normal(0.0, ch.step_sigma)
             current = compose(rotation_from_axis_angle(axis, angle), current)
             age += 1
-        return replace(ch, current=current, walk_axis=axis, age=age), current
+        return (
+            RandomWalkChannel(ch.step_sigma, current, ch.axis_resample_period, axis, age),
+            current,
+        )
     raise TypeError(f"unknown channel model {type(ch).__name__}")
 
 

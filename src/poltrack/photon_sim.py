@@ -26,6 +26,16 @@ therefore sampled at the count level, as a single multinomial draw over
 those nine outcomes, at a cost independent of the number of pulses.
 
 Batches are pure functions of their random generator.
+
+A controller evaluates the feedback signal many times per correction, each
+time from one fresh batch, so the per-batch path is kept lean.  The EPC
+rotations it receives are composed from the squeezers' kept stage
+quaternions, and a dither probe's from ``optics.probe_rotation``, which
+builds no probed EPC.  Every batch is drawn through the module-level name
+``simulate_batch``, which pulse accounting may rebind.  ``DetectionTally``
+checks its counts in one ``min`` pass and names a field only when one is
+negative, and ``reveal_sample`` at fraction 1 counts the non-empty cells
+directly.
 """
 
 from __future__ import annotations
@@ -100,9 +110,15 @@ class DetectionTally:
     pulses_sent: int = 0
 
     def __post_init__(self) -> None:
-        for name in _TALLY_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        # One pass for the common case; the field is named only on failure.
+        # ``not min >= 0`` also sends a nan minimum to the per-field check.
+        if not min(
+            self.n_hh, self.n_hv, self.n_vh, self.n_vv,
+            self.n_dd, self.n_da, self.n_ad, self.n_aa, self.pulses_sent,
+        ) >= 0:
+            for name in _TALLY_FIELDS:
+                if getattr(self, name) < 0:
+                    raise ValueError(f"{name} must be non-negative")
 
     @property
     def sifted_total(self) -> int:
@@ -217,11 +233,10 @@ def measurement_matrix(tally: DetectionTally, basis: str) -> MeasurementMatrix:
     """Row-normalize one basis of a tally into a measurement matrix."""
     c00, c01, c10, c11 = tally.counts(basis)
     row0, row1 = c00 + c01, c10 + c11
-    labels = _ROW_LABELS[basis]
     if row0 == 0:
-        raise EmptyRowError(basis, labels[0])
+        raise EmptyRowError(basis, _ROW_LABELS[basis][0])
     if row1 == 0:
-        raise EmptyRowError(basis, labels[1])
+        raise EmptyRowError(basis, _ROW_LABELS[basis][1])
     return MeasurementMatrix(c00 / row0, c01 / row0, c10 / row1, c11 / row1)
 
 
@@ -250,7 +265,11 @@ def reveal_sample(
         # n > 0 and none when n == 0.  Drawing as many doubles leaves the
         # generator where the per-cell draws would, so later batches, and
         # seeded output, are unchanged.
-        rng.random(sum(getattr(tally, f) > 0 for f in _COUNT_FIELDS))
+        t = tally
+        rng.random(
+            (t.n_hh > 0) + (t.n_hv > 0) + (t.n_vh > 0) + (t.n_vv > 0)
+            + (t.n_dd > 0) + (t.n_da > 0) + (t.n_ad > 0) + (t.n_aa > 0)
+        )
         return tally
     kept = (int(rng.binomial(getattr(tally, f), fraction)) for f in _COUNT_FIELDS)
     return DetectionTally(*kept, pulses_sent=tally.pulses_sent)

@@ -19,8 +19,9 @@ retardation phi never enters the detector fractions and is ignored in all
 probability computations.
 
 ``B`` is interpreted as the revealed sifted sample size (detection events),
-not pulses sent; the Monte Carlo oracle in this module uses the same
-interpretation and validates the closed form against it.
+not pulses sent; the binomial Monte Carlo oracle in the tests
+(``monte_carlo_sigma`` in ``tests/conftest.py``) uses the same interpretation
+and validates the closed form against it.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ class EstimatorScenario:
             raise ValueError("eta must be in (0, 1]")
         if self.sample_b < 1:
             raise ValueError("sample_b must be at least 1")
-
-
-def qber_true(theta: float) -> float:
-    """True error rate of a state projected at angle ``theta``: sin^2(theta)."""
-    if not (0.0 <= theta <= math.pi / 2.0):
-        raise ValueError("theta must be in [0, pi/2]")
-    return math.sin(theta) ** 2
 
 
 def scenario_for_qber(qber: float, mu: float, eta: float, sample_b: int) -> EstimatorScenario:
@@ -100,23 +94,6 @@ def required_sample_size(target_delta: float, theta: float, mu: float, eta: floa
     while delta_qber(replace(ref, sample_b=b)) > target_delta:
         b += 1
     return b
-
-
-def monte_carlo_sigma(
-    scn: EstimatorScenario, trials: int, rng: np.random.Generator
-) -> float:
-    """Empirical standard deviation of the estimated error rate.
-
-    Draws ``trials`` revealed samples of ``sample_b`` sifted events, each
-    event wrong with probability sin^2(theta) (binomial proportion model),
-    and returns the standard deviation of the per-sample error fraction.
-    Serves as the independent oracle for the closed-form bound.
-    """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    q = qber_true(scn.theta)
-    wrong = rng.binomial(scn.sample_b, q, size=trials)
-    return float(np.std(wrong / scn.sample_b))
 
 
 def delta_table(

@@ -3,7 +3,8 @@
 The rotation-matrix oracle is built directly from the axis-angle parameters
 via Rodrigues' formula, never from the quaternion code under test.
 ``table_from_csv`` reads back the estimator-error table that the package
-only writes.  ``squeezer_rotation`` is one EPC stage as a ``Rotation``, which
+only writes.  ``qber_true`` and ``monte_carlo_sigma`` are the binomial
+oracle for the closed-form estimator bound in ``poltrack.stats``.  ``squeezer_rotation`` is one EPC stage as a ``Rotation``, which
 the package itself only composes on floats.  ``numpy_streams_as_golden``
 skips a test that pins a ``Generator`` stream under another numpy release.
 """
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from poltrack.optics import SqueezerState
+from poltrack.stats import EstimatorScenario
 from poltrack.poincare import Rotation, StokesVector, rotation_from_axis_angle
 
 
@@ -39,6 +41,30 @@ numpy_streams_as_golden = pytest.mark.skipif(
         f"{np.__version__} may draw different Generator streams (NEP 19)"
     ),
 )
+
+
+def qber_true(theta: float) -> float:
+    """True error rate of a state projected at angle ``theta``: sin^2(theta)."""
+    if not (0.0 <= theta <= math.pi / 2.0):
+        raise ValueError("theta must be in [0, pi/2]")
+    return math.sin(theta) ** 2
+
+
+def monte_carlo_sigma(
+    scn: EstimatorScenario, trials: int, rng: np.random.Generator
+) -> float:
+    """Empirical standard deviation of the estimated error rate.
+
+    Draws ``trials`` revealed samples of ``sample_b`` sifted events, each
+    event wrong with probability sin^2(theta) (binomial proportion model),
+    and returns the standard deviation of the per-sample error fraction.
+    Serves as the independent oracle for the closed-form bound.
+    """
+    if trials < 100:
+        raise ValueError("need at least 100 trials")
+    q = qber_true(scn.theta)
+    wrong = rng.binomial(scn.sample_b, q, size=trials)
+    return float(np.std(wrong / scn.sample_b))
 
 
 def rodrigues_matrix(axis, angle: float) -> np.ndarray:

@@ -39,9 +39,9 @@ from poltrack.poincare import (
     inverse,
     rotation_from_axis_angle,
 )
-from poltrack.stats import delta_qber, monte_carlo_sigma, scenario_for_qber
+from poltrack.stats import delta_qber, scenario_for_qber
 
-from conftest import random_axis_angle, random_unit, rodrigues_matrix
+from conftest import monte_carlo_sigma, random_axis_angle, random_unit, rodrigues_matrix
 
 
 def report(n, name, elapsed, detail=""):

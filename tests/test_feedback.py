@@ -17,7 +17,13 @@ from poltrack.feedback import (
     track,
 )
 from poltrack.harness import preset_config, run_scenario
-from poltrack.optics import StaticChannel, ScramblerChannel, default_epc, epc_rotation
+from poltrack.optics import (
+    ScramblerChannel,
+    StaticChannel,
+    default_epc,
+    drift_axes,
+    epc_rotation,
+)
 from poltrack.photon_sim import (
     InsufficientDataError,
     MeasurementMatrix,
@@ -25,6 +31,8 @@ from poltrack.photon_sim import (
     analyzer_element,
 )
 from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
+
+from conftest import random_unit
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
@@ -48,6 +56,18 @@ def mc_context(channel_rot, seed, batch=16_000, source=NOISELESS, eta=1.0):
 def measure_e(state, basis, ctx):
     """One fresh evaluation of E at the state's current voltages."""
     return ctx.evaluate(epc_rotation(state.epc), basis)
+
+
+class RecordingContext(ExactContext):
+    """ExactContext that records the rotation of each evaluation."""
+
+    def __init__(self, channel_rot):
+        super().__init__(channel_rot)
+        self.rotations = []
+
+    def evaluate(self, epc_rot, basis):
+        self.rotations.append(epc_rot)
+        return super().evaluate(epc_rot, basis)
 
 
 class CountingContext(ExactContext):
@@ -236,6 +256,32 @@ class TestAdjustSqueezer:
         err_d = abs(fd_slope(1.0) - truth)
         err_half = abs(fd_slope(0.5) - truth)
         assert err_half <= 0.6 * err_d + 1e-12
+
+    def test_probe_rotates_the_probed_epc_bit_for_bit(self):
+        # over random wandered EPCs, the two evaluations see exactly the
+        # rotations of the working EPC and of the EPC at voltage + D
+        rng = np.random.default_rng(57)
+        cfg = ControllerConfig()
+        recentered = 0
+        for _ in range(200):
+            epc = default_epc(rng, gain_jitter=0.1)
+            for i in range(4):
+                epc = epc.with_voltage(i, float(rng.uniform(0.0, 150.0)))
+            epc = drift_axes(epc, 1, rng, sigma=0.3, max_wander=math.pi)
+            channel = rotation_from_axis_angle(StokesVector(*random_unit(rng)), rng.uniform(0, 3))
+            ctx = RecordingContext(channel)
+            i = int(rng.integers(0, 4))
+            v = epc.squeezers[i].voltage
+            if v + cfg.dither > epc.squeezers[i].v_max:
+                v = epc.squeezers[i].center
+                epc = epc.with_voltage(i, v)
+                recentered += 1
+            adjust_squeezer(ControllerState(epc), i, "Z", ctx, cfg)
+            assert ctx.rotations == [
+                epc_rotation(epc),
+                epc_rotation(epc.with_voltage(i, v + cfg.dither)),
+            ]
+        assert recentered > 0
 
     def test_index_validation(self):
         ctx = ExactContext(IDENTITY)

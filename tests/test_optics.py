@@ -17,6 +17,7 @@ from poltrack.optics import (
     default_epc,
     drift_axes,
     epc_rotation,
+    probe_rotation,
     transmittance,
 )
 from poltrack.poincare import (
@@ -28,7 +29,7 @@ from poltrack.poincare import (
     rotation_from_axis_angle,
 )
 
-from conftest import random_unit, rodrigues_matrix, squeezer_rotation
+from conftest import numpy_streams_as_golden, random_unit, rodrigues_matrix, squeezer_rotation
 
 S1 = StokesVector(1.0, 0.0, 0.0)
 S2 = StokesVector(0.0, 1.0, 0.0)
@@ -175,6 +176,21 @@ class TestDriftAxes:
         b = drift_axes(epc, 3, np.random.default_rng(99), sigma=0.01)
         assert a == b
 
+    @numpy_streams_as_golden
+    def test_scaled_draws_equal_normal_and_uniform(self):
+        # drift_axes draws scale * standard_normal() and 2 pi * random(); numpy
+        # computes normal(0, scale) and uniform(0, 2 pi) from the same draws
+        # as 0 + scale * z and 0 + 2 pi * u, so seeded output is unchanged.
+        setup = np.random.default_rng(35)
+        for _ in range(200):
+            seed = int(setup.integers(2**63))
+            scale = float(setup.uniform(1e-4, 3.0))
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                assert (scale * new.standard_normal()).hex() == old.normal(0.0, scale).hex()
+                assert (2.0 * math.pi * new.random()).hex() == old.uniform(0.0, 2.0 * math.pi).hex()
+            assert new.bit_generator.state == old.bit_generator.state
+
 
 def _random_epc(rng, wander_steps=0, sigma=0.5):
     """Jittered-gain EPC at random voltages, its axes tipped off nominal."""
@@ -208,6 +224,49 @@ class TestFloatPathMatchesOracle:
         for path in (epc_rotation, optics_oracle.epc_rotation):
             with pytest.raises(ValueError, match="finite"):
                 path(huge)
+
+    def test_kept_stages_equal_fresh_axis_angle(self):
+        rng = np.random.default_rng(54)
+        for k in range(300):
+            epc = _random_epc(rng, wander_steps=k % 3)
+            for sq in epc.squeezers:
+                a = sq.axis
+                fresh = poincare._axis_angle_q(a.s1, a.s2, a.s3, sq.gain * sq.voltage)
+                assert sq.stage == fresh
+                assert sq.stage is sq.stage  # computed once, then kept
+            # a rotation from kept stages equals one computed from scratch
+            assert epc_rotation(epc) == optics_oracle.epc_rotation(epc)
+
+    def test_probe_rotation_equals_rotating_the_probed_epc(self):
+        rng = np.random.default_rng(55)
+        for k in range(400):
+            epc = _random_epc(rng, wander_steps=k % 3)
+            if k % 2:
+                epc_rotation(epc)  # stages kept before the probe
+            i = int(rng.integers(0, 4))
+            v = float(rng.uniform(0.0, 150.0))
+            probed = epc.with_voltage(i, v)
+            assert probe_rotation(epc, i, v) == epc_rotation(probed)
+            assert probe_rotation(epc, i, v) == optics_oracle.epc_rotation(probed)
+        # the probe swaps one stage; the EPC's own stages are untouched
+        assert epc_rotation(epc) == optics_oracle.epc_rotation(epc)
+
+    @pytest.mark.parametrize("v", [-0.5, 150.5, math.nan])
+    def test_probe_voltage_range_checked(self, v):
+        epc = _random_epc(np.random.default_rng(56))
+        with pytest.raises(ValueError, match="outside"):
+            probe_rotation(epc, 1, v)
+        with pytest.raises(ValueError, match="outside"):
+            epc.with_voltage(1, v)
+
+    def test_probe_keeps_rotation_from_axis_angle_checks(self):
+        # gain * voltage overflows in a kept stage and in the probed one
+        sqs = list(default_epc().squeezers)
+        sqs[2] = replace(sqs[2], gain=1e308)
+        huge = EpcState(tuple(sqs))
+        for i in (0, 2):
+            with pytest.raises(ValueError, match="finite"):
+                probe_rotation(huge, i, 150.0)
 
     def test_with_voltage_matches_replace(self):
         rng = np.random.default_rng(52)

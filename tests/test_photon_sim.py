@@ -246,6 +246,9 @@ class TestDetectionTally:
     def test_negative_count_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             DetectionTally(**{name: -1})
+        others = {f: 7 for f in FIELDS + ("pulses_sent",)}
+        with pytest.raises(ValueError, match=name):
+            DetectionTally(**{**others, name: -1})
 
 
 class TestMeasurementMatrix:
@@ -277,8 +280,10 @@ class TestMeasurementMatrix:
             assert abs(mm.j3 + mm.j4 - 1.0) <= 1e-12
 
     def test_direct_construction_validates(self):
-        with pytest.raises(ValueError):
-            MeasurementMatrix(0.9, 0.2, 0.1, 0.9)
+        bad_rows = [(0.9, 0.2, 0.1, 0.9), (0.5, 0.5, 1.5, -0.5), (0.5, 0.5, 0.5, math.nan)]
+        for row in bad_rows:
+            with pytest.raises(ValueError):
+                MeasurementMatrix(*row)
 
 
 class TestQber:

@@ -9,13 +9,11 @@ from poltrack.stats import (
     delta_qber,
     delta_table,
     detection_probs,
-    monte_carlo_sigma,
-    qber_true,
     required_sample_size,
     scenario_for_qber,
 )
 
-from conftest import stokes_from_projection_angle
+from conftest import monte_carlo_sigma, qber_true, stokes_from_projection_angle
 
 
 def rng_for(seed):

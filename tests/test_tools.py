@@ -30,12 +30,14 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
     assert set(result) == {
         "compose",
         "epc_rotation",
+        "probe_rotation",
         "with_voltage",
         "drift_axes",
         "simulate_batch",
         "reveal_sample_full",
         "reveal_sample_0.1",
         "MonteCarloContext.evaluate",
+        "adjust_squeezer_mc",
         "adjust_squeezer",
         "control_cycle",
         "track_cycle",

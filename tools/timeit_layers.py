@@ -3,11 +3,16 @@
     PYTHONPATH=src python3 tools/timeit_layers.py
 
 Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
-quaternion ``compose``; ``epc_rotation``, ``EpcState.with_voltage`` and
-``drift_axes`` of a jittered-gain EPC; the plant's two draws on their own,
-``simulate_batch`` of one desk batch, ``reveal_sample`` of that tally at
-fraction 1 and of a ``--full``-sized tally at the ``--full`` fraction 0.1;
-one ``MonteCarloContext.evaluate``;
+quaternion ``compose``; ``epc_rotation`` (of an EPC whose squeezers already
+keep their stage quaternions, as on the controller's path),
+``probe_rotation`` (one stage swapped for a probe voltage),
+``EpcState.with_voltage`` and ``drift_axes`` of a jittered-gain EPC; the
+plant's two draws on their own, ``simulate_batch`` of one desk batch,
+``reveal_sample`` of that tally at fraction 1 and of a ``--full``-sized tally
+at the ``--full`` fraction 0.1; one ``MonteCarloContext.evaluate``;
+one ``adjust_squeezer`` against a seeded ``MonteCarloContext``
+(``adjust_squeezer_mc``, the saturated controller's hot path: two
+evaluations, the probe and the landing);
 one ``adjust_squeezer`` and one ``control_cycle`` against an ``ExactContext``
 (measuring E, then a full correction from a fixed 30 degree misalignment);
 one ``track``
@@ -78,6 +83,7 @@ def main() -> None:
     misaligned = pt.ExactContext(pt.rotation_from_axis_angle(pt.DIAG, math.radians(30.0)))
     ctrl = pt.ControllerConfig(max_cycles_per_correction=200)
     state = pt.ControllerState(epc=pt.default_epc())
+    working = pt.ControllerState(epc=epc)
 
     def track():
         return pt.track(
@@ -96,6 +102,7 @@ def main() -> None:
     timings = {
         "compose": lambda: pt.compose(r1, r2),
         "epc_rotation": lambda: pt.epc_rotation(epc),
+        "probe_rotation": lambda: pt.probe_rotation(epc, 2, 80.0),
         "with_voltage": lambda: epc.with_voltage(2, 80.0),
         "drift_axes": lambda: pt.drift_axes(
             epc, 1, rng, sigma=cfg.epc.axis_drift_sigma, max_wander=cfg.epc.max_axis_wander
@@ -106,6 +113,9 @@ def main() -> None:
             full_tally, full_ctrl.sample_fraction, rng
         ),
         "MonteCarloContext.evaluate": lambda: mc.evaluate(epc_rot, "Z"),
+        "adjust_squeezer_mc": lambda: pt.adjust_squeezer(
+            working, 1, "Z", mc, cfg.controller_z
+        ),
         "adjust_squeezer": lambda: pt.adjust_squeezer(state, 1, "Z", misaligned, ctrl),
         "control_cycle": lambda: pt.control_cycle(
             state, misaligned.evaluate(pt.epc_rotation(state.epc), "Z"), "Z", misaligned, ctrl
