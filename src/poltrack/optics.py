@@ -73,8 +73,8 @@ class _kept:
 
     On first access it stores the value in the instance ``__dict__``, where
     every later access finds it as a plain attribute.  Python 3.11's
-    ``cached_property`` takes a class-wide lock on each first access, which
-    costs about as much as the stage quaternion it would keep.
+    ``cached_property`` takes a lock on each first access, which costs more
+    than computing the stage quaternion it keeps.
     """
 
     def __init__(self, compute):

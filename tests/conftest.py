@@ -4,9 +4,10 @@ The rotation-matrix oracle is built directly from the axis-angle parameters
 via Rodrigues' formula, never from the quaternion code under test.
 ``table_from_csv`` reads back the estimator-error table that the package
 only writes.  ``qber_true`` and ``monte_carlo_sigma`` are the binomial
-oracle for the closed-form estimator bound in ``poltrack.stats``.  ``squeezer_rotation`` is one EPC stage as a ``Rotation``, which
-the package itself only composes on floats.  ``numpy_streams_as_golden``
-skips a test that pins a ``Generator`` stream under another numpy release.
+oracle for the closed-form estimator bound in ``poltrack.stats``.
+``squeezer_rotation`` is one EPC stage as a ``Rotation``, which the package
+itself only composes on floats.  ``numpy_streams_as_golden`` skips a test
+that pins a ``Generator`` stream under another numpy release.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 from poltrack.optics import SqueezerState
-from poltrack.stats import EstimatorScenario
 from poltrack.poincare import Rotation, StokesVector, rotation_from_axis_angle
+from poltrack.stats import EstimatorScenario
 
 
 GOLDEN = Path(__file__).parent / "golden"

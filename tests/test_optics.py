@@ -248,8 +248,8 @@ class TestFloatPathMatchesOracle:
             probed = epc.with_voltage(i, v)
             assert probe_rotation(epc, i, v) == epc_rotation(probed)
             assert probe_rotation(epc, i, v) == optics_oracle.epc_rotation(probed)
-        # the probe swaps one stage; the EPC's own stages are untouched
-        assert epc_rotation(epc) == optics_oracle.epc_rotation(epc)
+            # the probe swaps one stage; the EPC's own stages are untouched
+            assert epc_rotation(epc) == optics_oracle.epc_rotation(epc)
 
     @pytest.mark.parametrize("v", [-0.5, 150.5, math.nan])
     def test_probe_voltage_range_checked(self, v):
