@@ -61,17 +61,12 @@ from .photon_sim import (
     simulate_batch,
 )
 from .poincare import (
-    ANTIDIAG,
-    DIAG,
-    H,
     IDENTITY,
     Rotation,
     StokesVector,
-    V,
     apply_rotation,
     compose,
     inverse,
-    projection_probability,
     rotation_from_axis_angle,
 )
 from .stats import (

@@ -13,9 +13,9 @@ Voltages that would leave their drive range reset to the range center, the
 standard endless-control trick.  While E stays below threshold the voltages
 are held.
 
-Each measurement basis has its own controller and EPC; within one feedback
-cycle the Z controller runs first, then the X controller.  A controller state
-is owned by a single execution context.
+Each measurement basis has its own controller state and EPC, and one config
+tunes both; within one feedback cycle the Z controller runs first, then the
+X controller.  A controller state is owned by a single execution context.
 """
 
 from __future__ import annotations
@@ -49,7 +49,11 @@ from .timeseries import TimeSeries, TimeSeriesRow
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Tuning of one basis controller.
+    """Tuning of the basis controllers; one config drives both bases.
+
+    Each basis keeps its own ``ControllerState``, EPC and random stream; only
+    the tuning is shared.  ``batch_pulses`` and ``sample_fraction`` also size
+    ``track``'s per-cycle monitoring batch.
 
     Defaults are sized for desk-scale runs: a 1 V dither is about a 2.4 degree
     probe at the default squeezer gain, and tau = -150 V^2 turns a feedback
@@ -226,8 +230,7 @@ class World:
 def track(
     z_state: ControllerState,
     x_state: ControllerState,
-    z_config: ControllerConfig,
-    x_config: ControllerConfig,
+    config: ControllerConfig,
     world: World,
     duration: int,
     *,
@@ -240,7 +243,8 @@ def track(
     Per cycle: advance the channel and squeezer-axis drift, simulate one
     monitoring batch, estimate the error rate and per-basis feedback signals
     from the revealed subset, then (when control is enabled) run one control
-    cycle per basis, Z first.  Uses separate seed streams for the channel,
+    cycle per basis, Z first.  ``config`` tunes both controllers and sizes
+    the monitoring batch.  Uses separate seed streams for the channel,
     the monitoring batches, and each controller, so paired-seed runs with
     control on and off see the same channel trajectory.
     """
@@ -262,7 +266,7 @@ def track(
         )
         return ControllerState(epc, state.recenter_count, state.converged)
 
-    def controlled(state, e, basis, config, rng, ch_rot) -> ControllerState:
+    def controlled(state, e, basis, rng, ch_rot) -> ControllerState:
         # A hold (e below threshold) makes no evaluation, so only a
         # correction gets a context.
         ctx = None
@@ -278,7 +282,7 @@ def track(
         x_state = drifted(x_state)
 
         tally = simulate_batch(
-            z_config.batch_pulses,
+            config.batch_pulses,
             ch_rot,
             epc_rotation(z_state.epc),
             epc_rotation(x_state.epc),
@@ -286,7 +290,7 @@ def track(
             world.eta,
             rng_monitor,
         )
-        revealed = reveal_sample(tally, z_config.sample_fraction, rng_reveal)
+        revealed = reveal_sample(tally, config.sample_fraction, rng_reveal)
 
         recenters_before = z_state.recenter_count + x_state.recenter_count
         data_ok = True
@@ -300,8 +304,8 @@ def track(
 
         if control_enabled and data_ok:
             try:
-                z_state = controlled(z_state, e_z, "Z", z_config, rng_ctrl_z, ch_rot)
-                x_state = controlled(x_state, e_x, "X", x_config, rng_ctrl_x, ch_rot)
+                z_state = controlled(z_state, e_z, "Z", rng_ctrl_z, ch_rot)
+                x_state = controlled(x_state, e_x, "X", rng_ctrl_x, ch_rot)
             except InsufficientDataError:
                 data_ok = False
 

@@ -62,14 +62,12 @@ class EpcParams:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Flat bag of channel-model parameters; ``model`` picks which apply."""
+    """Flat bag of channel-model parameters; ``[scenario] kind`` picks which apply."""
 
-    model: str = "random_walk"  # static | random_walk | scrambler
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    angle_deg: float = 30.0  # static model
-    step_sigma: float = 0.012  # random walk, rad per cycle
-    axis_resample_period: int = 1  # random walk
-    rate_deg_per_cycle: float = 0.2  # scrambler
+    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)  # static and scramble
+    angle_deg: float = 30.0  # static
+    step_sigma: float = 0.012  # drift, rad per cycle
+    rate_deg_per_cycle: float = 0.2  # scramble
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,7 @@ class ScenarioConfig:
     source: SourceParams = field(default_factory=lambda: SourceParams(mu=0.5))
     epc: EpcParams = field(default_factory=EpcParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
-    controller_z: ControllerConfig = field(default_factory=ControllerConfig)
-    controller_x: ControllerConfig = field(default_factory=ControllerConfig)
+    controller: ControllerConfig = field(default_factory=ControllerConfig)
     table: TableParams = field(default_factory=TableParams)
 
 
@@ -112,15 +109,6 @@ class Summary:
 
 # ---------------------------------------------------------------------------
 # config file parsing and emission
-
-_CONTROLLER_KEYS = {
-    "dither_volts": "dither",
-    "tau": "tau",
-    "e_threshold": "e_threshold",
-    "sample_fraction": "sample_fraction",
-    "max_cycles_per_correction": "max_cycles_per_correction",
-    "batch_pulses": "batch_pulses",
-}
 
 # INI section -> (ScenarioConfig attribute, {INI key: dataclass field}); the
 # attribute None stands for ScenarioConfig's own fields.  Sections and keys
@@ -148,15 +136,19 @@ _SCHEMA = {
         "max_axis_wander_rad": "max_axis_wander",
     }),
     "channel": ("channel", {
-        "model": "model",
         "axis": "axis",
         "angle_deg": "angle_deg",
         "step_sigma_rad": "step_sigma",
-        "axis_resample_period": "axis_resample_period",
         "rate_deg_per_cycle": "rate_deg_per_cycle",
     }),
-    "controller_z": ("controller_z", _CONTROLLER_KEYS),
-    "controller_x": ("controller_x", _CONTROLLER_KEYS),
+    "controller": ("controller", {
+        "dither_volts": "dither",
+        "tau": "tau",
+        "e_threshold": "e_threshold",
+        "sample_fraction": "sample_fraction",
+        "max_cycles_per_correction": "max_cycles_per_correction",
+        "batch_pulses": "batch_pulses",
+    }),
     "table": ("table", {
         "mu": "mu",
         "eta": "eta",
@@ -203,7 +195,6 @@ def _resolve(attr, keys: dict[str, str]) -> dict[str, tuple]:
 
 # INI section -> {INI key: (dataclass field, converter)}, resolved once.
 _FIELDS = {section: _resolve(attr, keys) for section, (attr, keys) in _SCHEMA.items()}
-_FIELDS["controller"] = _FIELDS["controller_z"]  # parse-only: sets both arms
 
 # Message labels: attribute path -> "section.key"; other paths print as they are.
 _LABELS = {
@@ -259,16 +250,12 @@ def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioC
                 errors.append(f"{section}.{key}: {exc}")
         return values
 
-    # [controller] sets both arms; [controller_z] / [controller_x] override it.
-    shared = read("controller")
     changes = {}
-    for section, (attr, keys) in _SCHEMA.items():
+    for section, (attr, _) in _SCHEMA.items():
         values = read(section)
         if attr is None:
             changes.update(values)
             continue
-        if keys is _CONTROLLER_KEYS:
-            values = {**shared, **values}
         try:
             changes[attr] = replace(getattr(base, attr), **values)
         except ValueError as exc:
@@ -294,12 +281,9 @@ def validate_config(cfg: ScenarioConfig, labels: dict[str, str] | None = None) -
         ("duration", cfg.kind == "sample-size-table" or cfg.duration >= 1, "must be at least 1"),
         ("seed", cfg.seed >= 0, "must be non-negative"),
         ("fc_seconds", cfg.fc_seconds > 0.0, "must be positive"),
-        ("channel.model", ch.model in ("static", "random_walk", "scrambler"),
-         "must be static, random_walk, or scrambler"),
         ("channel.axis", len(ch.axis) == 3 and any(a != 0.0 for a in ch.axis),
          "need a non-zero 3-vector"),
         ("channel.step_sigma", ch.step_sigma >= 0.0, "must be non-negative"),
-        ("channel.axis_resample_period", ch.axis_resample_period >= 1, "must be at least 1"),
         ("epc.gain_jitter", 0.0 <= epc.gain_jitter < 1.0, "must be in [0, 1)"),
         ("epc.gain", epc.gain > 0.0, "must be positive"),
         ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
@@ -333,41 +317,34 @@ def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
     """Named experiment presets reproducing the reference scenarios at desk scale."""
     base = ScenarioConfig()
     if full:
-        base = replace(
-            base,
-            link=_FULL_LINK,
-            source=_FULL_SOURCE,
-            controller_z=_FULL_CONTROLLER,
-            controller_x=_FULL_CONTROLLER,
-        )
+        base = replace(base, link=_FULL_LINK, source=_FULL_SOURCE, controller=_FULL_CONTROLLER)
     if name == "static":
         return replace(
             base,
             kind="static",
             duration=300,
-            channel=ChannelParams(model="static", axis=(0.0, 1.0, 0.0), angle_deg=30.0),
+            channel=ChannelParams(axis=(0.0, 1.0, 0.0), angle_deg=30.0),
         )
     if name == "drift24h":
         return replace(
             base,
             kind="drift",
             duration=7200,
-            channel=ChannelParams(model="random_walk", step_sigma=0.012, axis_resample_period=1),
+            channel=ChannelParams(step_sigma=0.012),
         )
     if name.startswith("scramble") and name in PRESET_NAMES:
         rate = {"scramble02": 0.2, "scramble04": 0.4, "scramble06": 0.6}[name]
         # scrambling keeps the controller busy nearly every cycle; a sweep cap
         # bounds each correction, and desk runs also take a smaller batch
-        ctrl = replace(base.controller_z, max_cycles_per_correction=3)
+        ctrl = replace(base.controller, max_cycles_per_correction=3)
         if not full:
             ctrl = replace(ctrl, batch_pulses=15_000)
         return replace(
             base,
             kind="scramble",
             duration=3000,
-            channel=ChannelParams(model="scrambler", axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=rate),
-            controller_z=ctrl,
-            controller_x=ctrl,
+            channel=ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=rate),
+            controller=ctrl,
         )
     if name == "table":
         return replace(base, kind="sample-size-table")
@@ -378,15 +355,16 @@ def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
 # running
 
 def build_channel(cfg: ScenarioConfig):
-    axis = StokesVector.unit(*cfg.channel.axis)
-    if cfg.channel.model == "static":
-        return StaticChannel(rotation_from_axis_angle(axis, math.radians(cfg.channel.angle_deg)))
-    if cfg.channel.model == "scrambler":
-        return ScramblerChannel(axis=axis, rate=cfg.channel.rate_deg_per_cycle)
-    return RandomWalkChannel(
-        step_sigma=cfg.channel.step_sigma,
-        axis_resample_period=cfg.channel.axis_resample_period,
-    )
+    """The channel model that ``cfg.kind`` selects, built from ``cfg.channel``."""
+    ch = cfg.channel
+    if cfg.kind == "static":
+        axis = StokesVector.unit(*ch.axis)
+        return StaticChannel(rotation_from_axis_angle(axis, math.radians(ch.angle_deg)))
+    if cfg.kind == "scramble":
+        return ScramblerChannel(axis=StokesVector.unit(*ch.axis), rate=ch.rate_deg_per_cycle)
+    if cfg.kind == "drift":
+        return RandomWalkChannel(step_sigma=ch.step_sigma)
+    raise ConfigError(f"scenario.kind: {cfg.kind} has no channel model")
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
@@ -419,8 +397,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
     series = track(
         ControllerState(epc=make_epc(ss_epc_z)),
         ControllerState(epc=make_epc(ss_epc_x)),
-        cfg.controller_z,
-        cfg.controller_x,
+        cfg.controller,
         world,
         cfg.duration,
         fc_seconds=cfg.fc_seconds,
@@ -480,7 +457,12 @@ def series_to_csv(series: TimeSeries) -> str:
 
 
 def series_from_csv(text: str) -> TimeSeries:
-    """Parse a series CSV; emit(parse(text)) reproduces the text byte for byte."""
+    """Parse a series CSV; emit(parse(text)) reproduces the text byte for byte.
+
+    A ``recenter`` count below zero or a ``converged`` flag other than 0 or 1
+    is rejected with its line number: neither would survive that round trip
+    or give a true summary.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad or missing CSV header; expected {CSV_HEADER!r}")
@@ -489,6 +471,11 @@ def series_from_csv(text: str) -> TimeSeries:
         parts = line.split(",")
         if len(parts) != 15:
             raise ValueError(f"line {n}: expected 15 fields, got {len(parts)}")
+        recenter = int(parts[13])
+        if recenter < 0:
+            raise ValueError(f"line {n}: recenter must be non-negative, got {recenter}")
+        if parts[14] not in ("0", "1"):
+            raise ValueError(f"line {n}: converged must be 0 or 1, got {parts[14]!r}")
         rows.append(
             TimeSeriesRow(
                 cycle=int(parts[0]),
@@ -497,7 +484,7 @@ def series_from_csv(text: str) -> TimeSeries:
                 e_z=float(parts[3]),
                 e_x=float(parts[4]),
                 voltages=tuple(float(p) for p in parts[5:13]),
-                recenter=int(parts[13]),
+                recenter=recenter,
                 converged=parts[14] == "1",
             )
         )

@@ -328,15 +328,12 @@ class ScramblerChannel:
 class RandomWalkChannel:
     """Isotropic small-step rotation diffusion, a stand-in for slow fiber drift.
 
-    Every ``axis_resample_period`` cycles a fresh random walk axis is drawn;
-    between redraws steps accumulate about the same axis.
+    Each cycle adds one step of N(0, step_sigma) radians about a fresh,
+    isotropically random axis.
     """
 
     step_sigma: float  # radians per feedback cycle
     current: Rotation = IDENTITY
-    axis_resample_period: int = 1
-    walk_axis: StokesVector | None = None
-    age: int = 0
 
 
 ChannelModel = StaticChannel | ScramblerChannel | RandomWalkChannel
@@ -370,17 +367,12 @@ def channel_step(
         steps = int(dt)
         if steps != dt:
             raise ValueError("random-walk channel advances by whole cycles")
-        current, axis, age = ch.current, ch.walk_axis, ch.age
+        current = ch.current
         for _ in range(steps):
-            if axis is None or age % ch.axis_resample_period == 0:
-                axis = random_unit_vector(rng)
+            axis = random_unit_vector(rng)
             angle = rng.normal(0.0, ch.step_sigma)
             current = compose(rotation_from_axis_angle(axis, angle), current)
-            age += 1
-        return (
-            RandomWalkChannel(ch.step_sigma, current, ch.axis_resample_period, axis, age),
-            current,
-        )
+        return RandomWalkChannel(ch.step_sigma, current), current
     raise TypeError(f"unknown channel model {type(ch).__name__}")
 
 

@@ -69,13 +69,6 @@ class StokesVector:
         return (self.s1, self.s2, self.s3)
 
 
-# The four BB84 signal states.
-H = StokesVector(1.0, 0.0, 0.0)
-V = StokesVector(-1.0, 0.0, 0.0)
-DIAG = StokesVector(0.0, 1.0, 0.0)
-ANTIDIAG = StokesVector(0.0, -1.0, 0.0)
-
-
 @dataclass(frozen=True)
 class Rotation:
     """Unit quaternion ``w + x i + y j + z k`` acting on Stokes vectors."""
@@ -101,7 +94,7 @@ class Rotation:
         """Rotation axis; (1, 0, 0) by convention for a (near-)identity rotation."""
         n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if n < 1e-12:
-            return H
+            return StokesVector(1.0, 0.0, 0.0)
         return StokesVector(self.x / n, self.y / n, self.z / n)
 
 
@@ -192,14 +185,3 @@ def compose(outer: Rotation, inner: Rotation) -> Rotation:
 def inverse(r: Rotation) -> Rotation:
     """Conjugate quaternion, undoing the rotation."""
     return Rotation(r.w, -r.x, -r.y, -r.z)
-
-
-def projection_probability(s: StokesVector, analyzer_axis: StokesVector) -> float:
-    """Probability that state ``s`` exits the analyzer port at ``analyzer_axis``.
-
-    Equals cos^2 of half the angle between state and analyzer, i.e.
-    ``(1 + s . a) / 2``.  The complement port gets exactly ``1 -`` this value:
-    projection_probability(s, a) + projection_probability(s, -a) == 1 holds
-    exactly in floating point.
-    """
-    return 0.5 * (1.0 + s.dot(analyzer_axis))

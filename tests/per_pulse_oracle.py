@@ -4,7 +4,9 @@
 (alice state, bob arm) combos the long way: each signal state is rotated
 through the channel and the arm's EPC with the public ``apply_rotation`` and
 projected onto the arm's analyzer with ``projection_probability``.  It shares
-no code with the plant under test.  ``sifted_cells`` folds its matched rows
+no code with the plant under test.  ``projection_probability`` and the named
+signal states ``H``, ``V``, ``DIAG`` and ``ANTIDIAG`` live here because only
+this oracle and the tests use them.  ``sifted_cells`` folds its matched rows
 into the eight sifted-cell probabilities in closed form, and
 ``simulate_batch_per_pulse`` draws every pulse on its own: the combo, one
 uniform per detector, a fair race for double clicks and a coin for the
@@ -20,7 +22,13 @@ import math
 import numpy as np
 
 from poltrack.photon_sim import DetectionTally
-from poltrack.poincare import ANTIDIAG, DIAG, H, V, apply_rotation, projection_probability
+from poltrack.poincare import StokesVector, apply_rotation
+
+# The four BB84 signal states.
+H = StokesVector(1.0, 0.0, 0.0)
+V = StokesVector(-1.0, 0.0, 0.0)
+DIAG = StokesVector(0.0, 1.0, 0.0)
+ANTIDIAG = StokesVector(0.0, -1.0, 0.0)
 
 # Alice's states in index order: H, V, diagonal, anti-diagonal.
 # Index // 2 is the basis (0 = Z, 1 = X), index & 1 the bit.
@@ -29,6 +37,17 @@ ANALYZERS = (H, DIAG)  # bit-0 detector axis per basis arm
 # Table rows (alice_state * 2 + bob_basis) where the bases match, in tally
 # order: H and V sent to the Z arm, D and A sent to the X arm.
 MATCHED_COMBOS = [0, 2, 5, 7]
+
+
+def projection_probability(s: StokesVector, analyzer_axis: StokesVector) -> float:
+    """Probability that state ``s`` exits the analyzer port at ``analyzer_axis``.
+
+    Equals cos^2 of half the angle between state and analyzer, i.e.
+    ``(1 + s . a) / 2``.  The complement port gets exactly ``1 -`` this value:
+    projection_probability(s, a) + projection_probability(s, -a) == 1 holds
+    exactly in floating point.
+    """
+    return 0.5 * (1.0 + s.dot(analyzer_axis))
 
 
 def click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta):

@@ -239,8 +239,8 @@ def test_criterion_6_scramble_tracking():
 def test_criterion_7_determinism_and_round_trip():
     t0 = time.time()
     cfg = preset_config("static")
-    ctrl = replace(cfg.controller_z, batch_pulses=10_000)
-    cfg = replace(cfg, duration=25, controller_z=ctrl, controller_x=ctrl)
+    ctrl = replace(cfg.controller, batch_pulses=10_000)
+    cfg = replace(cfg, duration=25, controller=ctrl)
     series_a, _ = run_scenario(cfg)
     series_b, _ = run_scenario(cfg)
     csv_a = series_to_csv(series_a)
@@ -256,7 +256,7 @@ def test_criterion_8_hardware_scale_drift_tracking():
     t0 = time.time()
     cfg = preset_config("drift24h", full=True)
     assert cfg.duration == 7200 and cfg.seed == 12345 and cfg.control_enabled
-    assert cfg.controller_z.batch_pulses == 30_000_000
+    assert cfg.controller.batch_pulses == 30_000_000
     _, controlled = run_scenario(cfg)
     assert controlled.mean_qber <= 0.035, controlled
     elapsed = time.time() - t0

@@ -5,6 +5,7 @@ import pytest
 from poltrack import cli
 from poltrack.cli import main
 from poltrack.harness import (
+    CSV_HEADER,
     config_to_ini,
     preset_config,
     series_from_csv,
@@ -15,8 +16,8 @@ from conftest import table_from_csv
 
 def short_static_ini():
     cfg = preset_config("static")
-    ctrl = replace(cfg.controller_z, batch_pulses=10_000)
-    return config_to_ini(replace(cfg, duration=4, controller_z=ctrl, controller_x=ctrl))
+    ctrl = replace(cfg.controller, batch_pulses=10_000)
+    return config_to_ini(replace(cfg, duration=4, controller=ctrl))
 
 
 class TestRun:
@@ -191,6 +192,21 @@ class TestSummary:
         bad = tmp_path / "bad.csv"
         bad.write_text("cycle,qber\n1,0.5\n")
         assert main(["summary", str(bad)]) == 3
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (13, "-4", "line 2: recenter must be non-negative, got -4"),
+            (14, "yes", "line 2: converged must be 0 or 1, got 'yes'"),
+        ],
+    )
+    def test_bad_row_field_is_runtime_error(self, field, value, message, tmp_path, capsys):
+        parts = "1,12,0.02,0.001,0.002,75,75,75,75,75,75,75,75,0,1".split(",")
+        parts[field] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_HEADER + "\n" + ",".join(parts) + "\n")
+        assert main(["summary", str(bad)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestConfigCommand:

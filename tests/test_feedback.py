@@ -384,7 +384,6 @@ class TestTrack:
             ControllerState(epc=default_epc()),
             ControllerState(epc=default_epc()),
             ControllerConfig(),
-            ControllerConfig(),
             world,
             0,
             seed=1,
@@ -399,7 +398,6 @@ class TestTrack:
         series = track(
             ControllerState(epc=default_epc()),
             ControllerState(epc=default_epc()),
-            cfg,
             cfg,
             world,
             60,
@@ -416,7 +414,6 @@ class TestTrack:
         series = track(
             ControllerState(epc=default_epc()),
             ControllerState(epc=default_epc()),
-            cfg,
             cfg,
             world,
             3,
@@ -440,7 +437,6 @@ class TestTrack:
                 ControllerState(epc=default_epc()),
                 ControllerState(epc=default_epc()),
                 cfg,
-                cfg,
                 world,
                 400,
                 control_enabled=control,
@@ -460,7 +456,6 @@ class TestTrack:
             return track(
                 ControllerState(epc=default_epc()),
                 ControllerState(epc=default_epc()),
-                cfg,
                 cfg,
                 World(channel=ScramblerChannel(axis=S3, rate=0.4), source=src, eta=1.0),
                 30,

@@ -1,8 +1,10 @@
 import csv
 import io
 import math
+import re
 import statistics
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from poltrack.harness import (
     ConfigError,
     ScenarioConfig,
     Summary,
+    build_channel,
     config_to_ini,
     emit_sample_size_table,
     parse_config,
@@ -23,6 +26,7 @@ from poltrack.harness import (
     summary_to_text,
     table_to_csv,
 )
+from poltrack.optics import RandomWalkChannel, ScramblerChannel, StaticChannel
 from poltrack.stats import delta_table
 from poltrack.timeseries import TimeSeries, TimeSeriesRow
 
@@ -31,8 +35,8 @@ from conftest import table_from_csv
 
 def short_cfg(**overrides):
     cfg = preset_config("static")
-    ctrl = replace(cfg.controller_z, batch_pulses=10_000)
-    cfg = replace(cfg, duration=5, controller_z=ctrl, controller_x=ctrl)
+    ctrl = replace(cfg.controller, batch_pulses=10_000)
+    cfg = replace(cfg, duration=5, controller=ctrl)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -61,13 +65,13 @@ class TestConfigRoundTrip:
 
     def test_full_scale_preset_round_trips(self):
         cfg = preset_config("drift24h", full=True)
-        assert cfg.controller_z.batch_pulses == 30_000_000
+        assert cfg.controller.batch_pulses == 30_000_000
         assert parse_config(config_to_ini(cfg)) == cfg
 
     def test_override_single_keys(self):
         cfg = parse_config(
             "[scenario]\nkind = scramble\nseed = 99\n"
-            "[channel]\nmodel = scrambler\nrate_deg_per_cycle = 0.4\n"
+            "[channel]\nrate_deg_per_cycle = 0.4\n"
         )
         assert cfg.kind == "scramble"
         assert cfg.seed == 99
@@ -75,33 +79,24 @@ class TestConfigRoundTrip:
         assert cfg.duration == ScenarioConfig().duration
 
     def test_shared_controller_section_applies_to_both(self):
+        # one [controller] tunes both basis controllers and the monitoring batch
         cfg = parse_config("[controller]\nbatch_pulses = 7777\n")
-        assert cfg.controller_z.batch_pulses == 7777
-        assert cfg.controller_x.batch_pulses == 7777
-
-    def test_per_basis_controller_override(self):
-        cfg = parse_config(
-            "[controller]\nbatch_pulses = 7777\n[controller_x]\nbatch_pulses = 8888\n"
-        )
-        assert cfg.controller_z.batch_pulses == 7777
-        assert cfg.controller_x.batch_pulses == 8888
+        assert cfg.controller.batch_pulses == 7777
 
 
 # A valid alternative for each string default.
-OTHER_NAMES = {"drift": "scramble", "random_walk": "scrambler"}
+OTHER_NAMES = {"drift": "scramble"}
 
 
 def bumped(value, times=1):
     """A value of the same type and shape that differs from ``value``.
 
-    Dataclasses are bumped field by field; ``controller_x`` is bumped twice
-    so that a mix-up of the two controller sections shows.
+    Dataclasses are bumped field by field.
     """
     if is_dataclass(value):
-        return replace(value, **{
-            f.name: bumped(getattr(value, f.name), 2 if f.name == "controller_x" else times)
-            for f in fields(value)
-        })
+        return replace(
+            value, **{f.name: bumped(getattr(value, f.name), times) for f in fields(value)}
+        )
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -130,7 +125,6 @@ class TestConfigSchema:
         cfg = bumped(default)
         changed = dict(leaves(cfg))
         assert all(changed[path] != value for path, value in leaves(default))
-        assert cfg.controller_z != cfg.controller_x
         assert parse_config(config_to_ini(cfg)) == cfg
 
     @pytest.mark.parametrize("full", [False, True])
@@ -150,14 +144,11 @@ class TestConfigSchema:
             "[epc]\ngain_rad_per_volt = 0.041887902047863905\ngain_jitter = 0.1\nv_min = 0.0\n"
             "v_max = 150.0\naxis_drift_sigma_rad = 0.002\n"
             "max_axis_wander_rad = 0.17453292519943295\n\n"
-            "[channel]\nmodel = random_walk\naxis = 0.0,0.0,1.0\nangle_deg = 30.0\n"
-            "step_sigma_rad = 0.012\naxis_resample_period = 1\nrate_deg_per_cycle = 0.2\n\n"
-            + "".join(
-                f"[controller_{b}]\ndither_volts = 1.0\ntau = -150.0\ne_threshold = 0.002\n"
-                "sample_fraction = 1.0\nmax_cycles_per_correction = 25\nbatch_pulses = 25000\n\n"
-                for b in "zx"
-            )
-            + "[table]\nmu = 0.1\neta = 0.1\nqber_values = 0.01,0.02,0.03\n"
+            "[channel]\naxis = 0.0,0.0,1.0\nangle_deg = 30.0\nstep_sigma_rad = 0.012\n"
+            "rate_deg_per_cycle = 0.2\n\n"
+            "[controller]\ndither_volts = 1.0\ntau = -150.0\ne_threshold = 0.002\n"
+            "sample_fraction = 1.0\nmax_cycles_per_correction = 25\nbatch_pulses = 25000\n\n"
+            "[table]\nmu = 0.1\neta = 0.1\nqber_values = 0.01,0.02,0.03\n"
             "b_values = 250,500,1000,2500,5000,10000,25000,50000,100000\n"
         )
 
@@ -205,9 +196,23 @@ class TestConfigValidation:
         assert "scenario.kind" in str(err.value)
 
     def test_bad_channel_model(self):
+        # [scenario] kind picks the channel; there is no model key
         with pytest.raises(ConfigError) as err:
             parse_config("[channel]\nmodel = teleport\n")
-        assert "channel.model" in str(err.value)
+        assert str(err.value) == "channel.model: unknown key"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[controller_z]\ntau = -100.0\n", "controller_z: unknown section"),
+            ("[controller_x]\ntau = -100.0\n", "controller_x: unknown section"),
+            ("[channel]\naxis_resample_period = 1\n", "channel.axis_resample_period: unknown key"),
+        ],
+    )
+    def test_removed_name_rejected(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -246,15 +251,12 @@ class TestConfigValidation:
     def test_zero_batch_pulses_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[controller]\nbatch_pulses = 0\n")
-        assert str(err.value) == (
-            "controller_z: batch_pulses must be at least 1\n"
-            "controller_x: batch_pulses must be at least 1"
-        )
+        assert str(err.value) == "controller: batch_pulses must be at least 1"
 
     def test_controller_invariant_enforced(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("[controller_z]\ntau = 5.0\n")
-        assert "controller_z" in str(err.value)
+            parse_config("[controller]\ntau = 5.0\n")
+        assert str(err.value) == "controller: tau must be non-positive (negative to minimize E)"
 
     def test_link_invariant_enforced(self):
         with pytest.raises(ConfigError):
@@ -290,6 +292,19 @@ class TestRunScenario:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("drift48h")
+
+
+class TestBuildChannel:
+    @pytest.mark.parametrize(
+        "kind, model",
+        [("static", StaticChannel), ("drift", RandomWalkChannel), ("scramble", ScramblerChannel)],
+    )
+    def test_kind_picks_the_channel(self, kind, model):
+        assert type(build_channel(parse_config(f"[scenario]\nkind = {kind}\n"))) is model
+
+    def test_table_kind_has_no_channel(self):
+        with pytest.raises(ConfigError):
+            build_channel(preset_config("table"))
 
 
 class TestSummarize:
@@ -358,6 +373,22 @@ class TestSeriesCsv:
         with pytest.raises(ValueError):
             series_from_csv(CSV_HEADER + "\n1,2,3\n")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (13, "-4", "line 3: recenter must be non-negative, got -4"),
+            (14, "yes", "line 3: converged must be 0 or 1, got 'yes'"),
+        ],
+    )
+    def test_rejects_field_that_would_not_round_trip(self, field, value, message):
+        lines = series_to_csv(TimeSeries((make_row(1), make_row(2)))).splitlines()
+        parts = lines[2].split(",")
+        parts[field] = value
+        lines[2] = ",".join(parts)
+        with pytest.raises(ValueError) as err:
+            series_from_csv("\n".join(lines) + "\n")
+        assert str(err.value) == message
+
     def test_nine_significant_digits(self):
         row = make_row(1, q=0.0123456789123)
         line = series_to_csv(TimeSeries((row,))).splitlines()[1]
@@ -394,8 +425,8 @@ class TestFullScalePreset:
         # 30 M pulses through the 50 km link with 10% of sifted bits
         # revealed; control off keeps this to a single batch
         cfg = preset_config("drift24h", full=True)
-        assert cfg.controller_z.batch_pulses == 30_000_000
-        assert cfg.controller_z.sample_fraction == 0.1
+        assert cfg.controller.batch_pulses == 30_000_000
+        assert cfg.controller.sample_fraction == 0.1
         cfg = replace(cfg, duration=1, control_enabled=False)
         series, summary = run_scenario(cfg)
         row = series.rows[0]
@@ -409,9 +440,8 @@ class TestFullScalePreset:
 class TestFullScaleScramblePreset:
     def test_keeps_hardware_batch(self):
         cfg = preset_config("scramble04", full=True)
-        assert cfg.controller_z.batch_pulses == 30_000_000
-        assert cfg.controller_x.batch_pulses == 30_000_000
-        assert cfg.controller_z.max_cycles_per_correction == 3
+        assert cfg.controller.batch_pulses == 30_000_000
+        assert cfg.controller.max_cycles_per_correction == 3
         assert parse_config(config_to_ini(cfg)) == cfg
 
     def test_one_hardware_scale_cycle_is_not_starved(self):
@@ -438,7 +468,7 @@ class TestUncontrolledScrambleTrace:
         m = 0.5  # eta * mu of the desk link
         f = cfg.source.misalignment_floor
         rate = math.radians(cfg.channel.rate_deg_per_cycle)
-        n_row = cfg.controller_z.batch_pulses * (1.0 - math.exp(-m)) * 0.5
+        n_row = cfg.controller.batch_pulses * (1.0 - math.exp(-m)) * 0.5
 
         for r in series:
             # scrambling about s3 misaligns both bases by the same angle
@@ -456,13 +486,43 @@ class TestPairedSeedCausality:
     @pytest.mark.parametrize("name", ["static", "drift24h", "scramble04"])
     def test_control_never_hurts(self, name):
         cfg = preset_config(name)
-        ctrl = replace(cfg.controller_z, batch_pulses=10_000)
+        ctrl = replace(cfg.controller, batch_pulses=10_000)
         duration = 60
         if name == "drift24h":
             # give the walk enough motion to matter over the short window
             cfg = replace(cfg, channel=replace(cfg.channel, step_sigma=0.04))
             duration = 200
-        cfg = replace(cfg, duration=duration, controller_z=ctrl, controller_x=ctrl)
+        cfg = replace(cfg, duration=duration, controller=ctrl)
         _, on = run_scenario(cfg)
         _, off = run_scenario(replace(cfg, control_enabled=False))
         assert on.mean_qber <= off.mean_qber
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Config names that are gone; parsing any of them is an error.
+REMOVED_NAMES = (
+    "controller_z", "controller_x", "channel.model", "axis_resample_period", "rep_rate_hz"
+)
+
+
+class TestReadmeConfigFormat:
+    """README's "Config format" section keeps up with the schema."""
+
+    @staticmethod
+    def section():
+        text = README.read_text(encoding="utf-8")
+        body = text.split("## Config format\n", 1)[1].split("\n## ", 1)[0]
+        live, removed = body.split("Removed keys", 1)
+        return live, removed
+
+    def test_names_every_section(self):
+        live, _ = self.section()
+        sections = re.findall(r"^\[(\w+)\]$", config_to_ini(ScenarioConfig()), re.M)
+        assert sections, "no sections found"
+        assert [s for s in sections if f"`[{s}]`" not in live] == []
+
+    def test_removed_names_only_in_their_note(self):
+        live, removed = self.section()
+        assert [name for name in REMOVED_NAMES if name in live] == []
+        assert [name for name in REMOVED_NAMES if name not in removed] == []

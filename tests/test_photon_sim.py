@@ -19,8 +19,6 @@ from poltrack.photon_sim import (
     simulate_batch,
 )
 from poltrack.poincare import (
-    DIAG,
-    H,
     IDENTITY,
     StokesVector,
     apply_rotation,
@@ -29,7 +27,7 @@ from poltrack.poincare import (
 )
 
 from conftest import numpy_streams_as_golden, random_axis_angle, rodrigues_matrix
-from per_pulse_oracle import sifted_cells, simulate_batch_per_pulse
+from per_pulse_oracle import DIAG, H, sifted_cells, simulate_batch_per_pulse
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from poltrack.poincare import (
-    ANTIDIAG,
-    DIAG,
-    H,
     IDENTITY,
     Rotation,
     StokesVector,
-    V,
     apply_rotation,
     compose,
     inverse,
-    projection_probability,
     rotation_from_axis_angle,
 )
 
 from conftest import random_axis_angle, random_unit, rodrigues_matrix
+from per_pulse_oracle import ANTIDIAG, DIAG, H, V, projection_probability
 
 S3 = StokesVector(0.0, 0.0, 1.0)
 

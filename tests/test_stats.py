@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from poltrack.poincare import H, projection_probability
 from poltrack.stats import (
     EstimatorScenario,
     delta_qber,
@@ -14,6 +13,7 @@ from poltrack.stats import (
 )
 
 from conftest import monte_carlo_sigma, qber_true, stokes_from_projection_angle
+from per_pulse_oracle import H, projection_probability
 
 
 def rng_for(seed):

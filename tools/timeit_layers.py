@@ -70,17 +70,18 @@ def main() -> None:
         max_axis_wander=cfg.epc.max_axis_wander,
     )
     _, ch_rot = pt.channel_step(world.channel, 1, np.random.default_rng(SEED))
-    mc = pt.MonteCarloContext(ch_rot, world.source, world.eta, cfg.controller_z, rng)
+    mc = pt.MonteCarloContext(ch_rot, world.source, world.eta, cfg.controller, rng)
 
     def draw(pulses, source, eta):
         return pt.simulate_batch(pulses, ch_rot, epc_rot, epc_rot, source, eta, rng)
 
-    desk_tally = draw(cfg.controller_z.batch_pulses, world.source, world.eta)
+    desk_tally = draw(cfg.controller.batch_pulses, world.source, world.eta)
     full = pt.preset_config("drift24h", full=True)
-    full_ctrl = full.controller_z
+    full_ctrl = full.controller
     full_tally = draw(full_ctrl.batch_pulses, full.source, pt.transmittance(full.link))
 
-    misaligned = pt.ExactContext(pt.rotation_from_axis_angle(pt.DIAG, math.radians(30.0)))
+    diagonal = pt.StokesVector(0.0, 1.0, 0.0)
+    misaligned = pt.ExactContext(pt.rotation_from_axis_angle(diagonal, math.radians(30.0)))
     ctrl = pt.ControllerConfig(max_cycles_per_correction=200)
     state = pt.ControllerState(epc=pt.default_epc())
     working = pt.ControllerState(epc=epc)
@@ -89,8 +90,7 @@ def main() -> None:
         return pt.track(
             pt.ControllerState(epc=start_z),
             pt.ControllerState(epc=start_x),
-            cfg.controller_z,
-            cfg.controller_x,
+            cfg.controller,
             world,
             TRACK_CYCLES,
             fc_seconds=cfg.fc_seconds,
@@ -107,15 +107,13 @@ def main() -> None:
         "drift_axes": lambda: pt.drift_axes(
             epc, 1, rng, sigma=cfg.epc.axis_drift_sigma, max_wander=cfg.epc.max_axis_wander
         ),
-        "simulate_batch": lambda: draw(cfg.controller_z.batch_pulses, world.source, world.eta),
+        "simulate_batch": lambda: draw(cfg.controller.batch_pulses, world.source, world.eta),
         "reveal_sample_full": lambda: pt.reveal_sample(desk_tally, 1.0, rng),
         f"reveal_sample_{full_ctrl.sample_fraction}": lambda: pt.reveal_sample(
             full_tally, full_ctrl.sample_fraction, rng
         ),
         "MonteCarloContext.evaluate": lambda: mc.evaluate(epc_rot, "Z"),
-        "adjust_squeezer_mc": lambda: pt.adjust_squeezer(
-            working, 1, "Z", mc, cfg.controller_z
-        ),
+        "adjust_squeezer_mc": lambda: pt.adjust_squeezer(working, 1, "Z", mc, cfg.controller),
         "adjust_squeezer": lambda: pt.adjust_squeezer(state, 1, "Z", misaligned, ctrl),
         "control_cycle": lambda: pt.control_cycle(
             state, misaligned.evaluate(pt.epc_rotation(state.epc), "Z"), "Z", misaligned, ctrl
