@@ -54,6 +54,7 @@ from .photon_sim import (
     MeasurementMatrix,
     SourceParams,
     analyzer_element,
+    arm_cell_probs,
     measurement_matrix,
     qber_from_tally,
     reveal_sample,

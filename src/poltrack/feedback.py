@@ -34,13 +34,16 @@ from .optics import (
     probe_rotation,
 )
 from .photon_sim import (
+    BASES,
     InsufficientDataError,
     MeasurementMatrix,
     SourceParams,
     analyzer_element,
+    arm_cell_probs,
     measurement_matrix,
     qber_from_tally,
     reveal_sample,
+    sifted_cell_probs,
     simulate_batch,
 )
 from .poincare import IDENTITY, Rotation
@@ -86,13 +89,20 @@ class ControllerConfig:
             raise ValueError("batch_pulses must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ControllerState:
-    """Loop state of one basis controller driving its EPC."""
+    """Loop state of one basis controller driving its EPC.
+
+    Built like ``poincare``'s hot values: its own ``__init__`` fills
+    ``__dict__`` directly; there is nothing to validate.
+    """
 
     epc: EpcState
-    recenter_count: int = 0
-    converged: bool = True
+    recenter_count: int
+    converged: bool
+
+    def __init__(self, epc: EpcState, recenter_count: int = 0, converged: bool = True) -> None:
+        self.__dict__.update(epc=epc, recenter_count=recenter_count, converged=converged)
 
 
 def feedback_error(mm: MeasurementMatrix) -> float:
@@ -109,7 +119,10 @@ class MonteCarloContext:
 
     The channel rotation is frozen for the lifetime of the context, matching
     the controller's assumption that the plant is constant within one
-    correction.  Each evaluation consumes generator state, so repeated calls
+    correction.  The two receiver arms are independent, so the arm not being
+    measured is simulated with an identity EPC; its four sifted cells are
+    constant too and are computed once, here.  Each evaluation computes only
+    the measured arm's cells and consumes generator state, so repeated calls
     scatter around the underlying value.
     """
 
@@ -126,21 +139,16 @@ class MonteCarloContext:
         self.eta = eta
         self.config = config
         self.rng = rng
+        self._idle_z, self._idle_x = (
+            arm_cell_probs(analyzer_element(channel_rot, IDENTITY, b), source, eta) for b in BASES
+        )
 
     def evaluate(self, epc_rot: Rotation, basis: str) -> float:
-        # The two receiver arms are independent, so the arm not being
-        # measured is simulated with an identity EPC.
-        rot_z = epc_rot if basis == "Z" else IDENTITY
-        rot_x = epc_rot if basis == "X" else IDENTITY
-        tally = simulate_batch(
-            self.config.batch_pulses,
-            self.channel_rot,
-            rot_z,
-            rot_x,
-            self.source,
-            self.eta,
-            self.rng,
+        arm = arm_cell_probs(
+            analyzer_element(self.channel_rot, epc_rot, basis), self.source, self.eta
         )
+        cells = arm + self._idle_x if basis == "Z" else self._idle_z + arm
+        tally = simulate_batch(self.config.batch_pulses, cells, self.rng)
         revealed = reveal_sample(tally, self.config.sample_fraction, self.rng)
         return feedback_error(measurement_matrix(revealed, basis))
 
@@ -281,15 +289,13 @@ def track(
         z_state = drifted(z_state)
         x_state = drifted(x_state)
 
-        tally = simulate_batch(
-            config.batch_pulses,
-            ch_rot,
-            epc_rotation(z_state.epc),
-            epc_rotation(x_state.epc),
+        cells = sifted_cell_probs(
+            analyzer_element(ch_rot, epc_rotation(z_state.epc), "Z"),
+            analyzer_element(ch_rot, epc_rotation(x_state.epc), "X"),
             world.source,
             world.eta,
-            rng_monitor,
         )
+        tally = simulate_batch(config.batch_pulses, cells, rng_monitor)
         revealed = reveal_sample(tally, config.sample_fraction, rng_reveal)
 
         recenters_before = z_state.recenter_count + x_state.recenter_count

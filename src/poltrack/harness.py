@@ -437,31 +437,37 @@ def summary_to_text(summary: Summary) -> str:
 # ---------------------------------------------------------------------------
 # CSV emission
 
+def _row_text(r: TimeSeriesRow) -> str:
+    """One CSV line of a row, without its newline."""
+    fields = [
+        str(r.cycle),
+        f"{r.t_seconds:.9g}",
+        f"{r.qber_est:.9g}",
+        f"{r.e_z:.9g}",
+        f"{r.e_x:.9g}",
+        *(f"{v:.9g}" for v in r.voltages),
+        str(r.recenter),
+        "1" if r.converged else "0",
+    ]
+    return ",".join(fields)
+
+
 def series_to_csv(series: TimeSeries) -> str:
     """Render a series with the fixed header and 9-significant-digit floats."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for r in series:
-        fields = [
-            str(r.cycle),
-            f"{r.t_seconds:.9g}",
-            f"{r.qber_est:.9g}",
-            f"{r.e_z:.9g}",
-            f"{r.e_x:.9g}",
-            *(f"{v:.9g}" for v in r.voltages),
-            str(r.recenter),
-            "1" if r.converged else "0",
-        ]
-        out.write(",".join(fields) + "\n")
+        out.write(_row_text(r) + "\n")
     return out.getvalue()
 
 
 def series_from_csv(text: str) -> TimeSeries:
-    """Parse a series CSV; emit(parse(text)) reproduces the text byte for byte.
+    """Parse a series CSV; emit(parse(text)) reproduces each row byte for byte.
 
-    A ``recenter`` count below zero or a ``converged`` flag other than 0 or 1
-    is rejected with its line number: neither would survive that round trip
-    or give a true summary.
+    A row that would re-emit as different text, such as ``01`` for a cycle or
+    ``0.0200`` for a float, is rejected with its line number.  So are a
+    ``recenter`` count below zero and a ``converged`` flag other than 0 or 1,
+    with messages of their own: neither would give a true summary.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -476,18 +482,20 @@ def series_from_csv(text: str) -> TimeSeries:
             raise ValueError(f"line {n}: recenter must be non-negative, got {recenter}")
         if parts[14] not in ("0", "1"):
             raise ValueError(f"line {n}: converged must be 0 or 1, got {parts[14]!r}")
-        rows.append(
-            TimeSeriesRow(
-                cycle=int(parts[0]),
-                t_seconds=float(parts[1]),
-                qber_est=float(parts[2]),
-                e_z=float(parts[3]),
-                e_x=float(parts[4]),
-                voltages=tuple(float(p) for p in parts[5:13]),
-                recenter=recenter,
-                converged=parts[14] == "1",
-            )
+        row = TimeSeriesRow(
+            cycle=int(parts[0]),
+            t_seconds=float(parts[1]),
+            qber_est=float(parts[2]),
+            e_z=float(parts[3]),
+            e_x=float(parts[4]),
+            voltages=tuple(float(p) for p in parts[5:13]),
+            recenter=recenter,
+            converged=parts[14] == "1",
         )
+        emitted = _row_text(row)
+        if emitted != line:
+            raise ValueError(f"line {n}: does not round-trip; it would be written as {emitted!r}")
+        rows.append(row)
     return TimeSeries(tuple(rows))
 
 

@@ -32,6 +32,13 @@ building the probed ``EpcState`` at all.  The stage is computed lazily, not
 on construction, so a state whose angle gain * voltage overflows can be
 built and fails with the "rotation angle must be finite" check only when it
 is rotated.
+
+``SqueezerState`` is built like ``poincare``'s hot values: its own
+``__init__`` validates the arguments and fills ``__dict__`` directly, and
+``dataclasses.replace`` goes through the same checks.  ``with_voltage`` and
+``drift_axes`` change only voltages or current axes, so their copies keep
+nominal axes that the source EPC's ``__post_init__`` has already checked and
+skip that check; the public ``EpcState`` constructor keeps it.
 """
 
 from __future__ import annotations
@@ -89,7 +96,11 @@ class _kept:
         return value
 
 
-@dataclass(frozen=True)
+def _out_of_range(voltage: float, v_min: float, v_max: float) -> ValueError:
+    return ValueError(f"voltage {voltage!r} outside [{v_min!r}, {v_max!r}]")
+
+
+@dataclass(frozen=True, init=False)
 class SqueezerState:
     """One fiber squeezer: rotation axis, voltage-to-angle gain, drive state."""
 
@@ -97,19 +108,28 @@ class SqueezerState:
     nominal_axis: StokesVector
     gain: float
     voltage: float
-    v_min: float = DEFAULT_V_MIN
-    v_max: float = DEFAULT_V_MAX
+    v_min: float
+    v_max: float
 
-    def __post_init__(self) -> None:
-        if not (self.v_min < self.v_max):
+    def __init__(
+        self,
+        axis: StokesVector,
+        nominal_axis: StokesVector,
+        gain: float,
+        voltage: float,
+        v_min: float = DEFAULT_V_MIN,
+        v_max: float = DEFAULT_V_MAX,
+    ) -> None:
+        if not (v_min < v_max):
             raise ValueError("squeezer voltage range is empty")
-        if not (self.v_min <= self.voltage <= self.v_max):
-            raise self._out_of_range(self.voltage)
-        if not (self.gain > 0.0 and math.isfinite(self.gain)):
+        if not (v_min <= voltage <= v_max):
+            raise _out_of_range(voltage, v_min, v_max)
+        if not (gain > 0.0 and math.isfinite(gain)):
             raise ValueError("squeezer gain must be positive and finite")
-
-    def _out_of_range(self, voltage: float) -> ValueError:
-        return ValueError(f"voltage {voltage!r} outside [{self.v_min!r}, {self.v_max!r}]")
+        self.__dict__.update(
+            axis=axis, nominal_axis=nominal_axis, gain=gain,
+            voltage=voltage, v_min=v_min, v_max=v_max,
+        )
 
     @property
     def center(self) -> float:
@@ -154,7 +174,17 @@ class EpcState:
         sqs = list(self.squeezers)
         sq = sqs[i]
         sqs[i] = SqueezerState(sq.axis, sq.nominal_axis, sq.gain, voltage, sq.v_min, sq.v_max)
-        return EpcState(tuple(sqs))
+        return self._copy(tuple(sqs))
+
+    def _copy(self, squeezers: tuple[SqueezerState, ...]) -> "EpcState":
+        """An EPC of ``squeezers``, which keep this EPC's nominal axes.
+
+        ``__post_init__`` checks only the nominal axes, which this EPC has
+        already passed, so the copy skips it.
+        """
+        epc = object.__new__(EpcState)
+        epc.__dict__["squeezers"] = squeezers
+        return epc
 
 
 def default_epc(
@@ -217,7 +247,7 @@ def probe_rotation(epc: EpcState, i: int, voltage: float) -> Rotation:
     """
     sq = epc.squeezers[i]
     if not (sq.v_min <= voltage <= sq.v_max):
-        raise sq._out_of_range(voltage)
+        raise _out_of_range(voltage, sq.v_min, sq.v_max)
     stages = [s.stage for s in epc.squeezers]
     stages[i] = sq.stage_at(voltage)
     return _compose_stages(*stages)
@@ -240,10 +270,15 @@ def _tangent_basis(
     return e1, (dx / n, dy / n, dz / n)
 
 
-def _clamp_to_cone(axis: StokesVector, nominal: StokesVector, max_wander: float) -> StokesVector:
-    """Pull ``axis`` back onto the wander cone around ``nominal`` if outside."""
+def _clamp_to_cone(
+    axis: StokesVector, nominal: StokesVector, cw: float, sw: float
+) -> StokesVector:
+    """Pull ``axis`` back onto the wander cone around ``nominal`` if outside.
+
+    ``cw`` and ``sw`` are the cosine and sine of the cone's half-angle.
+    """
     c = axis.dot(nominal)
-    if c >= math.cos(max_wander):
+    if c >= cw:
         return axis
     t1 = axis.s1 - c * nominal.s1
     t2 = axis.s2 - c * nominal.s2
@@ -253,7 +288,6 @@ def _clamp_to_cone(axis: StokesVector, nominal: StokesVector, max_wander: float)
         # antipodal corner case; fall back to an arbitrary tangent direction
         (t1, t2, t3), _ = _tangent_basis(nominal.s1, nominal.s2, nominal.s3)
         tn = 1.0
-    cw, sw = math.cos(max_wander), math.sin(max_wander)
     return StokesVector.unit(
         cw * nominal.s1 + sw * t1 / tn,
         cw * nominal.s2 + sw * t2 / tn,
@@ -280,6 +314,7 @@ def drift_axes(
     if dt == 0 or sigma == 0.0:
         return epc
     scale = sigma * math.sqrt(dt)
+    cw, sw = math.cos(max_wander), math.sin(max_wander)
     squeezers = []
     for sq in epc.squeezers:
         # numpy's normal(0, scale) and uniform(0, 2 pi) return 0 + scale * z
@@ -297,7 +332,7 @@ def drift_axes(
         moved = StokesVector(*_rotate(q, (s1, s2, s3)))
         squeezers.append(
             SqueezerState(
-                _clamp_to_cone(moved, sq.nominal_axis, max_wander),
+                _clamp_to_cone(moved, sq.nominal_axis, cw, sw),
                 sq.nominal_axis,
                 sq.gain,
                 sq.voltage,
@@ -305,7 +340,7 @@ def drift_axes(
                 sq.v_max,
             )
         )
-    return EpcState(tuple(squeezers))
+    return epc._copy(tuple(squeezers))
 
 
 @dataclass(frozen=True)

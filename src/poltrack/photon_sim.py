@@ -16,8 +16,9 @@ diagonal element on that arm's analyzer axis ``e_b`` (``b`` = 0 for Z, 1 for
 X).  Alice's states of that basis are ``+e_b`` and ``-e_b``, so the fraction
 of light reaching the detector of the state she sent is ``(1 + m) / 2`` and
 the wrong detector gets ``(1 - m) / 2``.  ``analyzer_element`` computes ``m``
-from one quaternion product, and ``sifted_cell_probs`` turns the two
-elements into the probabilities of the eight sifted cells.
+from one quaternion product, ``arm_cell_probs`` turns one element into the
+probabilities of its arm's four sifted cells, and ``sifted_cell_probs``
+joins the two arms into the eight cells of a batch.
 
 Within one batch every pulse sees the same rotations, so every pulse falls
 independently into one of eight sifted cells (sent state, detected state)
@@ -31,11 +32,16 @@ A controller evaluates the feedback signal many times per correction, each
 time from one fresh batch, so the per-batch path is kept lean.  The EPC
 rotations it receives are composed from the squeezers' kept stage
 quaternions, and a dither probe's from ``optics.probe_rotation``, which
-builds no probed EPC.  Every batch is drawn through the module-level name
-``simulate_batch``, which pulse accounting may rebind.  ``DetectionTally``
-checks its counts in one ``min`` pass and names a field only when one is
-negative, and ``reveal_sample`` at fraction 1 counts the non-empty cells
-directly.
+builds no probed EPC.  Within one correction only the measured arm's EPC
+changes, so ``feedback.MonteCarloContext`` computes the other arm's four
+cells once and each evaluation computes only the measured arm's.  Every
+batch is drawn through the module-level name ``simulate_batch``, which pulse
+accounting may rebind; it takes the eight cells and does nothing but the
+draw.  ``DetectionTally`` and ``MeasurementMatrix`` are built like
+``poincare``'s values: their own ``__init__`` validates the arguments and
+fills ``__dict__`` directly.  ``DetectionTally`` checks its counts in one
+``min`` pass and names a field only when one is negative, and
+``reveal_sample`` at fraction 1 counts the non-empty cells directly.
 """
 
 from __future__ import annotations
@@ -91,34 +97,43 @@ _COUNT_FIELDS = ("n_hh", "n_hv", "n_vh", "n_vv", "n_dd", "n_da", "n_ad", "n_aa")
 _TALLY_FIELDS = _COUNT_FIELDS + ("pulses_sent",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DetectionTally:
     """Sifted counts indexed by sent and detected state, per basis.
 
     Z-basis counts ``n_hh .. n_vv`` and X-basis counts ``n_dd .. n_aa``; the
-    first letter is the sent state, the second the detected one.
+    first letter is the sent state, the second the detected one.  Every
+    count defaults to 0.
     """
 
-    n_hh: int = 0
-    n_hv: int = 0
-    n_vh: int = 0
-    n_vv: int = 0
-    n_dd: int = 0
-    n_da: int = 0
-    n_ad: int = 0
-    n_aa: int = 0
-    pulses_sent: int = 0
+    n_hh: int
+    n_hv: int
+    n_vh: int
+    n_vv: int
+    n_dd: int
+    n_da: int
+    n_ad: int
+    n_aa: int
+    pulses_sent: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n_hh: int = 0, n_hv: int = 0, n_vh: int = 0, n_vv: int = 0,
+        n_dd: int = 0, n_da: int = 0, n_ad: int = 0, n_aa: int = 0,
+        pulses_sent: int = 0,
+    ) -> None:
         # One pass for the common case; the field is named only on failure.
         # ``not min >= 0`` also sends a nan minimum to the per-field check.
-        if not min(
-            self.n_hh, self.n_hv, self.n_vh, self.n_vv,
-            self.n_dd, self.n_da, self.n_ad, self.n_aa, self.pulses_sent,
-        ) >= 0:
-            for name in _TALLY_FIELDS:
-                if getattr(self, name) < 0:
+        if not min(n_hh, n_hv, n_vh, n_vv, n_dd, n_da, n_ad, n_aa, pulses_sent) >= 0:
+            values = (n_hh, n_hv, n_vh, n_vv, n_dd, n_da, n_ad, n_aa, pulses_sent)
+            for name, value in zip(_TALLY_FIELDS, values):
+                if value < 0:
                     raise ValueError(f"{name} must be non-negative")
+        self.__dict__.update(
+            n_hh=n_hh, n_hv=n_hv, n_vh=n_vh, n_vv=n_vv,
+            n_dd=n_dd, n_da=n_da, n_ad=n_ad, n_aa=n_aa,
+            pulses_sent=pulses_sent,
+        )
 
     @property
     def sifted_total(self) -> int:
@@ -136,7 +151,7 @@ class DetectionTally:
         raise ValueError(f"unknown basis {basis!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurementMatrix:
     """Row-normalized sent-vs-detected frequencies of one basis."""
 
@@ -145,12 +160,13 @@ class MeasurementMatrix:
     j3: float
     j4: float
 
-    def __post_init__(self) -> None:
-        if abs(self.j1 + self.j2 - 1.0) > 1e-12 or abs(self.j3 + self.j4 - 1.0) > 1e-12:
+    def __init__(self, j1: float, j2: float, j3: float, j4: float) -> None:
+        if abs(j1 + j2 - 1.0) > 1e-12 or abs(j3 + j4 - 1.0) > 1e-12:
             raise ValueError("measurement matrix rows must sum to 1")
-        for j in (self.j1, self.j2, self.j3, self.j4):
+        for j in (j1, j2, j3, j4):
             if not (-1e-12 <= j <= 1.0 + 1e-12):
                 raise ValueError("matrix entries must be probabilities")
+        self.__dict__.update(j1=j1, j2=j2, j3=j3, j4=j4)
 
 
 def analyzer_element(channel_rot: Rotation, epc_rot: Rotation, basis: str) -> float:
@@ -171,61 +187,57 @@ def analyzer_element(channel_rot: Rotation, epc_rot: Rotation, basis: str) -> fl
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def sifted_cell_probs(m_z: float, m_x: float, src: SourceParams, eta: float) -> list[float]:
-    """Per-pulse probabilities of the eight sifted cells, in tally order.
+def arm_cell_probs(m: float, src: SourceParams, eta: float) -> list[float]:
+    """Per-pulse probabilities of one arm's four sifted cells, in tally order.
 
-    ``m_z`` and ``m_x`` are the arms' ``analyzer_element`` values.  Each
-    (sent state, arm) combo has probability 1/8; within a matched combo the
-    sent state's own detector gets the light fraction ``(1 + m) / 2``, the
-    other one the rest.  A double click lands on either detector with
-    probability 1/2, and the misalignment floor then moves a detection to
-    the other detector.
+    ``m`` is the arm's ``analyzer_element``.  Each (sent state, arm) combo
+    has probability 1/8; within a matched combo the sent state's own
+    detector gets the light fraction ``(1 + m) / 2``, the other one the
+    rest.  A double click lands on either detector with probability 1/2,
+    and the misalignment floor then moves a detection to the other detector.
     """
+    if not (0.0 < eta <= 1.0):
+        raise ValueError("eta must be in (0, 1]")
     mu_eta = eta * src.mu
     no_dark = 1.0 - src.dark_count_prob
     f = src.misalignment_floor
-    q = []
-    for m in (m_z, m_x):
-        a_right = min(1.0, max(0.0, 0.5 * (1.0 + m)))
-        p_right = 1.0 - math.exp(-mu_eta * a_right) * no_dark
-        p_wrong = 1.0 - math.exp(-mu_eta * (1.0 - a_right)) * no_dark
-        half_both = 0.5 * p_right * p_wrong
-        r_right = p_right - half_both
-        r_wrong = p_wrong - half_both
-        right = ((1.0 - f) * r_right + f * r_wrong) / 8.0
-        wrong = ((1.0 - f) * r_wrong + f * r_right) / 8.0
-        # sent bit 0: (right, wrong); sent bit 1: (wrong, right)
-        q += (right, wrong, wrong, right)
-    return q
+    a_right = min(1.0, max(0.0, 0.5 * (1.0 + m)))
+    p_right = 1.0 - math.exp(-mu_eta * a_right) * no_dark
+    p_wrong = 1.0 - math.exp(-mu_eta * (1.0 - a_right)) * no_dark
+    half_both = 0.5 * p_right * p_wrong
+    r_right = p_right - half_both
+    r_wrong = p_wrong - half_both
+    right = ((1.0 - f) * r_right + f * r_wrong) / 8.0
+    wrong = ((1.0 - f) * r_wrong + f * r_right) / 8.0
+    # sent bit 0: (right, wrong); sent bit 1: (wrong, right)
+    return [right, wrong, wrong, right]
+
+
+def sifted_cell_probs(m_z: float, m_x: float, src: SourceParams, eta: float) -> list[float]:
+    """Per-pulse probabilities of the eight sifted cells, in tally order.
+
+    ``m_z`` and ``m_x`` are the arms' ``analyzer_element`` values; the Z
+    arm's four cells come first, then the X arm's (``arm_cell_probs``).
+    """
+    return arm_cell_probs(m_z, src, eta) + arm_cell_probs(m_x, src, eta)
 
 
 def simulate_batch(
-    n_pulses: int,
-    channel_rot: Rotation,
-    epc_rot_z: Rotation,
-    epc_rot_x: Rotation,
-    src: SourceParams,
-    eta: float,
-    rng: np.random.Generator,
+    n_pulses: int, cells: list[float], rng: np.random.Generator
 ) -> DetectionTally:
-    """Simulate ``n_pulses`` BB84 pulses and tally matched-basis detections.
+    """Tally ``n_pulses`` BB84 pulses that fall into the eight sifted ``cells``.
 
-    Draws the whole tally at once from its exact multinomial distribution,
-    so the cost does not grow with ``n_pulses``.  Deterministic given the
-    generator state.
+    ``cells`` are the per-pulse probabilities in tally order, as
+    ``sifted_cell_probs`` gives them; the rest of the probability is "no
+    sifted detection".  Draws the whole tally at once from its exact
+    multinomial distribution, so the cost does not grow with ``n_pulses``.
+    Deterministic given the generator state.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError("eta must be in (0, 1]")
-    q = sifted_cell_probs(
-        analyzer_element(channel_rot, epc_rot_z, "Z"),
-        analyzer_element(channel_rot, epc_rot_x, "X"),
-        src,
-        eta,
-    )
-    q.append(1.0 - sum(q))  # no sifted detection
-    counts = rng.multinomial(n_pulses, q)
+    if len(cells) != 8:
+        raise ValueError(f"expected 8 sifted-cell probabilities, got {len(cells)}")
+    counts = rng.multinomial(n_pulses, [*cells, 1.0 - sum(cells)])
     return DetectionTally(*counts[:8].tolist(), pulses_sent=n_pulses)
 
 

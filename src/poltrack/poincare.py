@@ -18,6 +18,18 @@ Conventions used throughout the package:
 All types are immutable values and all operations are pure functions, so they
 are safe to use concurrently without coordination.
 
+A controller evaluation builds several of these values, so the frozen value
+types on the hot path (here, and ``DetectionTally``, ``MeasurementMatrix``,
+``SqueezerState`` and ``ControllerState`` elsewhere in the package) write
+their own ``__init__``: it validates the arguments as local values and fills
+the instance ``__dict__`` in one call, where a dataclass-generated ``__init__``
+calls ``object.__setattr__`` once per field.  They stay frozen dataclasses, so
+assignment still raises ``FrozenInstanceError``, ``==``, ``hash`` and ``repr``
+are generated from the fields, and ``dataclasses.replace`` re-validates
+through the same ``__init__``.  ``StokesVector`` and ``Rotation`` end their
+``__init__`` by calling an empty ``__post_init__``: patching that method on
+the class is how ``perfbench``'s tracer counts every construction.
+
 The arithmetic of ``rotation_from_axis_angle``, ``compose`` and
 ``apply_rotation`` lives in private kernels on plain float tuples
 (``_axis_angle_q``, ``_qmul``, ``_rotate``); the public functions wrap them,
@@ -38,7 +50,7 @@ AXIS_TOL = 1e-6  # norm slack tolerated for user-supplied axes
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StokesVector:
     """Unit 3-vector on the Poincare sphere."""
 
@@ -46,10 +58,15 @@ class StokesVector:
     s2: float
     s3: float
 
-    def __post_init__(self) -> None:
-        n = math.sqrt(self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3)
+    def __init__(self, s1: float, s2: float, s3: float) -> None:
+        n = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
         if not math.isfinite(n) or abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"Stokes vector must have unit norm, got |s| = {n!r}")
+        self.__dict__.update(s1=s1, s2=s2, s3=s3)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Runs once per new vector, after validation; a class-level patch counts them."""
 
     @classmethod
     def unit(cls, s1: float, s2: float, s3: float) -> "StokesVector":
@@ -69,7 +86,7 @@ class StokesVector:
         return (self.s1, self.s2, self.s3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rotation:
     """Unit quaternion ``w + x i + y j + z k`` acting on Stokes vectors."""
 
@@ -78,10 +95,15 @@ class Rotation:
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if not math.isfinite(n) or abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"rotation quaternion must have unit norm, got |q| = {n!r}")
+        self.__dict__.update(w=w, x=x, y=y, z=z)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Runs once per new rotation, after validation; a class-level patch counts them."""
 
     @property
     def angle(self) -> float:

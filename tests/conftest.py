@@ -6,7 +6,9 @@ via Rodrigues' formula, never from the quaternion code under test.
 only writes.  ``qber_true`` and ``monte_carlo_sigma`` are the binomial
 oracle for the closed-form estimator bound in ``poltrack.stats``.
 ``squeezer_rotation`` is one EPC stage as a ``Rotation``, which the package
-itself only composes on floats.  ``numpy_streams_as_golden`` skips a test
+itself only composes on floats.  ``plant_cells`` and ``plant_batch`` give the
+eight sifted cells, and one batch drawn from them, of a channel and two arm
+EPC rotations, in the per-pulse oracle's argument order.  ``numpy_streams_as_golden`` skips a test
 that pins a ``Generator`` stream under another numpy release.
 """
 
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from poltrack.optics import SqueezerState
+from poltrack.photon_sim import analyzer_element, sifted_cell_probs, simulate_batch
 from poltrack.poincare import Rotation, StokesVector, rotation_from_axis_angle
 from poltrack.stats import EstimatorScenario
 
@@ -86,6 +89,21 @@ def rodrigues_matrix(axis, angle: float) -> np.ndarray:
 def squeezer_rotation(sq: SqueezerState) -> Rotation:
     """Rotation applied by one squeezer, angle = gain * voltage about its axis."""
     return rotation_from_axis_angle(sq.axis, sq.gain * sq.voltage)
+
+
+def plant_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta) -> list[float]:
+    """The eight sifted-cell probabilities of the whole plant, in tally order."""
+    return sifted_cell_probs(
+        analyzer_element(channel_rot, epc_rot_z, "Z"),
+        analyzer_element(channel_rot, epc_rot_x, "X"),
+        src,
+        eta,
+    )
+
+
+def plant_batch(n_pulses, channel_rot, epc_rot_z, epc_rot_x, src, eta, rng):
+    """``simulate_batch`` of ``n_pulses`` through the whole plant."""
+    return simulate_batch(n_pulses, plant_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta), rng)
 
 
 def random_unit(rng: np.random.Generator) -> tuple[float, float, float]:

@@ -30,7 +30,7 @@ from poltrack.harness import (
     series_to_csv,
 )
 from poltrack.optics import default_epc, epc_rotation
-from poltrack.photon_sim import SourceParams, simulate_batch
+from poltrack.photon_sim import SourceParams
 from poltrack.poincare import (
     IDENTITY,
     StokesVector,
@@ -41,7 +41,13 @@ from poltrack.poincare import (
 )
 from poltrack.stats import delta_qber, scenario_for_qber
 
-from conftest import monte_carlo_sigma, random_axis_angle, random_unit, rodrigues_matrix
+from conftest import (
+    monte_carlo_sigma,
+    plant_batch,
+    random_axis_angle,
+    random_unit,
+    rodrigues_matrix,
+)
 
 
 def report(n, name, elapsed, detail=""):
@@ -105,7 +111,7 @@ def test_criterion_2_analytic_qber_equivalence():
         axis, angle = random_axis_angle(rng)
         channel = rotation_from_axis_angle(StokesVector(*axis), angle)
         m = rodrigues_matrix(axis, angle)
-        tally = simulate_batch(
+        tally = plant_batch(
             n_pulses, channel, IDENTITY, IDENTITY, src, 1.0,
             np.random.Generator(np.random.Philox(5000 + case)),
         )

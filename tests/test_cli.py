@@ -198,6 +198,12 @@ class TestSummary:
         [
             (13, "-4", "line 2: recenter must be non-negative, got -4"),
             (14, "yes", "line 2: converged must be 0 or 1, got 'yes'"),
+            (
+                0,
+                "01",
+                "line 2: does not round-trip; it would be written as "
+                "'1,12,0.02,0.001,0.002,75,75,75,75,75,75,75,75,0,1'",
+            ),
         ],
     )
     def test_bad_row_field_is_runtime_error(self, field, value, message, tmp_path, capsys):

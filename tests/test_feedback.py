@@ -25,14 +25,17 @@ from poltrack.optics import (
     epc_rotation,
 )
 from poltrack.photon_sim import (
+    DetectionTally,
     InsufficientDataError,
     MeasurementMatrix,
     SourceParams,
     analyzer_element,
+    measurement_matrix,
+    sifted_cell_probs,
 )
 from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
 
-from conftest import random_unit
+from conftest import numpy_streams_as_golden, random_axis_angle, random_unit
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
@@ -490,3 +493,91 @@ class TestSimulateBatchHook:
         assert len(series) == 20
         assert len(evaluations) > len(series)  # the controller corrected
         assert len(batches) == len(series) + len(evaluations)
+
+
+def cells_before_split(m_z, m_x, src, eta):
+    """The eight sifted cells as the plant computed them before the per-arm split."""
+    mu_eta = eta * src.mu
+    no_dark = 1.0 - src.dark_count_prob
+    f = src.misalignment_floor
+    q = []
+    for m in (m_z, m_x):
+        a_right = min(1.0, max(0.0, 0.5 * (1.0 + m)))
+        p_right = 1.0 - math.exp(-mu_eta * a_right) * no_dark
+        p_wrong = 1.0 - math.exp(-mu_eta * (1.0 - a_right)) * no_dark
+        half_both = 0.5 * p_right * p_wrong
+        r_right = p_right - half_both
+        r_wrong = p_wrong - half_both
+        right = ((1.0 - f) * r_right + f * r_wrong) / 8.0
+        wrong = ((1.0 - f) * r_wrong + f * r_right) / 8.0
+        q += (right, wrong, wrong, right)
+    return q
+
+
+def full_plant_evaluate(ctx, epc_rot, basis):
+    """``MonteCarloContext.evaluate`` drawn from all eight cells computed afresh.
+
+    The arm not being measured gets an identity EPC, and the reveal draws one
+    binomial per cell, as both did before the context kept the idle arm and
+    before the full-fraction reveal counted non-empty cells.
+    """
+    rot_z, rot_x = (epc_rot, IDENTITY) if basis == "Z" else (IDENTITY, epc_rot)
+    q = cells_before_split(
+        analyzer_element(ctx.channel_rot, rot_z, "Z"),
+        analyzer_element(ctx.channel_rot, rot_x, "X"),
+        ctx.source,
+        ctx.eta,
+    )
+    q.append(1.0 - sum(q))
+    n = ctx.config.batch_pulses
+    counts = ctx.rng.multinomial(n, q)[:8].tolist()
+    kept = [int(ctx.rng.binomial(c, ctx.config.sample_fraction)) for c in counts]
+    revealed = DetectionTally(*kept, pulses_sent=n)
+    return feedback_error(measurement_matrix(revealed, basis))
+
+
+def random_rotation(rng):
+    axis, angle = random_axis_angle(rng)
+    return rotation_from_axis_angle(StokesVector(*axis), angle)
+
+
+class TestIdleArm:
+    """The context keeps the unmeasured arm's cells; evaluations equal the full plant."""
+
+    def test_cells_equal_the_full_plant_bit_for_bit(self, monkeypatch):
+        drawn = []
+
+        def capture(n_pulses, cells, rng):
+            drawn.append(cells)
+            return DetectionTally(n_hh=1, n_vv=1, n_dd=1, n_aa=1, pulses_sent=n_pulses)
+
+        monkeypatch.setattr(feedback, "simulate_batch", capture)
+        rng = np.random.default_rng(71)
+        sources = (SourceParams(mu=0.5), SourceParams(0.9, 1e-2, 0.05), NOISELESS)
+        for case in range(400):
+            channel, epc_rot = random_rotation(rng), random_rotation(rng)
+            src, eta = sources[case % 3], float(rng.uniform(0.01, 1.0))
+            ctx = MonteCarloContext(channel, src, eta, ControllerConfig(), rng)
+            for basis in ("Z", "X"):
+                ctx.evaluate(epc_rot, basis)
+                rot_z, rot_x = (epc_rot, IDENTITY) if basis == "Z" else (IDENTITY, epc_rot)
+                m_z = analyzer_element(channel, rot_z, "Z")
+                m_x = analyzer_element(channel, rot_x, "X")
+                got = [c.hex() for c in drawn.pop()]
+                assert got == [c.hex() for c in sifted_cell_probs(m_z, m_x, src, eta)]
+                assert got == [c.hex() for c in cells_before_split(m_z, m_x, src, eta)]
+
+    @numpy_streams_as_golden
+    @pytest.mark.parametrize("fraction", [1.0, 0.1])
+    def test_evaluations_equal_a_full_plant_reference(self, fraction):
+        channel = rotation_from_axis_angle(StokesVector.unit(1.0, 2.0, -1.0), 0.8)
+        src = SourceParams(mu=0.5, dark_count_prob=1e-4, misalignment_floor=0.012)
+        cfg = ControllerConfig(batch_pulses=20_000, sample_fraction=fraction)
+        ctx = MonteCarloContext(channel, src, 0.9, cfg, rng_for(72))
+        ref = MonteCarloContext(channel, src, 0.9, cfg, rng_for(72))
+        setup = np.random.default_rng(73)
+        for k in range(300):
+            epc_rot, basis = random_rotation(setup), "ZX"[k % 2]
+            assert ctx.evaluate(epc_rot, basis) == full_plant_evaluate(ref, epc_rot, basis), k
+        # the generators end in the same state
+        assert ctx.rng.random(4).tolist() == ref.rng.random(4).tolist()

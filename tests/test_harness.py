@@ -354,6 +354,9 @@ class TestSummarize:
         assert "mean_qber = " in text
 
 
+ROUND_TRIP = "line 3: does not round-trip; it would be written as {emitted!r}"
+
+
 class TestSeriesCsv:
     def test_header_exact(self):
         assert series_to_csv(TimeSeries(())).splitlines()[0] == CSV_HEADER
@@ -378,16 +381,24 @@ class TestSeriesCsv:
         [
             (13, "-4", "line 3: recenter must be non-negative, got -4"),
             (14, "yes", "line 3: converged must be 0 or 1, got 'yes'"),
+            (0, "02", ROUND_TRIP),
+            (1, "24.0", ROUND_TRIP),
+            (2, "0.0200", ROUND_TRIP),
+            (3, "1e-3", ROUND_TRIP),
+            (5, "075", ROUND_TRIP),
+            (12, " 75", ROUND_TRIP),
+            (13, "+0", ROUND_TRIP),
         ],
     )
     def test_rejects_field_that_would_not_round_trip(self, field, value, message):
         lines = series_to_csv(TimeSeries((make_row(1), make_row(2)))).splitlines()
-        parts = lines[2].split(",")
+        emitted = lines[2]
+        parts = emitted.split(",")
         parts[field] = value
         lines[2] = ",".join(parts)
         with pytest.raises(ValueError) as err:
             series_from_csv("\n".join(lines) + "\n")
-        assert str(err.value) == message
+        assert str(err.value) == message.format(emitted=emitted)
 
     def test_nine_significant_digits(self):
         row = make_row(1, q=0.0123456789123)

@@ -76,6 +76,36 @@ class TestEpc:
         with pytest.raises(ValueError):
             EpcState(tuple(sqs))
 
+    @pytest.mark.parametrize(
+        "axis_a, axis_b, message",
+        [
+            (S1, StokesVector.unit(1.0, 1.0, 0.0), "orthogonal"),
+            (StokesVector.unit(1.0, 0.0, 0.1), StokesVector(0.0, 1.0, 0.0), "equator"),
+            (S1, S3, "equator"),
+        ],
+    )
+    def test_constructor_checks_nominal_axes(self, axis_a, axis_b, message):
+        sqs = [
+            SqueezerState(axis=a, nominal_axis=a, gain=0.04, voltage=75.0)
+            for a in (axis_a, axis_b, axis_a, axis_b)
+        ]
+        with pytest.raises(ValueError, match=message):
+            EpcState(tuple(sqs))
+
+    def test_copies_equal_a_constructor_rebuild(self):
+        # with_voltage and drift_axes skip the nominal-axis checks; what they
+        # return must be what the checked constructor builds from the same
+        # squeezers
+        rng = np.random.default_rng(54)
+        for _ in range(100):
+            epc = default_epc(rng, gain_jitter=0.1)
+            for _ in range(5):
+                epc = epc.with_voltage(int(rng.integers(0, 4)), float(rng.uniform(0.0, 150.0)))
+                assert type(epc) is EpcState and epc == EpcState(epc.squeezers)
+                epc = drift_axes(epc, 1, rng, sigma=0.2, max_wander=0.5)
+                assert type(epc) is EpcState and epc == EpcState(epc.squeezers)
+                assert vars(epc) == {"squeezers": epc.squeezers}
+
     def test_all_zero_voltages_is_identity(self):
         epc = default_epc(v_min=-10.0, v_max=10.0)
         epc = EpcState(tuple(
@@ -315,7 +345,7 @@ class TestFloatPathMatchesOracle:
 
     @pytest.mark.parametrize("nominal", [S1, S2, S3])
     def test_antipodal_clamp_bitwise(self, nominal):
-        got = optics._clamp_to_cone(-nominal, nominal, 0.3)
+        got = optics._clamp_to_cone(-nominal, nominal, math.cos(0.3), math.sin(0.3))
         assert got == optics_oracle._clamp_to_cone(-nominal, nominal, 0.3)
         assert got.dot(nominal) == pytest.approx(math.cos(0.3))
 

@@ -14,8 +14,8 @@ from poltrack.photon_sim import (
     analyzer_element,
     measurement_matrix,
     qber_from_tally,
+    arm_cell_probs,
     reveal_sample,
-    sifted_cell_probs,
     simulate_batch,
 )
 from poltrack.poincare import (
@@ -26,7 +26,13 @@ from poltrack.poincare import (
     rotation_from_axis_angle,
 )
 
-from conftest import numpy_streams_as_golden, random_axis_angle, rodrigues_matrix
+from conftest import (
+    numpy_streams_as_golden,
+    plant_batch,
+    plant_cells,
+    random_axis_angle,
+    rodrigues_matrix,
+)
 from per_pulse_oracle import DIAG, H, sifted_cells, simulate_batch_per_pulse
 
 S2 = StokesVector(0.0, 1.0, 0.0)
@@ -41,7 +47,7 @@ def rng_for(seed):
 
 class TestSimulateBatch:
     def test_aligned_noiseless_has_zero_qber(self):
-        tally = simulate_batch(200_000, IDENTITY, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(1))
+        tally = plant_batch(200_000, IDENTITY, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(1))
         assert tally.sifted_total > 0
         assert qber_from_tally(tally) == 0.0
 
@@ -49,7 +55,7 @@ class TestSimulateBatch:
         # mu 0.1 at eta 0.01: roughly n * (1 - e^-0.001) * 0.25 sifted events
         # per basis, checked within 4 sigma
         src = SourceParams(mu=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
-        tally = simulate_batch(1_000_000, IDENTITY, IDENTITY, IDENTITY, src, 0.01, rng_for(2))
+        tally = plant_batch(1_000_000, IDENTITY, IDENTITY, IDENTITY, src, 0.01, rng_for(2))
         expected = 1_000_000 * (1.0 - math.exp(-0.001)) * 0.25
         sigma = math.sqrt(expected)
         z_total = tally.n_hh + tally.n_hv + tally.n_vh + tally.n_vv
@@ -59,7 +65,7 @@ class TestSimulateBatch:
 
     def test_quarter_turn_gives_half_qber_in_z(self):
         channel = rotation_from_axis_angle(S3, math.pi / 2)
-        tally = simulate_batch(400_000, channel, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(3))
+        tally = plant_batch(400_000, channel, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(3))
         c = tally.counts("Z")
         n = sum(c)
         qber_z = (c[1] + c[2]) / n
@@ -67,7 +73,7 @@ class TestSimulateBatch:
 
     def test_sixty_degree_misalignment_qber(self):
         channel = rotation_from_axis_angle(S2, math.radians(60.0))
-        tally = simulate_batch(400_000, channel, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(4))
+        tally = plant_batch(400_000, channel, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(4))
         c = tally.counts("Z")
         n = sum(c)
         qber_z = (c[1] + c[2]) / n
@@ -81,7 +87,7 @@ class TestSimulateBatch:
             channel = rotation_from_axis_angle(StokesVector(*axis), angle)
             h_image = rodrigues_matrix(axis, angle) @ np.array([1.0, 0.0, 0.0])
             expected = 0.5 * (1.0 - h_image[0])
-            tally = simulate_batch(
+            tally = plant_batch(
                 300_000, channel, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(100 + case)
             )
             c = tally.counts("Z")
@@ -92,8 +98,8 @@ class TestSimulateBatch:
 
     def test_deterministic_given_seed(self):
         src = SourceParams(mu=0.2)
-        a = simulate_batch(50_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(6))
-        b = simulate_batch(50_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(6))
+        a = plant_batch(50_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(6))
+        b = plant_batch(50_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(6))
         assert a == b
 
     def test_dark_counts_never_decrease_qber(self):
@@ -101,22 +107,25 @@ class TestSimulateBatch:
         qbers = []
         for dark in (0.0, 1e-4, 1e-3, 1e-2):
             src = SourceParams(mu=0.1, dark_count_prob=dark, misalignment_floor=0.0)
-            tally = simulate_batch(400_000, channel, IDENTITY, IDENTITY, src, 0.1, rng_for(11))
+            tally = plant_batch(400_000, channel, IDENTITY, IDENTITY, src, 0.1, rng_for(11))
             qbers.append(qber_from_tally(tally))
         assert all(b >= a for a, b in zip(qbers, qbers[1:])), qbers
 
     def test_misalignment_floor_sets_qber(self):
         src = SourceParams(mu=0.2, dark_count_prob=0.0, misalignment_floor=0.05)
-        tally = simulate_batch(400_000, IDENTITY, IDENTITY, IDENTITY, src, 1.0, rng_for(12))
+        tally = plant_batch(400_000, IDENTITY, IDENTITY, IDENTITY, src, 1.0, rng_for(12))
         q = qber_from_tally(tally)
         n = tally.sifted_total
         assert abs(q - 0.05) <= 4 * math.sqrt(0.05 * 0.95 / n)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_batch(-1, IDENTITY, IDENTITY, IDENTITY, NOISELESS, 1.0, rng_for(0))
-        with pytest.raises(ValueError):
-            simulate_batch(10, IDENTITY, IDENTITY, IDENTITY, NOISELESS, 0.0, rng_for(0))
+        cells = plant_cells(IDENTITY, IDENTITY, IDENTITY, NOISELESS, 1.0)
+        with pytest.raises(ValueError, match="n_pulses"):
+            simulate_batch(-1, cells, rng_for(0))
+        with pytest.raises(ValueError, match="expected 8"):
+            simulate_batch(10, cells[:4], rng_for(0))
+        with pytest.raises(ValueError, match="eta"):
+            arm_cell_probs(1.0, NOISELESS, 0.0)
 
 
 def random_rotation(rng):
@@ -132,12 +141,6 @@ PLANT_SOURCES = (
 )
 
 
-def plant_cells(channel, epc_z, epc_x, src, eta):
-    m_z = analyzer_element(channel, epc_z, "Z")
-    m_x = analyzer_element(channel, epc_x, "X")
-    return np.array(sifted_cell_probs(m_z, m_x, src, eta))
-
-
 class TestPlant:
     """The analyzer-element plant equals the per-pulse oracle's click table."""
 
@@ -147,7 +150,7 @@ class TestPlant:
             rots = [random_rotation(rng) for _ in range(3)]
             src = PLANT_SOURCES[case % len(PLANT_SOURCES)]
             eta = float(rng.uniform(0.01, 1.0))
-            got = plant_cells(*rots, src, eta)
+            got = np.array(plant_cells(*rots, src, eta))
             want = sifted_cells(*rots, src, eta)
             assert np.max(np.abs(got - want)) <= 1e-12, (case, got, want)
 
@@ -159,7 +162,7 @@ class TestPlant:
         for channel, m in ((IDENTITY, 1.0), (half_turn, -1.0)):
             assert analyzer_element(channel, IDENTITY, "Z") == m
             assert analyzer_element(channel, IDENTITY, "X") == m
-            got = plant_cells(channel, IDENTITY, IDENTITY, src, 1.0)
+            got = np.array(plant_cells(channel, IDENTITY, IDENTITY, src, 1.0))
             want = sifted_cells(channel, IDENTITY, IDENTITY, src, 1.0)
             assert np.max(np.abs(got - want)) <= 1e-12, (got, want)
             if src is NOISELESS:
@@ -230,7 +233,7 @@ class TestPerPulseEquivalence:
             tallies = [sample(n_pulses, *args, rng) for _ in range(n_repeats)]
             return np.array([[getattr(t, f) for f in FIELDS] for t in tallies], dtype=float)
 
-        mean_a, var_a, se2_a, vv_a = _cell_moments(repeats(simulate_batch, 21))
+        mean_a, var_a, se2_a, vv_a = _cell_moments(repeats(plant_batch, 21))
         mean_b, var_b, se2_b, vv_b = _cell_moments(repeats(simulate_batch_per_pulse, 22))
         assert np.all(mean_b > 2.0), mean_b  # every cell is populated
         z_mean = (mean_a - mean_b) / np.sqrt(se2_a + se2_b)

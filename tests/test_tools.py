@@ -28,6 +28,8 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result.pop("_meta")["repeat"] == tool.REPEAT
     assert set(result) == {
+        "rotation_new",
+        "tally_new",
         "compose",
         "epc_rotation",
         "probe_rotation",

@@ -1,0 +1,117 @@
+"""Frozen-value semantics of the types that build themselves on the hot path.
+
+``Rotation``, ``StokesVector``, ``DetectionTally``, ``MeasurementMatrix``,
+``SqueezerState`` and ``ControllerState`` write their own ``__init__``; each
+must still behave as the frozen dataclass it is declared as.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from poltrack.feedback import ControllerState
+from poltrack.optics import SQUEEZER_AXIS_A, SqueezerState, default_epc, epc_rotation
+from poltrack.photon_sim import DetectionTally, MeasurementMatrix
+from poltrack.poincare import (
+    Rotation,
+    StokesVector,
+    apply_rotation,
+    compose,
+    rotation_from_axis_angle,
+)
+
+HALF = math.sqrt(0.5)
+EPC = default_epc()
+
+# type -> (field values, a valid change, a change that fails validation, its message)
+CASES = {
+    Rotation: (dict(w=HALF, x=0.0, y=HALF, z=0.0), dict(x=HALF, y=0.0), dict(w=2.0), "unit norm"),
+    StokesVector: (dict(s1=0.6, s2=0.0, s3=0.8), dict(s1=0.0, s2=0.6), dict(s3=0.0), "unit norm"),
+    DetectionTally: (
+        dict(n_hh=9, n_hv=1, n_vh=2, n_vv=8, n_dd=7, n_da=3, n_ad=0, n_aa=10, pulses_sent=400),
+        dict(n_ad=1),
+        dict(n_hh=-1),
+        "n_hh must be non-negative",
+    ),
+    MeasurementMatrix: (
+        dict(j1=0.75, j2=0.25, j3=0.5, j4=0.5), dict(j3=0.25, j4=0.75), dict(j2=0.5), "sum to 1"
+    ),
+    SqueezerState: (
+        dict(
+            axis=SQUEEZER_AXIS_A, nominal_axis=SQUEEZER_AXIS_A, gain=0.04,
+            voltage=75.0, v_min=0.0, v_max=150.0,
+        ),
+        dict(voltage=80.0),
+        dict(voltage=151.0),
+        "outside",
+    ),
+    ControllerState: (
+        dict(epc=EPC, recenter_count=3, converged=False), dict(recenter_count=4), None, None
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+class TestFrozenValue:
+    def test_fields_are_frozen(self, cls):
+        values = CASES[cls][0]
+        obj = cls(**values)
+        for name, value in values.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.extra = 1
+
+    def test_eq_hash_repr_follow_the_values(self, cls):
+        values, good, _, _ = CASES[cls]
+        a, b = cls(**values), cls(*values.values())
+        assert [f.name for f in dataclasses.fields(cls)] == list(values)
+        assert all(getattr(a, name) is value for name, value in values.items())
+        assert a == b and hash(a) == hash(b)
+        body = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        assert repr(a) == f"{cls.__name__}({body})"
+        changed = dataclasses.replace(a, **good)
+        assert changed == cls(**{**values, **good}) and changed != a
+
+
+VALIDATED = [cls for cls, case in CASES.items() if case[2] is not None]
+
+
+@pytest.mark.parametrize("cls", VALIDATED, ids=lambda cls: cls.__name__)
+def test_replace_revalidates(cls):
+    values, _, bad, message = CASES[cls]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(cls(**values), **bad)
+    with pytest.raises(ValueError, match=message):
+        cls(**{**values, **bad})
+
+
+@pytest.mark.parametrize("cls", [Rotation, StokesVector], ids=lambda cls: cls.__name__)
+def test_class_level_post_init_patch_sees_every_construction(cls, monkeypatch):
+    seen = []
+    hook = cls.__post_init__
+
+    def counted(obj):
+        seen.append(obj)
+        hook(obj)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    axis = StokesVector(0.0, 0.0, 1.0)
+    rot = rotation_from_axis_angle(axis, 0.3)
+    made = [
+        axis,
+        rot,
+        Rotation(1.0, 0.0, 0.0, 0.0),
+        compose(rot, rot),
+        dataclasses.replace(rot, z=-rot.z),
+        epc_rotation(EPC),
+        StokesVector.unit(3.0, 4.0, 0.0),
+        apply_rotation(rot, axis),
+        -axis,
+    ]
+    want = [v for v in made if type(v) is cls]
+    assert len(want) == (5 if cls is Rotation else 4)
+    # the hook runs on the finished object, once per construction
+    assert len(seen) == len(want)
+    assert all(s is w for s, w in zip(seen, want))

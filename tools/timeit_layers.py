@@ -3,12 +3,13 @@
     PYTHONPATH=src python3 tools/timeit_layers.py
 
 Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
-quaternion ``compose``; ``epc_rotation`` (of an EPC whose squeezers already
-keep their stage quaternions, as on the controller's path),
-``probe_rotation`` (one stage swapped for a probe voltage),
-``EpcState.with_voltage`` and ``drift_axes`` of a jittered-gain EPC; the
-plant's two draws on their own, ``simulate_batch`` of one desk batch,
-``reveal_sample`` of that tally at fraction 1 and of a ``--full``-sized tally
+the construction of a validated ``Rotation`` (``rotation_new``) and of a
+``DetectionTally`` (``tally_new``); quaternion ``compose``; ``epc_rotation``
+(of an EPC whose squeezers already keep their stage quaternions, as on the
+controller's path), ``probe_rotation`` (one stage swapped for a probe
+voltage), ``EpcState.with_voltage`` and ``drift_axes`` of a jittered-gain
+EPC; ``simulate_batch`` of one desk batch (the draw alone, from precomputed
+sifted cells), ``reveal_sample`` of that tally at fraction 1 and of a ``--full``-sized tally
 at the ``--full`` fraction 0.1; one ``MonteCarloContext.evaluate``;
 one ``adjust_squeezer`` against a seeded ``MonteCarloContext``
 (``adjust_squeezer_mc``, the saturated controller's hot path: two
@@ -31,7 +32,7 @@ import math
 import os
 import platform
 import timeit
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -72,13 +73,18 @@ def main() -> None:
     _, ch_rot = pt.channel_step(world.channel, 1, np.random.default_rng(SEED))
     mc = pt.MonteCarloContext(ch_rot, world.source, world.eta, cfg.controller, rng)
 
-    def draw(pulses, source, eta):
-        return pt.simulate_batch(pulses, ch_rot, epc_rot, epc_rot, source, eta, rng)
+    def cells(source, eta):
+        m_z = pt.analyzer_element(ch_rot, epc_rot, "Z")
+        m_x = pt.analyzer_element(ch_rot, epc_rot, "X")
+        return pt.sifted_cell_probs(m_z, m_x, source, eta)
 
-    desk_tally = draw(cfg.controller.batch_pulses, world.source, world.eta)
+    desk_cells = cells(world.source, world.eta)
+    desk_tally = pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng)
+    tally_fields = astuple(desk_tally)
     full = pt.preset_config("drift24h", full=True)
     full_ctrl = full.controller
-    full_tally = draw(full_ctrl.batch_pulses, full.source, pt.transmittance(full.link))
+    full_cells = cells(full.source, pt.transmittance(full.link))
+    full_tally = pt.simulate_batch(full_ctrl.batch_pulses, full_cells, rng)
 
     diagonal = pt.StokesVector(0.0, 1.0, 0.0)
     misaligned = pt.ExactContext(pt.rotation_from_axis_angle(diagonal, math.radians(30.0)))
@@ -100,6 +106,8 @@ def main() -> None:
     series = track()
 
     timings = {
+        "rotation_new": lambda: pt.Rotation(r1.w, r1.x, r1.y, r1.z),
+        "tally_new": lambda: pt.DetectionTally(*tally_fields),
         "compose": lambda: pt.compose(r1, r2),
         "epc_rotation": lambda: pt.epc_rotation(epc),
         "probe_rotation": lambda: pt.probe_rotation(epc, 2, 80.0),
@@ -107,7 +115,7 @@ def main() -> None:
         "drift_axes": lambda: pt.drift_axes(
             epc, 1, rng, sigma=cfg.epc.axis_drift_sigma, max_wander=cfg.epc.max_axis_wander
         ),
-        "simulate_batch": lambda: draw(cfg.controller.batch_pulses, world.source, world.eta),
+        "simulate_batch": lambda: pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng),
         "reveal_sample_full": lambda: pt.reveal_sample(desk_tally, 1.0, rng),
         f"reveal_sample_{full_ctrl.sample_fraction}": lambda: pt.reveal_sample(
             full_tally, full_ctrl.sample_fraction, rng
