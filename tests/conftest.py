@@ -116,6 +116,11 @@ def random_axis_angle(rng: np.random.Generator, max_angle: float = 2.0 * math.pi
     return random_unit(rng), float(rng.uniform(0.0, max_angle))
 
 
+def random_rotation(rng: np.random.Generator) -> Rotation:
+    axis, angle = random_axis_angle(rng)
+    return rotation_from_axis_angle(StokesVector(*axis), angle)
+
+
 def stokes_from_projection_angle(theta: float, retardation: float = 0.0) -> StokesVector:
     """Stokes vector of the analyzed state for a given projection angle.
 

@@ -35,7 +35,7 @@ from poltrack.photon_sim import (
 )
 from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
 
-from conftest import numpy_streams_as_golden, random_axis_angle, random_unit
+from conftest import numpy_streams_as_golden, random_rotation, random_unit
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
@@ -534,11 +534,6 @@ def full_plant_evaluate(ctx, epc_rot, basis):
     kept = [int(ctx.rng.binomial(c, ctx.config.sample_fraction)) for c in counts]
     revealed = DetectionTally(*kept, pulses_sent=n)
     return feedback_error(measurement_matrix(revealed, basis))
-
-
-def random_rotation(rng):
-    axis, angle = random_axis_angle(rng)
-    return rotation_from_axis_angle(StokesVector(*axis), angle)
 
 
 class TestIdleArm:

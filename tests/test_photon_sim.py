@@ -31,6 +31,7 @@ from conftest import (
     plant_batch,
     plant_cells,
     random_axis_angle,
+    random_rotation,
     rodrigues_matrix,
 )
 from per_pulse_oracle import DIAG, H, sifted_cells, simulate_batch_per_pulse
@@ -126,11 +127,6 @@ class TestSimulateBatch:
             simulate_batch(10, cells[:4], rng_for(0))
         with pytest.raises(ValueError, match="eta"):
             arm_cell_probs(1.0, NOISELESS, 0.0)
-
-
-def random_rotation(rng):
-    axis, angle = random_axis_angle(rng)
-    return rotation_from_axis_angle(StokesVector(*axis), angle)
 
 
 PLANT_SOURCES = (
