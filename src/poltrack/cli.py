@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,6 @@ from .harness import (
     PRESET_NAMES,
     ScenarioConfig,
     Summary,
-    TableParams,
     config_to_ini,
     emit_sample_size_table,
     parse_config,
@@ -31,16 +31,7 @@ from .harness import (
     series_to_csv,
     summarize,
     summary_to_text,
-    validate_config,
 )
-
-# ``poltrack table`` flags by the config field each one sets.
-_TABLE_FLAGS = {
-    "table.mu": "--mu",
-    "table.eta": "--eta",
-    "table.qber_values": "--qber",
-    "table.b_values": "--b",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,13 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--full", action="store_true", help="hardware-scale link and batch sizes")
     add_run_options(p_preset)
 
-    grid = TableParams()
     p_table = sub.add_parser("table", help="emit the estimator-error sample-size table")
-    p_table.add_argument("--mu", type=float, default=grid.mu)
-    p_table.add_argument("--eta", type=float, default=grid.eta)
-    p_table.add_argument("--qber", type=str, default=",".join(map(str, grid.qber_values)),
+    p_table.add_argument("--mu", type=float, default=0.1)
+    p_table.add_argument("--eta", type=float, default=0.1)
+    p_table.add_argument("--qber", type=str, default="0.01,0.02,0.03",
                          help="comma-separated error rates")
-    p_table.add_argument("--b", type=str, default=",".join(map(str, grid.b_values)),
+    p_table.add_argument("--b", type=str,
+                         default="250,500,1000,2500,5000,10000,25000,50000,100000",
                          help="comma-separated sample sizes")
     p_table.add_argument("--out", type=Path, default=Path("table.csv"))
 
@@ -109,14 +100,6 @@ def _usable_cpus() -> int:
 
 
 def _execute(cfg: ScenarioConfig, out_dir: Path, replicas: int) -> None:
-    if cfg.kind == "sample-size-table":
-        out_dir.mkdir(parents=True, exist_ok=True)
-        t = cfg.table
-        emit_sample_size_table(t.mu, t.eta, t.qber_values, t.b_values, out_dir / "table.csv")
-        (out_dir / "config.resolved").write_text(config_to_ini(cfg), encoding="utf-8")
-        print(f"wrote {out_dir / 'table.csv'}")
-        return
-
     if replicas <= 1:
         summary = _write_run_outputs(out_dir, cfg)
         print(f"wrote {out_dir / 'series.csv'}")
@@ -143,18 +126,20 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, replicas: int) -> None:
 
 
 def _run(cfg: ScenarioConfig, args: argparse.Namespace, default_out: Path) -> None:
-    """Apply the run flags to ``cfg``, check the result and execute it.
+    """Check the run flags, apply them to ``cfg`` and execute it.
 
-    The check comes after the overrides, so a bad ``--seed`` is a config
-    error here rather than a runtime error inside a replica worker.
+    ``cfg`` comes checked from ``parse_config`` or ``preset_config``; checking
+    ``--seed`` here makes a bad one a config error rather than a runtime error
+    inside a replica worker.
     """
     if args.replicas < 1:
         raise ConfigError("--replicas: must be at least 1")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed: must be non-negative")
         cfg = replace(cfg, seed=args.seed)
     if args.no_control:
         cfg = replace(cfg, control_enabled=False)
-    validate_config(cfg, {"seed": "--seed"} if args.seed is not None else None)
     _execute(cfg, args.out if args.out is not None else default_out, args.replicas)
 
 
@@ -181,9 +166,17 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 print(f"bad table grid: {exc}", file=sys.stderr)
                 return 2
-            grid = TableParams(args.mu, args.eta, qber_values, b_values)
-            validate_config(ScenarioConfig(kind="sample-size-table", table=grid), _TABLE_FLAGS)
-            emit_sample_size_table(grid.mu, grid.eta, grid.qber_values, grid.b_values, args.out)
+            checks = (
+                ("--mu", 0.0 < args.mu < math.inf, "must be positive and finite"),
+                ("--eta", 0.0 < args.eta <= 1.0, "must be in (0, 1]"),
+                ("--qber", all(0.0 <= q <= 1.0 for q in qber_values),
+                 "every entry must be in [0, 1]"),
+                ("--b", all(b >= 1 for b in b_values), "every entry must be at least 1"),
+            )
+            errors = [f"{flag}: {message}" for flag, ok, message in checks if not ok]
+            if errors:
+                raise ConfigError("\n".join(errors))
+            emit_sample_size_table(args.mu, args.eta, qber_values, b_values, args.out)
             print(f"wrote {args.out}")
             return 0
 

@@ -49,6 +49,10 @@ from .photon_sim import (
 from .poincare import IDENTITY, Rotation
 from .timeseries import TimeSeries, TimeSeriesRow
 
+# Wall time of one feedback cycle, one hardware-scale pulse train; it only
+# labels the ``t_seconds`` column.
+CYCLE_SECONDS = 12.0
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -242,7 +246,6 @@ def track(
     world: World,
     duration: int,
     *,
-    fc_seconds: float = 12.0,
     control_enabled: bool = True,
     seed: int | np.random.SeedSequence = 0,
 ) -> TimeSeries:
@@ -318,7 +321,7 @@ def track(
         rows.append(
             TimeSeriesRow(
                 cycle=cycle,
-                t_seconds=cycle * fc_seconds,
+                t_seconds=cycle * CYCLE_SECONDS,
                 qber_est=qber_est,
                 e_z=e_z,
                 e_x=e_x,

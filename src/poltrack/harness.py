@@ -39,7 +39,7 @@ from .poincare import StokesVector, rotation_from_axis_angle
 from .stats import delta_table
 from .timeseries import TimeSeries, TimeSeriesRow
 
-SCENARIO_KINDS = ("static", "drift", "scramble", "sample-size-table")
+SCENARIO_KINDS = ("static", "drift", "scramble")
 
 CSV_HEADER = "cycle,t_seconds,qber_est,e_z,e_x,v1,v2,v3,v4,v5,v6,v7,v8,recenter,converged"
 
@@ -71,20 +71,9 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class TableParams:
-    """Grid of the estimator-error table."""
-
-    mu: float = 0.1
-    eta: float = 0.1
-    qber_values: tuple[float, ...] = (0.01, 0.02, 0.03)
-    b_values: tuple[int, ...] = (250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000)
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     kind: str = "drift"
     duration: int = 7200
-    fc_seconds: float = 12.0
     seed: int = 12345
     control_enabled: bool = True
     link: LinkBudget = field(default_factory=lambda: LinkBudget(0.2, 0.0, 1.0))
@@ -92,7 +81,6 @@ class ScenarioConfig:
     epc: EpcParams = field(default_factory=EpcParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    table: TableParams = field(default_factory=TableParams)
 
 
 @dataclass(frozen=True)
@@ -117,7 +105,6 @@ _SCHEMA = {
     "scenario": (None, {
         "kind": "kind",
         "duration": "duration",
-        "fc_seconds": "fc_seconds",
         "seed": "seed",
         "control_enabled": "control_enabled",
     }),
@@ -148,12 +135,6 @@ _SCHEMA = {
         "sample_fraction": "sample_fraction",
         "max_cycles_per_correction": "max_cycles_per_correction",
         "batch_pulses": "batch_pulses",
-    }),
-    "table": ("table", {
-        "mu": "mu",
-        "eta": "eta",
-        "qber_values": "qber_values",
-        "b_values": "b_values",
     }),
 }
 
@@ -268,19 +249,13 @@ def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioC
     return cfg
 
 
-def validate_config(cfg: ScenarioConfig, labels: dict[str, str] | None = None) -> None:
-    """Cross-field checks with field-level messages.
-
-    A message names its field by ``section.key``, or by ``labels[path]`` for
-    an attribute path such as ``table.mu`` that ``labels`` maps.
-    """
-    labels = {**_LABELS, **(labels or {})}
-    ch, epc, table = cfg.channel, cfg.epc, cfg.table
+def validate_config(cfg: ScenarioConfig) -> None:
+    """Cross-field checks with messages that name their field by ``section.key``."""
+    ch, epc = cfg.channel, cfg.epc
     checks = (
         ("kind", cfg.kind in SCENARIO_KINDS, f"must be one of {', '.join(SCENARIO_KINDS)}"),
-        ("duration", cfg.kind == "sample-size-table" or cfg.duration >= 1, "must be at least 1"),
+        ("duration", cfg.duration >= 1, "must be at least 1"),
         ("seed", cfg.seed >= 0, "must be non-negative"),
-        ("fc_seconds", cfg.fc_seconds > 0.0, "must be positive"),
         ("channel.axis", len(ch.axis) == 3 and any(a != 0.0 for a in ch.axis),
          "need a non-zero 3-vector"),
         ("channel.step_sigma", ch.step_sigma >= 0.0, "must be non-negative"),
@@ -289,13 +264,11 @@ def validate_config(cfg: ScenarioConfig, labels: dict[str, str] | None = None) -
         ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
         ("epc.axis_drift_sigma", not epc.axis_drift_sigma < 0.0, "must be non-negative"),
         ("epc.max_axis_wander", epc.max_axis_wander >= 0.0, "must be non-negative"),
-        ("table.mu", 0.0 < table.mu < math.inf, "must be positive and finite"),
-        ("table.eta", 0.0 < table.eta <= 1.0, "must be in (0, 1]"),
-        ("table.qber_values", all(0.0 <= q <= 1.0 for q in table.qber_values),
-         "every entry must be in [0, 1]"),
-        ("table.b_values", all(b >= 1 for b in table.b_values), "every entry must be at least 1"),
+        # the first probe of a squeezer at its range center goes up by dither
+        ("controller.dither", 0.5 * (epc.v_min + epc.v_max) + cfg.controller.dither <= epc.v_max,
+         "must be at most half the epc voltage range"),
     )
-    errors = [f"{labels.get(path, path)}: {message}" for path, ok, message in checks if not ok]
+    errors = [f"{_LABELS.get(path, path)}: {message}" for path, ok, message in checks if not ok]
     if errors:
         raise ConfigError("\n".join(errors))
 
@@ -303,7 +276,7 @@ def validate_config(cfg: ScenarioConfig, labels: dict[str, str] | None = None) -
 # ---------------------------------------------------------------------------
 # presets
 
-PRESET_NAMES = ("static", "drift24h", "scramble02", "scramble04", "scramble06", "table")
+PRESET_NAMES = ("static", "drift24h", "scramble02", "scramble04", "scramble06")
 
 # Hardware-scale settings: 50 km of fiber at 0.2 dB/km into 10% detectors,
 # 0.1 photons per pulse, and one full 12 s pulse train per evaluation with
@@ -346,8 +319,6 @@ def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
             channel=ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=rate),
             controller=ctrl,
         )
-    if name == "table":
-        return replace(base, kind="sample-size-table")
     raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 
@@ -370,11 +341,6 @@ def build_channel(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
     """Execute a simulation scenario; pure function of the config."""
     validate_config(cfg)
-    if cfg.kind == "sample-size-table":
-        raise ConfigError(
-            "scenario.kind: sample-size-table emits a table, not a time series; "
-            "use the table command"
-        )
     ss = np.random.SeedSequence(cfg.seed)
     ss_epc_z, ss_epc_x, ss_track = ss.spawn(3)
 
@@ -400,7 +366,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
         cfg.controller,
         world,
         cfg.duration,
-        fc_seconds=cfg.fc_seconds,
         control_enabled=cfg.control_enabled,
         seed=ss_track,
     )

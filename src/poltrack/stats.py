@@ -44,8 +44,8 @@ class EstimatorScenario:
     def __post_init__(self) -> None:
         if not (0.0 <= self.theta <= math.pi / 2.0):
             raise ValueError("theta must be in [0, pi/2]")
-        if not (self.mu > 0.0):
-            raise ValueError("mu must be positive")
+        if not (0.0 < self.mu < math.inf):
+            raise ValueError("mu must be positive and finite")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must be in (0, 1]")
         if self.sample_b < 1:

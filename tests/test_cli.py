@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,11 @@ from poltrack.harness import (
 )
 
 from conftest import table_from_csv
+
+
+# sha256 of ``poltrack table`` on its default grid: the bytes the removed
+# ``table`` preset wrote, pinned so the grid defaults cannot drift.
+DEFAULT_TABLE_SHA256 = "98c493bd46ddc255c14d8d14938395dba788205195e1ea5b2f472f4b6f9390c9"
 
 
 def short_static_ini():
@@ -57,6 +63,14 @@ class TestRun:
         cfg_path.write_text("[channel]\nstep_sigma_rad = -1\n")
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "channel.step_sigma_rad" in capsys.readouterr().err
+
+    def test_dither_wider_than_half_the_epc_range_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "narrow.ini"
+        cfg_path.write_text("[scenario]\nkind = static\nduration = 3\n"
+                            "[epc]\nv_min = 0\nv_max = 1\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "controller.dither_volts: " in capsys.readouterr().err
+        assert not list(tmp_path.rglob("series.csv"))
 
     def test_no_control_flag(self, tmp_path):
         cfg_path = tmp_path / "scenario.ini"
@@ -113,13 +127,6 @@ class TestRun:
 
 
 class TestPreset:
-    def test_preset_table_writes_table(self, tmp_path):
-        out = tmp_path / "t"
-        assert main(["preset", "table", "--out", str(out)]) == 0
-        qs, bs, cells = table_from_csv((out / "table.csv").read_text())
-        assert qs == (0.01, 0.02, 0.03)
-        assert cells.shape == (len(bs), 3)
-
     @pytest.mark.parametrize("replicas", ["1", "2"])
     def test_negative_seed_is_config_error(self, replicas, tmp_path, capsys):
         out = tmp_path / "out"
@@ -136,9 +143,11 @@ class TestPreset:
         assert not list(tmp_path.rglob("series.csv"))
 
     def test_unknown_preset_rejected_by_argparse(self):
-        with pytest.raises(SystemExit) as err:
-            main(["preset", "warp"])
-        assert err.value.code == 2
+        # "table" was a preset; the table command replaces it
+        for name in ("warp", "table"):
+            with pytest.raises(SystemExit) as err:
+                main(["preset", name])
+            assert err.value.code == 2
 
 
 class TestTable:
@@ -150,11 +159,14 @@ class TestTable:
         assert qs == (0.01, 0.02)
         assert bs == (100, 1000)
 
-    def test_default_grid_matches_table_preset(self, tmp_path):
+    def test_default_grid_writes_the_reference_table(self, tmp_path):
         out = tmp_path / "table.csv"
         assert main(["table", "--out", str(out)]) == 0
-        assert main(["preset", "table", "--out", str(tmp_path / "preset")]) == 0
-        assert out.read_bytes() == (tmp_path / "preset" / "table.csv").read_bytes()
+        qs, bs, cells = table_from_csv(out.read_text())
+        assert qs == (0.01, 0.02, 0.03)
+        assert bs == (250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000)
+        assert cells.shape == (9, 3)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_TABLE_SHA256
 
     def test_bad_grid(self, tmp_path):
         assert main(["table", "--qber", "a,b", "--out", str(tmp_path / "t.csv")]) == 2
@@ -163,10 +175,14 @@ class TestTable:
         "flag,value",
         [
             ("--mu", "-1"),
+            ("--mu", "0"),
             ("--mu", "inf"),
+            ("--eta", "0"),
             ("--eta", "1.5"),
             ("--qber", "0.01,1.5"),
+            ("--qber", "0.01,-0.1"),
             ("--b", "100,0"),
+            ("--b", "250,0"),
         ],
     )
     def test_out_of_range_flag_is_config_error(self, flag, value, tmp_path, capsys):

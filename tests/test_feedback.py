@@ -420,7 +420,6 @@ class TestTrack:
             cfg,
             world,
             3,
-            fc_seconds=12.0,
             seed=3,
         )
         assert [r.cycle for r in series] == [1, 2, 3]

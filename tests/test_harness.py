@@ -59,7 +59,7 @@ class TestConfigRoundTrip:
         assert parse_config(config_to_ini(cfg)) == cfg
 
     def test_presets_round_trip(self):
-        for name in ("static", "drift24h", "scramble02", "table"):
+        for name in ("static", "drift24h", "scramble02"):
             cfg = preset_config(name)
             assert parse_config(config_to_ini(cfg)) == cfg
 
@@ -136,7 +136,7 @@ class TestConfigSchema:
     def test_default_ini_text(self):
         # key names and order are the config file format; keep them stable
         assert config_to_ini(ScenarioConfig()) == (
-            "[scenario]\nkind = drift\nduration = 7200\nfc_seconds = 12.0\nseed = 12345\n"
+            "[scenario]\nkind = drift\nduration = 7200\nseed = 12345\n"
             "control_enabled = true\n\n"
             "[link]\nalpha_db_per_km = 0.2\nlength_km = 0.0\neta_bob = 1.0\n\n"
             "[source]\nmean_photons = 0.5\ndark_count_prob = 1.5e-06\n"
@@ -147,9 +147,7 @@ class TestConfigSchema:
             "[channel]\naxis = 0.0,0.0,1.0\nangle_deg = 30.0\nstep_sigma_rad = 0.012\n"
             "rate_deg_per_cycle = 0.2\n\n"
             "[controller]\ndither_volts = 1.0\ntau = -150.0\ne_threshold = 0.002\n"
-            "sample_fraction = 1.0\nmax_cycles_per_correction = 25\nbatch_pulses = 25000\n\n"
-            "[table]\nmu = 0.1\neta = 0.1\nqber_values = 0.01,0.02,0.03\n"
-            "b_values = 250,500,1000,2500,5000,10000,25000,50000,100000\n"
+            "sample_fraction = 1.0\nmax_cycles_per_correction = 25\nbatch_pulses = 25000\n"
         )
 
     def test_removed_rep_rate_key_is_unknown(self):
@@ -164,8 +162,8 @@ class TestConfigSchema:
 
     def test_bad_tuple_item_reported_with_field(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("[table]\nb_values = 100,lots\n")
-        assert str(err.value).startswith("table.b_values: ")
+            parse_config("[channel]\naxis = 0,lots,1\n")
+        assert str(err.value).startswith("channel.axis: ")
 
     def test_renamed_key_labels_validation_message(self):
         with pytest.raises(ConfigError) as err:
@@ -207,6 +205,12 @@ class TestConfigValidation:
             ("[controller_z]\ntau = -100.0\n", "controller_z: unknown section"),
             ("[controller_x]\ntau = -100.0\n", "controller_x: unknown section"),
             ("[channel]\naxis_resample_period = 1\n", "channel.axis_resample_period: unknown key"),
+            ("[table]\nmu = 0.1\n", "table: unknown section"),
+            (
+                "[scenario]\nkind = sample-size-table\n",
+                "scenario.kind: must be one of static, drift, scramble",
+            ),
+            ("[scenario]\nfc_seconds = 12.0\n", "scenario.fc_seconds: unknown key"),
         ],
     )
     def test_removed_name_rejected(self, text, message):
@@ -220,11 +224,6 @@ class TestConfigValidation:
             ("scenario", "seed", "-1"),
             ("channel", "step_sigma_rad", "-0.01"),
             ("epc", "max_axis_wander_rad", "-0.1"),
-            ("table", "mu", "0"),
-            ("table", "eta", "0"),
-            ("table", "eta", "1.5"),
-            ("table", "qber_values", "0.01,-0.1"),
-            ("table", "b_values", "250,0"),
         ],
     )
     def test_out_of_range_value_reported_with_field(self, section, key, value):
@@ -238,7 +237,7 @@ class TestConfigValidation:
             ("epc", "gain_rad_per_volt", "inf"),
             ("link", "length_km", "inf"),
             ("channel", "angle_deg", "inf"),
-            ("scenario", "fc_seconds", "inf"),
+            ("controller", "tau", "-inf"),
             ("source", "mean_photons", "nan"),
             ("channel", "axis", "0,nan,1"),
         ],
@@ -247,6 +246,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             parse_config(f"[{section}]\n{key} = {value}\n")
         assert str(err.value) == f"{section}.{key}: must be finite"
+
+    def test_dither_wider_than_half_the_epc_range_rejected(self):
+        # the first correction would probe the range center plus dither
+        with pytest.raises(ConfigError) as err:
+            parse_config("[scenario]\nkind = static\nduration = 3\n"
+                         "[epc]\nv_min = 0\nv_max = 1\n")
+        assert str(err.value) == (
+            "controller.dither_volts: must be at most half the epc voltage range"
+        )
+        # exactly half fits: the probe lands on v_max
+        assert parse_config("[epc]\nv_min = 0\nv_max = 2\n").epc.v_max == 2.0
 
     def test_zero_batch_pulses_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -286,8 +296,10 @@ class TestRunScenario:
         assert with_control.mean_qber < without.mean_qber
 
     def test_table_kind_is_not_a_time_series(self):
-        with pytest.raises(ConfigError):
-            run_scenario(preset_config("table"))
+        # the table comes from ``poltrack table`` alone
+        with pytest.raises(ConfigError) as err:
+            run_scenario(replace(short_cfg(), kind="sample-size-table"))
+        assert str(err.value) == "scenario.kind: must be one of static, drift, scramble"
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -304,7 +316,7 @@ class TestBuildChannel:
 
     def test_table_kind_has_no_channel(self):
         with pytest.raises(ConfigError):
-            build_channel(preset_config("table"))
+            build_channel(replace(short_cfg(), kind="sample-size-table"))
 
 
 class TestSummarize:
@@ -513,7 +525,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Config names that are gone; parsing any of them is an error.
 REMOVED_NAMES = (
-    "controller_z", "controller_x", "channel.model", "axis_resample_period", "rep_rate_hz"
+    "controller_z", "controller_x", "channel.model", "axis_resample_period", "rep_rate_hz",
+    "[table]", "sample-size-table", "fc_seconds",
 )
 
 

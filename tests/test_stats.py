@@ -182,3 +182,12 @@ class TestScenarioValidation:
             EstimatorScenario(0.1, 0.1, 1.2, 100)
         with pytest.raises(ValueError):
             EstimatorScenario(0.1, 0.1, 0.1, 0)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.1, math.inf, math.nan])
+    def test_mu_must_be_positive_and_finite(self, mu):
+        with pytest.raises(ValueError, match="^mu must be positive and finite$"):
+            EstimatorScenario(0.1, mu, 0.1, 100)
+        with pytest.raises(ValueError, match="^mu must be positive and finite$"):
+            delta_table([0.01, 0.0], [100], mu, 0.1)
+        with pytest.raises(ValueError, match="^mu must be positive and finite$"):
+            required_sample_size(0.01, 0.1, mu, 0.1)

@@ -99,7 +99,6 @@ def main() -> None:
             cfg.controller,
             world,
             TRACK_CYCLES,
-            fc_seconds=cfg.fc_seconds,
             seed=SEED,
         )
 
