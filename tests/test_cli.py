@@ -159,13 +159,17 @@ class TestTable:
         assert qs == (0.01, 0.02)
         assert bs == (100, 1000)
 
-    def test_default_grid_writes_the_reference_table(self, tmp_path):
+    def test_default_grid_is_three_qber_by_nine_b(self, tmp_path):
         out = tmp_path / "table.csv"
         assert main(["table", "--out", str(out)]) == 0
         qs, bs, cells = table_from_csv(out.read_text())
         assert qs == (0.01, 0.02, 0.03)
         assert bs == (250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000)
         assert cells.shape == (9, 3)
+
+    def test_default_grid_writes_the_reference_table(self, tmp_path):
+        out = tmp_path / "table.csv"
+        assert main(["table", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_TABLE_SHA256
 
     def test_bad_grid(self, tmp_path):
