@@ -143,6 +143,14 @@ def _run(cfg: ScenarioConfig, args: argparse.Namespace, default_out: Path) -> No
     _execute(cfg, args.out if args.out is not None else default_out, args.replicas)
 
 
+def _grid(flag: str, text: str, convert) -> tuple:
+    """The comma-separated values of a ``poltrack table`` grid flag."""
+    try:
+        return tuple(convert(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -160,12 +168,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "table":
-            try:
-                qber_values = tuple(float(x) for x in args.qber.split(","))
-                b_values = tuple(int(x) for x in args.b.split(","))
-            except ValueError as exc:
-                print(f"bad table grid: {exc}", file=sys.stderr)
-                return 2
+            qber_values = _grid("--qber", args.qber, float)
+            b_values = _grid("--b", args.b, int)
             checks = (
                 ("--mu", 0.0 < args.mu < math.inf, "must be positive and finite"),
                 ("--eta", 0.0 < args.eta <= 1.0, "must be in (0, 1]"),

@@ -34,7 +34,6 @@ from .optics import (
     probe_rotation,
 )
 from .photon_sim import (
-    BASES,
     InsufficientDataError,
     MeasurementMatrix,
     SourceParams,
@@ -125,9 +124,9 @@ class MonteCarloContext:
     the controller's assumption that the plant is constant within one
     correction.  The two receiver arms are independent, so the arm not being
     measured is simulated with an identity EPC; its four sifted cells are
-    constant too and are computed once, here.  Each evaluation computes only
-    the measured arm's cells and consumes generator state, so repeated calls
-    scatter around the underlying value.
+    constant too and are computed once, on first use.  Each evaluation computes
+    only the measured arm's cells and consumes generator state, so repeated
+    calls scatter around the underlying value.
     """
 
     def __init__(
@@ -143,15 +142,17 @@ class MonteCarloContext:
         self.eta = eta
         self.config = config
         self.rng = rng
-        self._idle_z, self._idle_x = (
-            arm_cell_probs(analyzer_element(channel_rot, IDENTITY, b), source, eta) for b in BASES
-        )
+        self._idle = {}  # measured basis -> the other arm's cells
 
     def evaluate(self, epc_rot: Rotation, basis: str) -> float:
         arm = arm_cell_probs(
             analyzer_element(self.channel_rot, epc_rot, basis), self.source, self.eta
         )
-        cells = arm + self._idle_x if basis == "Z" else self._idle_z + arm
+        idle = self._idle.get(basis)
+        if idle is None:
+            m = analyzer_element(self.channel_rot, IDENTITY, "X" if basis == "Z" else "Z")
+            idle = self._idle[basis] = arm_cell_probs(m, self.source, self.eta)
+        cells = arm + idle if basis == "Z" else idle + arm
         tally = simulate_batch(self.config.batch_pulses, cells, self.rng)
         revealed = reveal_sample(tally, self.config.sample_fraction, self.rng)
         return feedback_error(measurement_matrix(revealed, basis))

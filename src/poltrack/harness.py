@@ -39,7 +39,13 @@ from .poincare import StokesVector, rotation_from_axis_angle
 from .stats import delta_table
 from .timeseries import TimeSeries, TimeSeriesRow
 
-SCENARIO_KINDS = ("static", "drift", "scramble")
+# Scenario kind -> the [channel] keys its model reads; no other is parsed or written.
+_CHANNEL_KEYS = {
+    "static": ("axis", "angle_deg"),
+    "drift": ("step_sigma_rad",),
+    "scramble": ("axis", "rate_deg_per_cycle"),
+}
+SCENARIO_KINDS = tuple(_CHANNEL_KEYS)
 
 CSV_HEADER = "cycle,t_seconds,qber_est,e_z,e_x,v1,v2,v3,v4,v5,v6,v7,v8,recenter,converged"
 
@@ -62,12 +68,12 @@ class EpcParams:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Flat bag of channel-model parameters; ``[scenario] kind`` picks which apply."""
+    """Channel-model parameters; ``[scenario] kind`` picks which are read."""
 
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)  # static and scramble
-    angle_deg: float = 30.0  # static
-    step_sigma: float = 0.012  # drift, rad per cycle
-    rate_deg_per_cycle: float = 0.2  # scramble
+    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    angle_deg: float = 30.0
+    step_sigma: float = 0.012  # rad per cycle
+    rate_deg_per_cycle: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -194,21 +200,23 @@ def _fmt(value) -> str:
 
 
 def config_to_ini(cfg: ScenarioConfig) -> str:
-    """Canonical INI rendering; section and key order is fixed."""
+    """Canonical INI rendering of the keys the run reads; key order is fixed."""
     blocks = []
     for section, (attr, keys) in _SCHEMA.items():
         obj = cfg if attr is None else getattr(cfg, attr)
+        if section == "channel":
+            keys = {key: keys[key] for key in _CHANNEL_KEYS.get(cfg.kind, keys)}
         lines = [f"{key} = {_fmt(getattr(obj, name))}" for key, name in keys.items()]
         blocks.append("\n".join([f"[{section}]", *lines]))
     return "\n\n".join(blocks) + "\n"
 
 
-def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Parse an INI config, overlaying the given (or built-in) defaults.
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse an INI config, overlaying the built-in defaults.
 
     Raises ConfigError with one line per offending field.
     """
-    base = defaults if defaults is not None else ScenarioConfig()
+    base = ScenarioConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
@@ -217,12 +225,15 @@ def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioC
 
     errors = [f"{name}: unknown section" for name in parser.sections() if name not in _FIELDS]
 
-    def read(section: str) -> dict:
+    def read(section: str, kind: str) -> dict:
         """Typed values of the keys one section sets; bad keys go to errors."""
         values = {}
         for key, value in (parser[section] if parser.has_section(section) else {}).items():
             if key not in _FIELDS[section]:
                 errors.append(f"{section}.{key}: unknown key")
+                continue
+            if section == "channel" and kind in _CHANNEL_KEYS and key not in _CHANNEL_KEYS[kind]:
+                errors.append(f"{section}.{key}: not read by kind = {kind}")
                 continue
             name, conv = _FIELDS[section][key]
             try:
@@ -233,7 +244,7 @@ def parse_config(text: str, defaults: ScenarioConfig | None = None) -> ScenarioC
 
     changes = {}
     for section, (attr, _) in _SCHEMA.items():
-        values = read(section)
+        values = read(section, changes.get("kind", base.kind))  # [scenario] is read first
         if attr is None:
             changes.update(values)
             continue

@@ -72,6 +72,15 @@ class TestRun:
         assert "controller.dither_volts: " in capsys.readouterr().err
         assert not list(tmp_path.rglob("series.csv"))
 
+    def test_unread_channel_key_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "drift.ini"
+        cfg_path.write_text("[scenario]\nkind = drift\nduration = 3\n[channel]\nangle_deg = 45\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error:\nchannel.angle_deg: not read by kind = drift\n"
+        )
+        assert not list(tmp_path.rglob("series.csv"))
+
     def test_no_control_flag(self, tmp_path):
         cfg_path = tmp_path / "scenario.ini"
         cfg_path.write_text(short_static_ini())
@@ -172,9 +181,6 @@ class TestTable:
         assert main(["table", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_TABLE_SHA256
 
-    def test_bad_grid(self, tmp_path):
-        assert main(["table", "--qber", "a,b", "--out", str(tmp_path / "t.csv")]) == 2
-
     @pytest.mark.parametrize(
         "flag,value",
         [
@@ -187,13 +193,15 @@ class TestTable:
             ("--qber", "0.01,-0.1"),
             ("--b", "100,0"),
             ("--b", "250,0"),
+            ("--qber", "a,b"),
+            ("--b", "1.5"),
         ],
     )
     def test_out_of_range_flag_is_config_error(self, flag, value, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["table", flag, value, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{flag}: " in err
+        assert err.startswith(f"config error:\n{flag}: ")
         assert not out.exists()
 
 

@@ -30,6 +30,7 @@ from poltrack.photon_sim import (
     MeasurementMatrix,
     SourceParams,
     analyzer_element,
+    arm_cell_probs,
     measurement_matrix,
     sifted_cell_probs,
 )
@@ -560,6 +561,22 @@ class TestIdleArm:
                 got = [c.hex() for c in drawn.pop()]
                 assert got == [c.hex() for c in sifted_cell_probs(m_z, m_x, src, eta)]
                 assert got == [c.hex() for c in cells_before_split(m_z, m_x, src, eta)]
+
+    def test_only_the_read_idle_arm_is_computed(self, monkeypatch):
+        # track measures one basis per context, so the other idle arm is never read
+        calls = []
+
+        def counting(m, src, eta):
+            calls.append(m)
+            return arm_cell_probs(m, src, eta)
+
+        monkeypatch.setattr(feedback, "arm_cell_probs", counting)
+        channel = rotation_from_axis_angle(StokesVector.unit(1.0, 2.0, -1.0), 0.8)
+        ctx = MonteCarloContext(channel, SourceParams(mu=0.5), 0.9, ControllerConfig(), rng_for(74))
+        assert calls == []
+        for n in range(1, 6):
+            ctx.evaluate(random_rotation(np.random.default_rng(n)), "X")
+            assert len(calls) == n + 1
 
     @numpy_streams_as_golden
     @pytest.mark.parametrize("fraction", [1.0, 0.1])

@@ -11,6 +11,8 @@ import pytest
 from poltrack.harness import (
     CSV_HEADER,
     PRESET_NAMES,
+    SCENARIO_KINDS,
+    ChannelParams,
     ConfigError,
     ScenarioConfig,
     Summary,
@@ -108,6 +110,27 @@ def bumped(value, times=1):
     return OTHER_NAMES[value]
 
 
+# The [channel] keys each kind's channel model reads: INI key -> field.
+CHANNEL_KEYS = {
+    "static": {"axis": "axis", "angle_deg": "angle_deg"},
+    "drift": {"step_sigma_rad": "step_sigma"},
+    "scramble": {"axis": "axis", "rate_deg_per_cycle": "rate_deg_per_cycle"},
+}
+
+
+def with_kind(cfg, kind):
+    """``cfg`` with ``kind``; the channel fields that kind does not read are defaults."""
+    read = {name: getattr(cfg.channel, name) for name in CHANNEL_KEYS[kind].values()}
+    return replace(cfg, kind=kind, channel=ChannelParams(**read))
+
+
+def written_channel_keys(kind):
+    """The [channel] keys that ``config_to_ini`` writes for ``kind``, in order."""
+    text = config_to_ini(replace(ScenarioConfig(), kind=kind))
+    block = text.split("[channel]\n", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^(\w+) = ", block, re.M)
+
+
 def leaves(obj, path=""):
     """(dotted path, value) of every non-dataclass field, depth first."""
     for f in fields(obj):
@@ -118,14 +141,80 @@ def leaves(obj, path=""):
             yield f"{path}{f.name}", value
 
 
+DEFAULT_INI = (
+    "[scenario]\nkind = drift\nduration = 7200\nseed = 12345\n"
+    "control_enabled = true\n\n"
+    "[link]\nalpha_db_per_km = 0.2\nlength_km = 0.0\neta_bob = 1.0\n\n"
+    "[source]\nmean_photons = 0.5\ndark_count_prob = 1.5e-06\n"
+    "misalignment_floor = 0.012\n\n"
+    "[epc]\ngain_rad_per_volt = 0.041887902047863905\ngain_jitter = 0.1\nv_min = 0.0\n"
+    "v_max = 150.0\naxis_drift_sigma_rad = 0.002\n"
+    "max_axis_wander_rad = 0.17453292519943295\n\n"
+    "[channel]\nstep_sigma_rad = 0.012\n\n"
+    "[controller]\ndither_volts = 1.0\ntau = -150.0\ne_threshold = 0.002\n"
+    "sample_fraction = 1.0\nmax_cycles_per_correction = 25\nbatch_pulses = 25000\n"
+)
+
+
 class TestConfigSchema:
-    def test_every_field_round_trips(self):
+    @pytest.mark.parametrize("kind", CHANNEL_KEYS)
+    def test_every_field_round_trips(self, kind):
         # a field left out of the schema would parse back to its default
         default = ScenarioConfig()
-        cfg = bumped(default)
+        cfg = with_kind(bumped(default), kind)
         changed = dict(leaves(cfg))
-        assert all(changed[path] != value for path, value in leaves(default))
+        unchanged = {path for path, value in leaves(default) if changed[path] == value}
+        unread = {f"channel.{f.name}" for f in fields(ChannelParams)} - {
+            f"channel.{name}" for name in CHANNEL_KEYS[kind].values()
+        }
+        assert unchanged - {"kind"} == unread
         assert parse_config(config_to_ini(cfg)) == cfg
+
+    @pytest.mark.parametrize("kind, count", [("static", 24), ("drift", 23), ("scramble", 24)])
+    def test_kind_writes_only_the_channel_keys_it_reads(self, kind, count):
+        text = config_to_ini(replace(ScenarioConfig(), kind=kind))
+        assert len(re.findall(r"^\w+ = ", text, re.M)) == count
+        assert written_channel_keys(kind) == list(CHANNEL_KEYS[kind])
+
+    @pytest.mark.parametrize("kind", CHANNEL_KEYS)
+    def test_resolved_config_reproduces_the_run(self, kind):
+        # fields the kind does not read are dropped on emission, unchanged in effect
+        cfg = replace(short_cfg(), kind=kind, channel=bumped(ChannelParams()))
+        resolved = parse_config(config_to_ini(cfg))
+        assert resolved == with_kind(cfg, kind) != cfg
+        assert series_to_csv(run_scenario(resolved)[0]) == series_to_csv(run_scenario(cfg)[0])
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("static", "step_sigma_rad", "0.02"),
+            ("static", "rate_deg_per_cycle", "0.4"),
+            ("drift", "axis", "1,0,0"),
+            ("drift", "angle_deg", "45"),
+            ("drift", "rate_deg_per_cycle", "9"),
+            ("scramble", "angle_deg", "45"),
+            ("scramble", "step_sigma_rad", "0.02"),
+        ],
+    )
+    def test_unread_channel_key_rejected(self, kind, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[scenario]\nkind = {kind}\n[channel]\n{key} = {value}\n")
+        assert str(err.value) == f"channel.{key}: not read by kind = {kind}"
+
+    def test_earlier_default_text_names_its_three_unread_keys(self):
+        # config.resolved and --print-defaults once listed every [channel] key
+        earlier = DEFAULT_INI.replace(
+            "[channel]\nstep_sigma_rad = 0.012\n",
+            "[channel]\naxis = 0.0,0.0,1.0\nangle_deg = 30.0\nstep_sigma_rad = 0.012\n"
+            "rate_deg_per_cycle = 0.2\n",
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(earlier)
+        assert str(err.value) == (
+            "channel.axis: not read by kind = drift\n"
+            "channel.angle_deg: not read by kind = drift\n"
+            "channel.rate_deg_per_cycle: not read by kind = drift"
+        )
 
     @pytest.mark.parametrize("full", [False, True])
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -135,20 +224,7 @@ class TestConfigSchema:
 
     def test_default_ini_text(self):
         # key names and order are the config file format; keep them stable
-        assert config_to_ini(ScenarioConfig()) == (
-            "[scenario]\nkind = drift\nduration = 7200\nseed = 12345\n"
-            "control_enabled = true\n\n"
-            "[link]\nalpha_db_per_km = 0.2\nlength_km = 0.0\neta_bob = 1.0\n\n"
-            "[source]\nmean_photons = 0.5\ndark_count_prob = 1.5e-06\n"
-            "misalignment_floor = 0.012\n\n"
-            "[epc]\ngain_rad_per_volt = 0.041887902047863905\ngain_jitter = 0.1\nv_min = 0.0\n"
-            "v_max = 150.0\naxis_drift_sigma_rad = 0.002\n"
-            "max_axis_wander_rad = 0.17453292519943295\n\n"
-            "[channel]\naxis = 0.0,0.0,1.0\nangle_deg = 30.0\nstep_sigma_rad = 0.012\n"
-            "rate_deg_per_cycle = 0.2\n\n"
-            "[controller]\ndither_volts = 1.0\ntau = -150.0\ne_threshold = 0.002\n"
-            "sample_fraction = 1.0\nmax_cycles_per_correction = 25\nbatch_pulses = 25000\n"
-        )
+        assert config_to_ini(ScenarioConfig()) == DEFAULT_INI
 
     def test_removed_rep_rate_key_is_unknown(self):
         with pytest.raises(ConfigError) as err:
@@ -162,7 +238,7 @@ class TestConfigSchema:
 
     def test_bad_tuple_item_reported_with_field(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("[channel]\naxis = 0,lots,1\n")
+            parse_config("[scenario]\nkind = static\n[channel]\naxis = 0,lots,1\n")
         assert str(err.value).startswith("channel.axis: ")
 
     def test_renamed_key_labels_validation_message(self):
@@ -189,9 +265,10 @@ class TestConfigValidation:
         assert "scenario.duration" in str(err.value)
 
     def test_bad_kind(self):
+        # a bad kind reads no [channel] key, so only the kind is reported
         with pytest.raises(ConfigError) as err:
-            parse_config("[scenario]\nkind = warp\n")
-        assert "scenario.kind" in str(err.value)
+            parse_config("[scenario]\nkind = warp\n[channel]\nangle_deg = 45\n")
+        assert str(err.value) == "scenario.kind: must be one of static, drift, scramble"
 
     def test_bad_channel_model(self):
         # [scenario] kind picks the channel; there is no model key
@@ -243,8 +320,9 @@ class TestConfigValidation:
         ],
     )
     def test_non_finite_value_reported_with_field(self, section, key, value):
+        # kind = static reads both [channel] keys below
         with pytest.raises(ConfigError) as err:
-            parse_config(f"[{section}]\n{key} = {value}\n")
+            parse_config(f"[scenario]\nkind = static\n[{section}]\n{key} = {value}\n")
         assert str(err.value) == f"{section}.{key}: must be finite"
 
     def test_dither_wider_than_half_the_epc_range_rejected(self):
@@ -545,6 +623,15 @@ class TestReadmeConfigFormat:
         sections = re.findall(r"^\[(\w+)\]$", config_to_ini(ScenarioConfig()), re.M)
         assert sections, "no sections found"
         assert [s for s in sections if f"`[{s}]`" not in live] == []
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_names_each_kind_with_its_channel_keys(self, kind):
+        live, _ = self.section()
+        item = re.search(rf"^  \* `{kind}`: (.*?)(?=\n  \* |\n\S|\n\n)", live, re.M | re.S)
+        assert item, f"no item for kind {kind}"
+        named = set(re.findall(r"`(\w+)`", item.group(1)))
+        every = set().union(*(written_channel_keys(k) for k in SCENARIO_KINDS))
+        assert named & every == set(written_channel_keys(kind))
 
     def test_removed_names_only_in_their_note(self):
         live, removed = self.section()
