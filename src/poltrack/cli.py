@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_summary.add_argument("csv", type=Path)
 
     p_config = sub.add_parser("config", help="configuration helpers")
-    p_config.add_argument("--print-defaults", action="store_true",
+    p_config.add_argument("--print-defaults", action="store_true", required=True,
                           help="dump the built-in default config")
     return parser
 
@@ -189,9 +189,8 @@ def main(argv: list[str] | None = None) -> int:
             print(summary_to_text(summarize(series)), end="")
             return 0
 
-        if args.command == "config":
-            if args.print_defaults:
-                print(config_to_ini(ScenarioConfig()), end="")
+        if args.command == "config":  # --print-defaults is required
+            print(config_to_ini(ScenarioConfig()), end="")
             return 0
 
         raise AssertionError("unreachable")

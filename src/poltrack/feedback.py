@@ -70,7 +70,7 @@ class ControllerConfig:
     sifted bits per basis at the desk-scale link settings).
     """
 
-    dither: float = 1.0  # volts
+    dither_volts: float = 1.0
     tau: float = -150.0  # volts^2 per unit feedback change; negative
     e_threshold: float = 0.002
     sample_fraction: float = 1.0
@@ -78,18 +78,18 @@ class ControllerConfig:
     batch_pulses: int = 25_000
 
     def __post_init__(self) -> None:
-        if not (self.dither > 0.0):
-            raise ValueError("dither must be positive")
-        if self.tau > 0.0:
-            raise ValueError("tau must be non-positive (negative to minimize E)")
-        if not (0.0 < self.e_threshold < 2.0):
-            raise ValueError("e_threshold must be in (0, 2)")
-        if not (0.0 < self.sample_fraction <= 1.0):
-            raise ValueError("sample_fraction must be in (0, 1]")
-        if self.max_cycles_per_correction < 1:
-            raise ValueError("max_cycles_per_correction must be at least 1")
-        if self.batch_pulses < 1:
-            raise ValueError("batch_pulses must be at least 1")
+        checks = (
+            ("dither_volts", self.dither_volts > 0.0, "must be positive"),
+            ("tau", not self.tau > 0.0, "must be non-positive (negative to minimize E)"),
+            ("e_threshold", 0.0 < self.e_threshold < 2.0, "must be in (0, 2)"),
+            ("sample_fraction", 0.0 < self.sample_fraction <= 1.0, "must be in (0, 1]"),
+            ("max_cycles_per_correction", self.max_cycles_per_correction >= 1,
+             "must be at least 1"),
+            ("batch_pulses", self.batch_pulses >= 1, "must be at least 1"),
+        )
+        failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
+        if failures:
+            raise ValueError("\n".join(failures))
 
 
 @dataclass(frozen=True, init=False)
@@ -192,14 +192,14 @@ def adjust_squeezer(
     sq = epc.squeezers[i]
     recenters = 0
     v = sq.voltage
-    if v + config.dither > sq.v_max:
+    if v + config.dither_volts > sq.v_max:
         # no headroom to probe upward; restart this squeezer from the center
         v = sq.center
         recenters += 1
         epc = epc.with_voltage(i, v)
     e1 = sim_context.evaluate(epc_rotation(epc), basis)
-    e2 = sim_context.evaluate(probe_rotation(epc, i, v + config.dither), basis)
-    v_new = v + config.tau * (e2 - e1) / config.dither
+    e2 = sim_context.evaluate(probe_rotation(epc, i, v + config.dither_volts), basis)
+    v_new = v + config.tau * (e2 - e1) / config.dither_volts
     if not (sq.v_min <= v_new <= sq.v_max):
         v_new = sq.center
         recenters += 1

@@ -6,6 +6,11 @@ config is written next to each run's outputs, so a run is reproducible from
 its output directory alone.  Runs are pure functions of their config: the
 same seed gives byte-identical CSV output.
 
+The config dataclasses are the file format: ``ScenarioConfig``'s scalar
+fields are the ``[scenario]`` keys, each of its dataclass-typed fields is a
+section of the same name, and every field name is its INI key.  Parsing,
+emission and validation messages all use those names.
+
 Output layout per run: ``series.csv``, ``summary.txt``, ``config.resolved``.
 """
 
@@ -15,7 +20,7 @@ import configparser
 import io
 import math
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -58,12 +63,12 @@ class ConfigError(ValueError):
 class EpcParams:
     """Construction parameters of one EPC (both arms use the same)."""
 
-    gain: float = DEFAULT_GAIN
+    gain_rad_per_volt: float = DEFAULT_GAIN
     gain_jitter: float = DEFAULT_GAIN_JITTER
     v_min: float = DEFAULT_V_MIN
     v_max: float = DEFAULT_V_MAX
-    axis_drift_sigma: float = DEFAULT_AXIS_DRIFT_SIGMA
-    max_axis_wander: float = DEFAULT_MAX_AXIS_WANDER
+    axis_drift_sigma_rad: float = DEFAULT_AXIS_DRIFT_SIGMA
+    max_axis_wander_rad: float = DEFAULT_MAX_AXIS_WANDER
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class ChannelParams:
 
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     angle_deg: float = 30.0
-    step_sigma: float = 0.012  # rad per cycle
+    step_sigma_rad: float = 0.012  # per cycle
     rate_deg_per_cycle: float = 0.2
 
 
@@ -83,7 +88,7 @@ class ScenarioConfig:
     seed: int = 12345
     control_enabled: bool = True
     link: LinkBudget = field(default_factory=lambda: LinkBudget(0.2, 0.0, 1.0))
-    source: SourceParams = field(default_factory=lambda: SourceParams(mu=0.5))
+    source: SourceParams = field(default_factory=lambda: SourceParams(mean_photons=0.5))
     epc: EpcParams = field(default_factory=EpcParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -103,46 +108,6 @@ class Summary:
 
 # ---------------------------------------------------------------------------
 # config file parsing and emission
-
-# INI section -> (ScenarioConfig attribute, {INI key: dataclass field}); the
-# attribute None stands for ScenarioConfig's own fields.  Sections and keys
-# are emitted in this order.
-_SCHEMA = {
-    "scenario": (None, {
-        "kind": "kind",
-        "duration": "duration",
-        "seed": "seed",
-        "control_enabled": "control_enabled",
-    }),
-    "link": ("link", {"alpha_db_per_km": "alpha", "length_km": "length", "eta_bob": "eta_bob"}),
-    "source": ("source", {
-        "mean_photons": "mu",
-        "dark_count_prob": "dark_count_prob",
-        "misalignment_floor": "misalignment_floor",
-    }),
-    "epc": ("epc", {
-        "gain_rad_per_volt": "gain",
-        "gain_jitter": "gain_jitter",
-        "v_min": "v_min",
-        "v_max": "v_max",
-        "axis_drift_sigma_rad": "axis_drift_sigma",
-        "max_axis_wander_rad": "max_axis_wander",
-    }),
-    "channel": ("channel", {
-        "axis": "axis",
-        "angle_deg": "angle_deg",
-        "step_sigma_rad": "step_sigma",
-        "rate_deg_per_cycle": "rate_deg_per_cycle",
-    }),
-    "controller": ("controller", {
-        "dither_volts": "dither",
-        "tau": "tau",
-        "e_threshold": "e_threshold",
-        "sample_fraction": "sample_fraction",
-        "max_cycles_per_correction": "max_cycles_per_correction",
-        "batch_pulses": "batch_pulses",
-    }),
-}
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -172,23 +137,21 @@ def _converter(tp):
     return _PARSERS.get(tp, tp)  # str and int convert as themselves
 
 
-_SCENARIO_TYPES = typing.get_type_hints(ScenarioConfig)
+def _schema() -> dict[str, dict]:
+    """INI section -> {key: converter}, from ``ScenarioConfig``'s field tree.
+
+    Sections and keys keep declaration order, which is the emission order.
+    """
+    schema = {"scenario": {}}
+    for name, tp in typing.get_type_hints(ScenarioConfig).items():
+        if is_dataclass(tp):
+            schema[name] = {key: _converter(t) for key, t in typing.get_type_hints(tp).items()}
+        else:
+            schema["scenario"][name] = _converter(tp)
+    return schema
 
 
-def _resolve(attr, keys: dict[str, str]) -> dict[str, tuple]:
-    hints = _SCENARIO_TYPES if attr is None else typing.get_type_hints(_SCENARIO_TYPES[attr])
-    return {key: (name, _converter(hints[name])) for key, name in keys.items()}
-
-
-# INI section -> {INI key: (dataclass field, converter)}, resolved once.
-_FIELDS = {section: _resolve(attr, keys) for section, (attr, keys) in _SCHEMA.items()}
-
-# Message labels: attribute path -> "section.key"; other paths print as they are.
-_LABELS = {
-    f"{attr}.{name}" if attr else name: f"{section}.{key}"
-    for section, (attr, keys) in _SCHEMA.items()
-    for key, name in keys.items()
-}
+_SCHEMA = _schema()
 
 
 def _fmt(value) -> str:
@@ -202,11 +165,11 @@ def _fmt(value) -> str:
 def config_to_ini(cfg: ScenarioConfig) -> str:
     """Canonical INI rendering of the keys the run reads; key order is fixed."""
     blocks = []
-    for section, (attr, keys) in _SCHEMA.items():
-        obj = cfg if attr is None else getattr(cfg, attr)
+    for section, keys in _SCHEMA.items():
+        obj = cfg if section == "scenario" else getattr(cfg, section)
         if section == "channel":
-            keys = {key: keys[key] for key in _CHANNEL_KEYS.get(cfg.kind, keys)}
-        lines = [f"{key} = {_fmt(getattr(obj, name))}" for key, name in keys.items()]
+            keys = _CHANNEL_KEYS.get(cfg.kind, keys)
+        lines = [f"{key} = {_fmt(getattr(obj, key))}" for key in keys]
         blocks.append("\n".join([f"[{section}]", *lines]))
     return "\n\n".join(blocks) + "\n"
 
@@ -223,35 +186,34 @@ def parse_config(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
-    errors = [f"{name}: unknown section" for name in parser.sections() if name not in _FIELDS]
+    errors = [f"{name}: unknown section" for name in parser.sections() if name not in _SCHEMA]
 
     def read(section: str, kind: str) -> dict:
         """Typed values of the keys one section sets; bad keys go to errors."""
         values = {}
         for key, value in (parser[section] if parser.has_section(section) else {}).items():
-            if key not in _FIELDS[section]:
+            if key not in _SCHEMA[section]:
                 errors.append(f"{section}.{key}: unknown key")
                 continue
             if section == "channel" and kind in _CHANNEL_KEYS and key not in _CHANNEL_KEYS[kind]:
                 errors.append(f"{section}.{key}: not read by kind = {kind}")
                 continue
-            name, conv = _FIELDS[section][key]
             try:
-                values[name] = conv(value)
+                values[key] = _SCHEMA[section][key](value)
             except (ValueError, TypeError) as exc:
                 errors.append(f"{section}.{key}: {exc}")
         return values
 
     changes = {}
-    for section, (attr, _) in _SCHEMA.items():
+    for section in _SCHEMA:
         values = read(section, changes.get("kind", base.kind))  # [scenario] is read first
-        if attr is None:
+        if section == "scenario":
             changes.update(values)
             continue
         try:
-            changes[attr] = replace(getattr(base, attr), **values)
-        except ValueError as exc:
-            errors.append(f"{section}: {exc}")
+            changes[section] = replace(getattr(base, section), **values)
+        except ValueError as exc:  # a section's own checks, one "key: text" line each
+            errors.extend(f"{section}.{line}" for line in str(exc).splitlines())
 
     if errors:
         raise ConfigError("\n".join(errors))
@@ -261,25 +223,33 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Cross-field checks with messages that name their field by ``section.key``."""
+    """Cross-field checks with messages that name their field by ``section.key``.
+
+    The ``[channel]`` checks run only for the keys that ``cfg.kind`` reads.
+    """
     ch, epc = cfg.channel, cfg.epc
+    read = _CHANNEL_KEYS.get(cfg.kind, ())
     checks = (
-        ("kind", cfg.kind in SCENARIO_KINDS, f"must be one of {', '.join(SCENARIO_KINDS)}"),
-        ("duration", cfg.duration >= 1, "must be at least 1"),
-        ("seed", cfg.seed >= 0, "must be non-negative"),
-        ("channel.axis", len(ch.axis) == 3 and any(a != 0.0 for a in ch.axis),
+        ("scenario.kind", cfg.kind in SCENARIO_KINDS,
+         f"must be one of {', '.join(SCENARIO_KINDS)}"),
+        ("scenario.duration", cfg.duration >= 1, "must be at least 1"),
+        ("scenario.seed", cfg.seed >= 0, "must be non-negative"),
+        ("channel.axis",
+         "axis" not in read or (len(ch.axis) == 3 and any(a != 0.0 for a in ch.axis)),
          "need a non-zero 3-vector"),
-        ("channel.step_sigma", ch.step_sigma >= 0.0, "must be non-negative"),
+        ("channel.step_sigma_rad", "step_sigma_rad" not in read or ch.step_sigma_rad >= 0.0,
+         "must be non-negative"),
         ("epc.gain_jitter", 0.0 <= epc.gain_jitter < 1.0, "must be in [0, 1)"),
-        ("epc.gain", epc.gain > 0.0, "must be positive"),
+        ("epc.gain_rad_per_volt", epc.gain_rad_per_volt > 0.0, "must be positive"),
         ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
-        ("epc.axis_drift_sigma", not epc.axis_drift_sigma < 0.0, "must be non-negative"),
-        ("epc.max_axis_wander", epc.max_axis_wander >= 0.0, "must be non-negative"),
+        ("epc.axis_drift_sigma_rad", not epc.axis_drift_sigma_rad < 0.0, "must be non-negative"),
+        ("epc.max_axis_wander_rad", epc.max_axis_wander_rad >= 0.0, "must be non-negative"),
         # the first probe of a squeezer at its range center goes up by dither
-        ("controller.dither", 0.5 * (epc.v_min + epc.v_max) + cfg.controller.dither <= epc.v_max,
+        ("controller.dither_volts",
+         0.5 * (epc.v_min + epc.v_max) + cfg.controller.dither_volts <= epc.v_max,
          "must be at most half the epc voltage range"),
     )
-    errors = [f"{_LABELS.get(path, path)}: {message}" for path, ok, message in checks if not ok]
+    errors = [f"{path}: {message}" for path, ok, message in checks if not ok]
     if errors:
         raise ConfigError("\n".join(errors))
 
@@ -293,7 +263,7 @@ PRESET_NAMES = ("static", "drift24h", "scramble02", "scramble04", "scramble06")
 # 0.1 photons per pulse, and one full 12 s pulse train per evaluation with
 # 10% of the sifted bits revealed.  Desk-scale presets compress the batch.
 _FULL_LINK = LinkBudget(0.2, 50.0, 0.1)
-_FULL_SOURCE = SourceParams(mu=0.1)
+_FULL_SOURCE = SourceParams(mean_photons=0.1)
 _FULL_CONTROLLER = ControllerConfig(sample_fraction=0.1, batch_pulses=30_000_000)
 
 
@@ -314,7 +284,7 @@ def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
             base,
             kind="drift",
             duration=7200,
-            channel=ChannelParams(step_sigma=0.012),
+            channel=ChannelParams(step_sigma_rad=0.012),
         )
     if name.startswith("scramble") and name in PRESET_NAMES:
         rate = {"scramble02": 0.2, "scramble04": 0.4, "scramble06": 0.6}[name]
@@ -345,7 +315,7 @@ def build_channel(cfg: ScenarioConfig):
     if cfg.kind == "scramble":
         return ScramblerChannel(axis=StokesVector.unit(*ch.axis), rate=ch.rate_deg_per_cycle)
     if cfg.kind == "drift":
-        return RandomWalkChannel(step_sigma=ch.step_sigma)
+        return RandomWalkChannel(step_sigma=ch.step_sigma_rad)
     raise ConfigError(f"scenario.kind: {cfg.kind} has no channel model")
 
 
@@ -358,7 +328,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
     def make_epc(child: np.random.SeedSequence):
         return default_epc(
             np.random.Generator(np.random.Philox(child)),
-            gain=cfg.epc.gain,
+            gain=cfg.epc.gain_rad_per_volt,
             gain_jitter=cfg.epc.gain_jitter,
             v_min=cfg.epc.v_min,
             v_max=cfg.epc.v_max,
@@ -368,8 +338,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
         channel=build_channel(cfg),
         source=cfg.source,
         eta=transmittance(cfg.link),
-        axis_drift_sigma=cfg.epc.axis_drift_sigma,
-        max_axis_wander=cfg.epc.max_axis_wander,
+        axis_drift_sigma=cfg.epc.axis_drift_sigma_rad,
+        max_axis_wander=cfg.epc.max_axis_wander_rad,
     )
     series = track(
         ControllerState(epc=make_epc(ss_epc_z)),

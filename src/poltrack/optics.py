@@ -415,19 +415,21 @@ def channel_step(
 class LinkBudget:
     """Fiber loss plus receiver detection efficiency."""
 
-    alpha: float  # dB per km
-    length: float  # km
+    alpha_db_per_km: float
+    length_km: float
     eta_bob: float  # receiver detection efficiency
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
-        if self.length < 0.0:
-            raise ValueError("length must be non-negative")
-        if not (0.0 < self.eta_bob <= 1.0):
-            raise ValueError("eta_bob must be in (0, 1]")
+        checks = (
+            ("alpha_db_per_km", not self.alpha_db_per_km < 0.0, "must be non-negative"),
+            ("length_km", not self.length_km < 0.0, "must be non-negative"),
+            ("eta_bob", 0.0 < self.eta_bob <= 1.0, "must be in (0, 1]"),
+        )
+        failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
+        if failures:
+            raise ValueError("\n".join(failures))
 
 
 def transmittance(lb: LinkBudget) -> float:
     """Overall transmission and detection efficiency, 10^(-alpha*l/10) * eta_bob."""
-    return 10.0 ** (-lb.alpha * lb.length / 10.0) * lb.eta_bob
+    return 10.0 ** (-lb.alpha_db_per_km * lb.length_km / 10.0) * lb.eta_bob

@@ -53,7 +53,6 @@ import numpy as np
 
 from .poincare import Rotation, _qprod
 
-BASES = ("Z", "X")
 _ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
 
 
@@ -80,17 +79,19 @@ class SourceParams:
     together with dark counts it sets the intrinsic error-rate floor.
     """
 
-    mu: float = 0.1  # mean photons per pulse
+    mean_photons: float = 0.1  # per pulse
     dark_count_prob: float = 1.5e-6
     misalignment_floor: float = 0.012
 
     def __post_init__(self) -> None:
-        if not (self.mu > 0.0):
-            raise ValueError("mu must be positive")
-        if not (0.0 <= self.dark_count_prob < 1.0):
-            raise ValueError("dark_count_prob must be in [0, 1)")
-        if not (0.0 <= self.misalignment_floor < 0.5):
-            raise ValueError("misalignment_floor must be in [0, 0.5)")
+        checks = (
+            ("mean_photons", self.mean_photons > 0.0, "must be positive"),
+            ("dark_count_prob", 0.0 <= self.dark_count_prob < 1.0, "must be in [0, 1)"),
+            ("misalignment_floor", 0.0 <= self.misalignment_floor < 0.5, "must be in [0, 0.5)"),
+        )
+        failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
+        if failures:
+            raise ValueError("\n".join(failures))
 
 
 _COUNT_FIELDS = ("n_hh", "n_hv", "n_vh", "n_vv", "n_dd", "n_da", "n_ad", "n_aa")
@@ -198,7 +199,7 @@ def arm_cell_probs(m: float, src: SourceParams, eta: float) -> list[float]:
     """
     if not (0.0 < eta <= 1.0):
         raise ValueError("eta must be in (0, 1]")
-    mu_eta = eta * src.mu
+    mu_eta = eta * src.mean_photons
     no_dark = 1.0 - src.dark_count_prob
     f = src.misalignment_floor
     a_right = min(1.0, max(0.0, 0.5 * (1.0 + m)))

@@ -65,8 +65,8 @@ def click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta):
             s = apply_rotation(arm_rots[b], s_ch)
             a0 = min(1.0, max(0.0, projection_probability(s, ANALYZERS[b])))
             a1 = 1.0 - a0
-            sig0 = 1.0 - math.exp(-eta * src.mu * a0)
-            sig1 = 1.0 - math.exp(-eta * src.mu * a1)
+            sig0 = 1.0 - math.exp(-eta * src.mean_photons * a0)
+            sig1 = 1.0 - math.exp(-eta * src.mean_photons * a1)
             d = src.dark_count_prob
             p0[a * 2 + b] = 1.0 - (1.0 - sig0) * (1.0 - d)
             p1[a * 2 + b] = 1.0 - (1.0 - sig1) * (1.0 - d)

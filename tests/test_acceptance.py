@@ -104,7 +104,7 @@ def test_criterion_1_sphere_math_oracle():
 def test_criterion_2_analytic_qber_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(202)
-    src = SourceParams(mu=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
+    src = SourceParams(mean_photons=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
     n_pulses = 2_200_000  # ~1e5 sifted events per case at eta*mu = 0.1
     axes = {"Z": np.array([1.0, 0.0, 0.0]), "X": np.array([0.0, 1.0, 0.0])}
     for case in range(20):
@@ -166,7 +166,7 @@ def test_criterion_4_convergence():
     assert ok >= 48, f"noiseless convergence {ok}/50"
 
     # Monte Carlo plant at ~2500 revealed bits per evaluation
-    src = SourceParams(mu=1.0, dark_count_prob=0.0, misalignment_floor=0.0)
+    src = SourceParams(mean_photons=1.0, dark_count_prob=0.0, misalignment_floor=0.0)
     batch = int(2500 / ((1.0 - math.exp(-1.0)) * 0.25))
     mc_cfg = ControllerConfig(
         e_threshold=e_thr, max_cycles_per_correction=200,

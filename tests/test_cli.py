@@ -250,3 +250,12 @@ class TestConfigCommand:
         from poltrack.harness import ScenarioConfig, parse_config
 
         assert parse_config(text) == ScenarioConfig()
+
+    def test_config_without_a_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["config"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: poltrack config" in captured.err
+        assert "--print-defaults" in captured.err

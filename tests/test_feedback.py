@@ -41,7 +41,7 @@ from conftest import numpy_streams_as_golden, random_rotation, random_unit
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
 
-NOISELESS = SourceParams(mu=1.0, dark_count_prob=0.0, misalignment_floor=0.0)
+NOISELESS = SourceParams(mean_photons=1.0, dark_count_prob=0.0, misalignment_floor=0.0)
 
 
 def rng_for(seed):
@@ -162,7 +162,7 @@ class TestMeasureE:
 
     def test_sample_mean_converges_to_analytic_value(self):
         channel = rotation_from_axis_angle(S2, math.radians(60.0))
-        src = SourceParams(mu=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
+        src = SourceParams(mean_photons=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
         ctx, _ = mc_context(channel, 2, batch=40_000, source=src)
         state = ControllerState(epc=default_epc())
         values = [measure_e(state, "Z", ctx) for _ in range(100)]
@@ -208,7 +208,7 @@ class TestAdjustSqueezer:
             i = int(rng.integers(0, 4))
             sq = state.epc.squeezers[i]
             # independent central-difference slope with step D/10
-            h = cfg.dither / 10.0
+            h = cfg.dither_volts / 10.0
             e_plus = ctx.evaluate(epc_rotation(state.epc.with_voltage(i, sq.voltage + h)), "Z")
             e_minus = ctx.evaluate(epc_rotation(state.epc.with_voltage(i, sq.voltage - h)), "Z")
             slope = (e_plus - e_minus) / (2.0 * h)
@@ -276,14 +276,14 @@ class TestAdjustSqueezer:
             ctx = RecordingContext(channel)
             i = int(rng.integers(0, 4))
             v = epc.squeezers[i].voltage
-            if v + cfg.dither > epc.squeezers[i].v_max:
+            if v + cfg.dither_volts > epc.squeezers[i].v_max:
                 v = epc.squeezers[i].center
                 epc = epc.with_voltage(i, v)
                 recentered += 1
             adjust_squeezer(ControllerState(epc), i, "Z", ctx, cfg)
             assert ctx.rotations == [
                 epc_rotation(epc),
-                epc_rotation(epc.with_voltage(i, v + cfg.dither)),
+                epc_rotation(epc.with_voltage(i, v + cfg.dither_volts)),
             ]
         assert recentered > 0
 
@@ -396,7 +396,7 @@ class TestTrack:
 
     def test_aligned_noise_floor_only(self):
         # static aligned world: the mean estimate matches the device floor
-        src = SourceParams(mu=0.5, dark_count_prob=0.0, misalignment_floor=0.01)
+        src = SourceParams(mean_photons=0.5, dark_count_prob=0.0, misalignment_floor=0.01)
         world = World(channel=StaticChannel(IDENTITY), source=src, eta=1.0)
         cfg = ControllerConfig()
         series = track(
@@ -429,7 +429,7 @@ class TestTrack:
 
     def test_scramble_controlled_beats_uncontrolled(self):
         # paired seed: identical channel trajectory with and without control
-        src = SourceParams(mu=0.5, dark_count_prob=0.0, misalignment_floor=0.01)
+        src = SourceParams(mean_photons=0.5, dark_count_prob=0.0, misalignment_floor=0.01)
         cfg = ControllerConfig(batch_pulses=15_000, max_cycles_per_correction=3)
 
         def run(control):
@@ -451,7 +451,7 @@ class TestTrack:
         assert controlled < uncontrolled
 
     def test_deterministic(self):
-        src = SourceParams(mu=0.5)
+        src = SourceParams(mean_photons=0.5)
         world = World(channel=ScramblerChannel(axis=S3, rate=0.4), source=src, eta=1.0)
         cfg = ControllerConfig(batch_pulses=10_000)
 
@@ -497,7 +497,7 @@ class TestSimulateBatchHook:
 
 def cells_before_split(m_z, m_x, src, eta):
     """The eight sifted cells as the plant computed them before the per-arm split."""
-    mu_eta = eta * src.mu
+    mu_eta = eta * src.mean_photons
     no_dark = 1.0 - src.dark_count_prob
     f = src.misalignment_floor
     q = []
@@ -548,7 +548,7 @@ class TestIdleArm:
 
         monkeypatch.setattr(feedback, "simulate_batch", capture)
         rng = np.random.default_rng(71)
-        sources = (SourceParams(mu=0.5), SourceParams(0.9, 1e-2, 0.05), NOISELESS)
+        sources = (SourceParams(mean_photons=0.5), SourceParams(0.9, 1e-2, 0.05), NOISELESS)
         for case in range(400):
             channel, epc_rot = random_rotation(rng), random_rotation(rng)
             src, eta = sources[case % 3], float(rng.uniform(0.01, 1.0))
@@ -572,7 +572,8 @@ class TestIdleArm:
 
         monkeypatch.setattr(feedback, "arm_cell_probs", counting)
         channel = rotation_from_axis_angle(StokesVector.unit(1.0, 2.0, -1.0), 0.8)
-        ctx = MonteCarloContext(channel, SourceParams(mu=0.5), 0.9, ControllerConfig(), rng_for(74))
+        src = SourceParams(mean_photons=0.5)
+        ctx = MonteCarloContext(channel, src, 0.9, ControllerConfig(), rng_for(74))
         assert calls == []
         for n in range(1, 6):
             ctx.evaluate(random_rotation(np.random.default_rng(n)), "X")
@@ -582,7 +583,7 @@ class TestIdleArm:
     @pytest.mark.parametrize("fraction", [1.0, 0.1])
     def test_evaluations_equal_a_full_plant_reference(self, fraction):
         channel = rotation_from_axis_angle(StokesVector.unit(1.0, 2.0, -1.0), 0.8)
-        src = SourceParams(mu=0.5, dark_count_prob=1e-4, misalignment_floor=0.012)
+        src = SourceParams(mean_photons=0.5, dark_count_prob=1e-4, misalignment_floor=0.012)
         cfg = ControllerConfig(batch_pulses=20_000, sample_fraction=fraction)
         ctx = MonteCarloContext(channel, src, 0.9, cfg, rng_for(72))
         ref = MonteCarloContext(channel, src, 0.9, cfg, rng_for(72))

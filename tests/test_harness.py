@@ -110,17 +110,17 @@ def bumped(value, times=1):
     return OTHER_NAMES[value]
 
 
-# The [channel] keys each kind's channel model reads: INI key -> field.
+# The [channel] keys each kind's channel model reads.
 CHANNEL_KEYS = {
-    "static": {"axis": "axis", "angle_deg": "angle_deg"},
-    "drift": {"step_sigma_rad": "step_sigma"},
-    "scramble": {"axis": "axis", "rate_deg_per_cycle": "rate_deg_per_cycle"},
+    "static": ("axis", "angle_deg"),
+    "drift": ("step_sigma_rad",),
+    "scramble": ("axis", "rate_deg_per_cycle"),
 }
 
 
 def with_kind(cfg, kind):
     """``cfg`` with ``kind``; the channel fields that kind does not read are defaults."""
-    read = {name: getattr(cfg.channel, name) for name in CHANNEL_KEYS[kind].values()}
+    read = {key: getattr(cfg.channel, key) for key in CHANNEL_KEYS[kind]}
     return replace(cfg, kind=kind, channel=ChannelParams(**read))
 
 
@@ -165,7 +165,7 @@ class TestConfigSchema:
         changed = dict(leaves(cfg))
         unchanged = {path for path, value in leaves(default) if changed[path] == value}
         unread = {f"channel.{f.name}" for f in fields(ChannelParams)} - {
-            f"channel.{name}" for name in CHANNEL_KEYS[kind].values()
+            f"channel.{key}" for key in CHANNEL_KEYS[kind]
         }
         assert unchanged - {"kind"} == unread
         assert parse_config(config_to_ini(cfg)) == cfg
@@ -339,16 +339,54 @@ class TestConfigValidation:
     def test_zero_batch_pulses_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[controller]\nbatch_pulses = 0\n")
-        assert str(err.value) == "controller: batch_pulses must be at least 1"
+        assert str(err.value) == "controller.batch_pulses: must be at least 1"
 
     def test_controller_invariant_enforced(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[controller]\ntau = 5.0\n")
-        assert str(err.value) == "controller: tau must be non-positive (negative to minimize E)"
+        assert str(err.value) == "controller.tau: must be non-positive (negative to minimize E)"
 
     def test_link_invariant_enforced(self):
         with pytest.raises(ConfigError):
             parse_config("[link]\neta_bob = 2.0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[controller]\ndither_volts = -1\ntau = 5\n",
+                "controller.dither_volts: must be positive\n"
+                "controller.tau: must be non-positive (negative to minimize E)",
+            ),
+            (
+                "[source]\nmean_photons = 0\nmisalignment_floor = 0.5\n",
+                "source.mean_photons: must be positive\n"
+                "source.misalignment_floor: must be in [0, 0.5)",
+            ),
+            (
+                "[link]\nalpha_db_per_km = -0.2\nlength_km = -1\neta_bob = 0\n",
+                "link.alpha_db_per_km: must be non-negative\n"
+                "link.length_km: must be non-negative\n"
+                "link.eta_bob: must be in (0, 1]",
+            ),
+        ],
+    )
+    def test_section_check_reports_every_failing_key(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
+    def test_unread_channel_field_is_not_checked(self):
+        # a config built in code may hold any value in a field its kind never reads
+        zero_axis = replace(ChannelParams(), axis=(0.0, 0.0, 0.0))
+        drift = short_cfg(kind="drift", channel=ChannelParams())
+        run = series_to_csv(run_scenario(replace(drift, channel=zero_axis))[0])
+        assert run == series_to_csv(run_scenario(drift)[0])
+        static = short_cfg(duration=2)
+        run_scenario(replace(static, channel=replace(static.channel, step_sigma_rad=-1.0)))
+        with pytest.raises(ConfigError) as err:
+            run_scenario(replace(static, channel=replace(static.channel, axis=(0.0, 0.0, 0.0))))
+        assert str(err.value) == "channel.axis: need a non-zero 3-vector"
 
 
 class TestRunScenario:
@@ -562,7 +600,7 @@ class TestUncontrolledScrambleTrace:
             cfg,
             duration=900,
             control_enabled=False,
-            epc=replace(cfg.epc, gain_jitter=0.0, axis_drift_sigma=0.0),
+            epc=replace(cfg.epc, gain_jitter=0.0, axis_drift_sigma_rad=0.0),
         )
         series, summary = run_scenario(cfg)
 
@@ -591,7 +629,7 @@ class TestPairedSeedCausality:
         duration = 60
         if name == "drift24h":
             # give the walk enough motion to matter over the short window
-            cfg = replace(cfg, channel=replace(cfg.channel, step_sigma=0.04))
+            cfg = replace(cfg, channel=replace(cfg.channel, step_sigma_rad=0.04))
             duration = 200
         cfg = replace(cfg, duration=duration, controller=ctrl)
         _, on = run_scenario(cfg)

@@ -39,7 +39,7 @@ from per_pulse_oracle import DIAG, H, sifted_cells, simulate_batch_per_pulse
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
 
-NOISELESS = SourceParams(mu=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
+NOISELESS = SourceParams(mean_photons=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
 
 
 def rng_for(seed):
@@ -55,7 +55,7 @@ class TestSimulateBatch:
     def test_poisson_detection_rate(self):
         # mu 0.1 at eta 0.01: roughly n * (1 - e^-0.001) * 0.25 sifted events
         # per basis, checked within 4 sigma
-        src = SourceParams(mu=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
+        src = SourceParams(mean_photons=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
         tally = plant_batch(1_000_000, IDENTITY, IDENTITY, IDENTITY, src, 0.01, rng_for(2))
         expected = 1_000_000 * (1.0 - math.exp(-0.001)) * 0.25
         sigma = math.sqrt(expected)
@@ -98,7 +98,7 @@ class TestSimulateBatch:
             assert abs(qber_z - expected) <= 4 * sigma
 
     def test_deterministic_given_seed(self):
-        src = SourceParams(mu=0.2)
+        src = SourceParams(mean_photons=0.2)
         a = plant_batch(50_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(6))
         b = plant_batch(50_000, IDENTITY, IDENTITY, IDENTITY, src, 0.5, rng_for(6))
         assert a == b
@@ -107,13 +107,13 @@ class TestSimulateBatch:
         channel = rotation_from_axis_angle(S2, 0.2)
         qbers = []
         for dark in (0.0, 1e-4, 1e-3, 1e-2):
-            src = SourceParams(mu=0.1, dark_count_prob=dark, misalignment_floor=0.0)
+            src = SourceParams(mean_photons=0.1, dark_count_prob=dark, misalignment_floor=0.0)
             tally = plant_batch(400_000, channel, IDENTITY, IDENTITY, src, 0.1, rng_for(11))
             qbers.append(qber_from_tally(tally))
         assert all(b >= a for a, b in zip(qbers, qbers[1:])), qbers
 
     def test_misalignment_floor_sets_qber(self):
-        src = SourceParams(mu=0.2, dark_count_prob=0.0, misalignment_floor=0.05)
+        src = SourceParams(mean_photons=0.2, dark_count_prob=0.0, misalignment_floor=0.05)
         tally = plant_batch(400_000, IDENTITY, IDENTITY, IDENTITY, src, 1.0, rng_for(12))
         q = qber_from_tally(tally)
         n = tally.sifted_total
@@ -130,9 +130,9 @@ class TestSimulateBatch:
 
 
 PLANT_SOURCES = (
-    SourceParams(mu=0.5),
-    SourceParams(mu=0.1, dark_count_prob=1e-3, misalignment_floor=0.02),
-    SourceParams(mu=0.9, dark_count_prob=1e-2, misalignment_floor=0.05),
+    SourceParams(mean_photons=0.5),
+    SourceParams(mean_photons=0.1, dark_count_prob=1e-3, misalignment_floor=0.02),
+    SourceParams(mean_photons=0.9, dark_count_prob=1e-2, misalignment_floor=0.05),
     NOISELESS,
 )
 
@@ -192,12 +192,12 @@ def _cell_moments(counts: np.ndarray):
 
 # (channel, Z-arm EPC, X-arm EPC, source, eta) per case
 EQUIVALENCE_CASES = {
-    "aligned": (IDENTITY, IDENTITY, IDENTITY, SourceParams(mu=0.5), 1.0),
+    "aligned": (IDENTITY, IDENTITY, IDENTITY, SourceParams(mean_photons=0.5), 1.0),
     "thirty_degree_channel_with_epcs": (
         rotation_from_axis_angle(S2, math.radians(30.0)),
         rotation_from_axis_angle(S3, 0.3),
         rotation_from_axis_angle(StokesVector.unit(1.0, 1.0, 0.0), -0.4),
-        SourceParams(mu=0.5),
+        SourceParams(mean_photons=0.5),
         1.0,
     ),
     # eta * mu = 0.9 and a 45 degree tilt on the sphere light both
@@ -206,7 +206,7 @@ EQUIVALENCE_CASES = {
         rotation_from_axis_angle(S3, math.radians(45.0)),
         IDENTITY,
         IDENTITY,
-        SourceParams(mu=0.9, dark_count_prob=1e-2, misalignment_floor=0.05),
+        SourceParams(mean_photons=0.9, dark_count_prob=1e-2, misalignment_floor=0.05),
         1.0,
     ),
 }

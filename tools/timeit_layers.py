@@ -54,7 +54,8 @@ def main() -> None:
     cfg = replace(pt.preset_config("drift24h"), seed=SEED)
     rng = np.random.default_rng(SEED)
     start_z, start_x = (
-        pt.default_epc(rng, gain=cfg.epc.gain, gain_jitter=cfg.epc.gain_jitter) for _ in range(2)
+        pt.default_epc(rng, gain=cfg.epc.gain_rad_per_volt, gain_jitter=cfg.epc.gain_jitter)
+        for _ in range(2)
     )
     epc = start_z
     for i in range(4):
@@ -67,8 +68,8 @@ def main() -> None:
         channel=build_channel(cfg),
         source=cfg.source,
         eta=pt.transmittance(cfg.link),
-        axis_drift_sigma=cfg.epc.axis_drift_sigma,
-        max_axis_wander=cfg.epc.max_axis_wander,
+        axis_drift_sigma=cfg.epc.axis_drift_sigma_rad,
+        max_axis_wander=cfg.epc.max_axis_wander_rad,
     )
     _, ch_rot = pt.channel_step(world.channel, 1, np.random.default_rng(SEED))
     mc = pt.MonteCarloContext(ch_rot, world.source, world.eta, cfg.controller, rng)
@@ -112,7 +113,8 @@ def main() -> None:
         "probe_rotation": lambda: pt.probe_rotation(epc, 2, 80.0),
         "with_voltage": lambda: epc.with_voltage(2, 80.0),
         "drift_axes": lambda: pt.drift_axes(
-            epc, 1, rng, sigma=cfg.epc.axis_drift_sigma, max_wander=cfg.epc.max_axis_wander
+            epc, 1, rng,
+            sigma=cfg.epc.axis_drift_sigma_rad, max_wander=cfg.epc.max_axis_wander_rad,
         ),
         "simulate_batch": lambda: pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng),
         "reveal_sample_full": lambda: pt.reveal_sample(desk_tally, 1.0, rng),
