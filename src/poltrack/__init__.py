@@ -11,7 +11,6 @@ and a reproducible scenario harness with a CLI.
 from .feedback import (
     ControllerConfig,
     ControllerState,
-    ExactContext,
     MonteCarloContext,
     World,
     adjust_squeezer,
@@ -33,6 +32,7 @@ from .harness import (
     summarize,
 )
 from .optics import (
+    AnalyzerSweep,
     ChannelModel,
     EpcState,
     LinkBudget,
@@ -44,7 +44,6 @@ from .optics import (
     default_epc,
     drift_axes,
     epc_rotation,
-    probe_rotation,
     transmittance,
 )
 from .photon_sim import (

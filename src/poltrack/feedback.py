@@ -21,18 +21,11 @@ X controller.  A controller state is owned by a single execution context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optics import (
-    ChannelModel,
-    EpcState,
-    channel_step,
-    drift_axes,
-    epc_rotation,
-    probe_rotation,
-)
+from .optics import AnalyzerSweep, ChannelModel, EpcState, channel_step, drift_axes, epc_rotation
 from .photon_sim import (
     InsufficientDataError,
     MeasurementMatrix,
@@ -92,20 +85,13 @@ class ControllerConfig:
             raise ValueError("\n".join(failures))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ControllerState:
-    """Loop state of one basis controller driving its EPC.
-
-    Built like ``poincare``'s hot values: its own ``__init__`` fills
-    ``__dict__`` directly; there is nothing to validate.
-    """
+    """Loop state of one basis controller driving its EPC."""
 
     epc: EpcState
-    recenter_count: int
-    converged: bool
-
-    def __init__(self, epc: EpcState, recenter_count: int = 0, converged: bool = True) -> None:
-        self.__dict__.update(epc=epc, recenter_count=recenter_count, converged=converged)
+    recenter_count: int = 0
+    converged: bool = True
 
 
 def feedback_error(mm: MeasurementMatrix) -> float:
@@ -117,95 +103,64 @@ def feedback_error(mm: MeasurementMatrix) -> float:
     return 2.0 * (mm.j2 * mm.j2 + mm.j3 * mm.j3)
 
 
+@dataclass(eq=False)
 class MonteCarloContext:
     """Evaluates the feedback signal from fresh simulated detection batches.
 
     The channel rotation is frozen for the lifetime of the context, matching
     the controller's assumption that the plant is constant within one
-    correction.  The two receiver arms are independent, so the arm not being
-    measured is simulated with an identity EPC; its four sifted cells are
-    constant too and are computed once, on first use.  Each evaluation computes
-    only the measured arm's cells and consumes generator state, so repeated
-    calls scatter around the underlying value.
+    correction.  ``evaluate(m, basis)`` gives E of one batch whose measured
+    arm has analyzer element ``m``.  The two receiver arms are independent,
+    so the arm not being measured is simulated with an identity EPC; its four
+    sifted cells are constant too and are computed once, on first use.  Each
+    evaluation computes only the measured arm's cells and consumes generator
+    state, so repeated calls scatter around the underlying value.
     """
 
-    def __init__(
-        self,
-        channel_rot: Rotation,
-        source: SourceParams,
-        eta: float,
-        config: ControllerConfig,
-        rng: np.random.Generator,
-    ):
-        self.channel_rot = channel_rot
-        self.source = source
-        self.eta = eta
-        self.config = config
-        self.rng = rng
-        self._idle = {}  # measured basis -> the other arm's cells
+    channel_rot: Rotation
+    source: SourceParams
+    eta: float
+    config: ControllerConfig
+    rng: np.random.Generator
+    _idle: dict = field(default_factory=dict, init=False)  # measured basis -> idle arm's cells
 
-    def evaluate(self, epc_rot: Rotation, basis: str) -> float:
-        arm = arm_cell_probs(
-            analyzer_element(self.channel_rot, epc_rot, basis), self.source, self.eta
-        )
+    def evaluate(self, m: float, basis: str) -> float:
+        arm = arm_cell_probs(m, self.source, self.eta)
         idle = self._idle.get(basis)
         if idle is None:
-            m = analyzer_element(self.channel_rot, IDENTITY, "X" if basis == "Z" else "Z")
-            idle = self._idle[basis] = arm_cell_probs(m, self.source, self.eta)
+            m_idle = analyzer_element(self.channel_rot, IDENTITY, "X" if basis == "Z" else "Z")
+            idle = self._idle[basis] = arm_cell_probs(m_idle, self.source, self.eta)
         cells = arm + idle if basis == "Z" else idle + arm
         tally = simulate_batch(self.config.batch_pulses, cells, self.rng)
         revealed = reveal_sample(tally, self.config.sample_fraction, self.rng)
         return feedback_error(measurement_matrix(revealed, basis))
 
 
-class ExactContext:
-    """Noiseless closed-form feedback signal, for oracle-driven control.
+def adjust_squeezer(sweep: AnalyzerSweep, i: int, sim_context, config: ControllerConfig) -> int:
+    """One dither-gradient step on squeezer ``i`` (0-based), the one ``sweep`` is at.
 
-    With no detector noise both rows of the measurement matrix have the same
-    wrong-port probability j = (1 - m) / 2, where m is the plant's
-    ``analyzer_element`` of the basis, so E = 4 j^2.  This is the reference
-    the controller is checked against, not the mean of the noisy plant.
-    """
-
-    def __init__(self, channel_rot: Rotation):
-        self.channel_rot = channel_rot
-
-    def evaluate(self, epc_rot: Rotation, basis: str) -> float:
-        j = 0.5 * (1.0 - analyzer_element(self.channel_rot, epc_rot, basis))
-        return 4.0 * j * j
-
-
-def adjust_squeezer(
-    state: ControllerState, i: int, basis: str, sim_context, config: ControllerConfig
-) -> ControllerState:
-    """One dither-gradient step on squeezer ``i`` (0-based).
-
-    Measures E at the working voltage, probes at voltage + D, and lands on
-    voltage + tau * (E2 - E1) / D.  Any move that would leave the drive range
-    resets the squeezer to its range center and bumps the recenter counter.
-    The probe only rotates the EPC (``probe_rotation``); no probed state is
-    built.
+    Measures E at the working voltage, probes at voltage + D, and lands the
+    sweep on voltage + tau * (E2 - E1) / D.  Any move that would leave the
+    drive range resets the squeezer to its range center instead.  Returns the
+    number of such recenters, 0 to 2.
     """
     if not 0 <= i <= 3:
         raise ValueError("squeezer index must be 0..3")
-    epc = state.epc
-    sq = epc.squeezers[i]
+    sq = sweep.squeezers[i]
     recenters = 0
-    v = sq.voltage
+    v = sweep.voltages[i]
     if v + config.dither_volts > sq.v_max:
         # no headroom to probe upward; restart this squeezer from the center
         v = sq.center
         recenters += 1
-        epc = epc.with_voltage(i, v)
-    e1 = sim_context.evaluate(epc_rotation(epc), basis)
-    e2 = sim_context.evaluate(probe_rotation(epc, i, v + config.dither_volts), basis)
+    e1 = sim_context.evaluate(sweep.element(i, v), sweep.basis)
+    e2 = sim_context.evaluate(sweep.element(i, v + config.dither_volts), sweep.basis)
     v_new = v + config.tau * (e2 - e1) / config.dither_volts
     if not (sq.v_min <= v_new <= sq.v_max):
         v_new = sq.center
         recenters += 1
-    return ControllerState(
-        epc.with_voltage(i, v_new), state.recenter_count + recenters, state.converged
-    )
+    sweep.land(i, v_new)
+    return recenters
 
 
 def control_cycle(
@@ -216,17 +171,27 @@ def control_cycle(
     Holds if ``e`` is below threshold, else corrects: a correction sweeps
     squeezers 1..4 and re-measures E after each sweep, repeating until
     E < e_threshold or ``max_cycles_per_correction`` sweeps have run, in which
-    case the state comes back flagged as not converged.
+    case the state comes back flagged as not converged.  ``e``, like every E
+    the correction measures, is estimated from a revealed sample (about 375
+    sifted events per row at ``--full``, about 1230 at desk scale), so
+    ``e_threshold`` is a soft boundary that noise alone can cross either way.
+
+    ``sim_context`` is the correction's plant: a frozen ``channel_rot`` and
+    ``evaluate(m, basis)``, E for the arm's analyzer element ``m``.  The
+    controller decides on E alone; an ``AnalyzerSweep`` gives each ``m``, so
+    a correction builds one EPC and one state, at its end.
     """
     if e < config.e_threshold:
         return ControllerState(state.epc, state.recenter_count, converged=True)
 
+    sweep = AnalyzerSweep(sim_context.channel_rot, state.epc, basis)
+    recenters = state.recenter_count
     for _ in range(config.max_cycles_per_correction):
         for i in range(4):
-            state = adjust_squeezer(state, i, basis, sim_context, config)
-        if sim_context.evaluate(epc_rotation(state.epc), basis) < config.e_threshold:
-            return ControllerState(state.epc, state.recenter_count, converged=True)
-    return ControllerState(state.epc, state.recenter_count, converged=False)
+            recenters += adjust_squeezer(sweep, i, sim_context, config)
+        if sim_context.evaluate(sweep.swept, basis) < config.e_threshold:
+            return ControllerState(state.epc.with_voltages(sweep.voltages), recenters, True)
+    return ControllerState(state.epc.with_voltages(sweep.voltages), recenters, False)
 
 
 @dataclass(frozen=True)
@@ -263,13 +228,9 @@ def track(
     if duration < 0:
         raise ValueError("duration must be non-negative")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    kids = ss.spawn(6)
-    rng_channel = np.random.Generator(np.random.Philox(kids[0]))
-    rng_drift = np.random.Generator(np.random.Philox(kids[1]))
-    rng_monitor = np.random.Generator(np.random.Philox(kids[2]))
-    rng_reveal = np.random.Generator(np.random.Philox(kids[3]))
-    rng_ctrl_z = np.random.Generator(np.random.Philox(kids[4]))
-    rng_ctrl_x = np.random.Generator(np.random.Philox(kids[5]))
+    rng_channel, rng_drift, rng_monitor, rng_reveal, rng_ctrl_z, rng_ctrl_x = (
+        np.random.Generator(np.random.Philox(kid)) for kid in ss.spawn(6)
+    )
 
     def drifted(state: ControllerState) -> ControllerState:
         epc = drift_axes(

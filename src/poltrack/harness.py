@@ -213,12 +213,18 @@ def parse_config(text: str) -> ScenarioConfig:
         try:
             changes[section] = replace(getattr(base, section), **values)
         except ValueError as exc:  # a section's own checks, one "key: text" line each
-            errors.extend(f"{section}.{line}" for line in str(exc).splitlines())
+            for line in str(exc).splitlines():  # each reads one key; the others still build
+                errors.append(f"{section}.{line}")
+                values.pop(line.split(":", 1)[0], None)
+            changes[section] = replace(getattr(base, section), **values)
 
+    cfg = replace(base, **changes)
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        errors.extend(str(exc).splitlines())
     if errors:
         raise ConfigError("\n".join(errors))
-    cfg = replace(base, **changes)
-    validate_config(cfg)
     return cfg
 
 

@@ -14,28 +14,20 @@ at a constant rate.
 States are immutable values evolved by pure step functions taking explicit
 random generators; independent simulation instances may run concurrently.
 
-The EPC's hot path (``epc_rotation``, ``probe_rotation``,
-``EpcState.with_voltage`` and ``drift_axes``) composes its quaternions and
-tips its axes on plain floats and validates only the objects it returns.  It
-calls the float kernels that the public ``poincare`` quaternion API
-(``rotation_from_axis_angle``, ``compose``, ``apply_rotation``) wraps, so it
-agrees with that checked reference bit for bit; ``tests/optics_oracle.py``
-keeps the object-based form.
+``epc_rotation`` and ``drift_axes`` compose quaternions and tip axes on
+plain floats and validate only the objects they return.  They call the float
+kernels that the public ``poincare`` quaternion API wraps, so they agree
+with that checked reference bit for bit; ``tests/optics_oracle.py`` keeps
+the object-based form.  A squeezer whose angle gain * voltage overflows can
+be built and fails the "rotation angle must be finite" check when rotated.
 
-A squeezer's stage quaternion depends only on its own immutable state, so
-each ``SqueezerState`` computes it on first use and keeps it, and
-``epc_rotation`` composes the kept stages.  A controller re-rotates one EPC
-many times while changing one squeezer at a time, so only the changed stage
-is recomputed.  ``probe_rotation`` goes one step further for the controller's
-dither probe: it swaps one stage for the probe voltage's quaternion without
-building the probed ``EpcState`` at all.  The stage is computed lazily, not
-on construction, so a state whose angle gain * voltage overflows can be
-built and fails with the "rotation angle must be finite" check only when it
-is rotated.
+A controller correction rotates no EPC at all: along one squeezer's voltage
+the analyzer element of an arm is a sinusoid, which ``AnalyzerSweep``
+evaluates in closed form, building no rotation, squeezer or EPC.
 
 ``SqueezerState`` is built like ``poincare``'s hot values: its own
 ``__init__`` validates the arguments and fills ``__dict__`` directly, and
-``dataclasses.replace`` goes through the same checks.  ``with_voltage`` and
+``dataclasses.replace`` goes through the same checks.  ``with_voltages`` and
 ``drift_axes`` change only voltages or current axes, so their copies keep
 nominal axes that the source EPC's ``__post_init__`` has already checked and
 skip that check; the public ``EpcState`` constructor keeps it.
@@ -75,27 +67,6 @@ SQUEEZER_AXIS_A = StokesVector(1.0, 0.0, 0.0)
 SQUEEZER_AXIS_B = StokesVector(0.0, 1.0, 0.0)
 
 
-class _kept:
-    """``functools.cached_property`` without its lock.
-
-    On first access it stores the value in the instance ``__dict__``, where
-    every later access finds it as a plain attribute.  Python 3.11's
-    ``cached_property`` takes a lock on each first access, which costs more
-    than computing the stage quaternion it keeps.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 def _out_of_range(voltage: float, v_min: float, v_max: float) -> ValueError:
     return ValueError(f"voltage {voltage!r} outside [{v_min!r}, {v_max!r}]")
 
@@ -112,13 +83,8 @@ class SqueezerState:
     v_max: float
 
     def __init__(
-        self,
-        axis: StokesVector,
-        nominal_axis: StokesVector,
-        gain: float,
-        voltage: float,
-        v_min: float = DEFAULT_V_MIN,
-        v_max: float = DEFAULT_V_MAX,
+        self, axis: StokesVector, nominal_axis: StokesVector, gain: float, voltage: float,
+        v_min: float = DEFAULT_V_MIN, v_max: float = DEFAULT_V_MAX,
     ) -> None:
         if not (v_min < v_max):
             raise ValueError("squeezer voltage range is empty")
@@ -135,16 +101,6 @@ class SqueezerState:
     def center(self) -> float:
         """Center of the drive range, the reset target for endless control."""
         return 0.5 * (self.v_min + self.v_max)
-
-    def stage_at(self, voltage: float) -> tuple[float, float, float, float]:
-        """Quaternion ``(w, x, y, z)`` of angle gain * ``voltage`` about the axis."""
-        a = self.axis
-        return _axis_angle_q(a.s1, a.s2, a.s3, self.gain * voltage)
-
-    @_kept
-    def stage(self) -> tuple[float, float, float, float]:
-        """This squeezer's quaternion at its own voltage, computed on first use."""
-        return self.stage_at(self.voltage)
 
 
 @dataclass(frozen=True)
@@ -175,6 +131,13 @@ class EpcState:
         sq = sqs[i]
         sqs[i] = SqueezerState(sq.axis, sq.nominal_axis, sq.gain, voltage, sq.v_min, sq.v_max)
         return self._copy(tuple(sqs))
+
+    def with_voltages(self, voltages) -> "EpcState":
+        """Copy with the squeezers driven at ``voltages``, in light-path order."""
+        return self._copy(tuple(
+            SqueezerState(sq.axis, sq.nominal_axis, sq.gain, v, sq.v_min, sq.v_max)
+            for sq, v in zip(self.squeezers, voltages)
+        ))
 
     def _copy(self, squeezers: tuple[SqueezerState, ...]) -> "EpcState":
         """An EPC of ``squeezers``, which keep this EPC's nominal axes.
@@ -209,48 +172,118 @@ def default_epc(
         g = gain
         if gain_jitter > 0.0:
             g = gain * (1.0 + gain_jitter * rng.uniform(-1.0, 1.0))
-        squeezers.append(
-            SqueezerState(
-                axis=axis,
-                nominal_axis=axis,
-                gain=g,
-                voltage=center,
-                v_min=v_min,
-                v_max=v_max,
-            )
-        )
+        squeezers.append(SqueezerState(axis, axis, g, center, v_min, v_max))
     return EpcState(tuple(squeezers))
-
-
-def _compose_stages(q0, q1, q2, q3) -> Rotation:
-    """Rotation of four stage quaternions, light through ``q0`` first."""
-    return Rotation(*_qmul(q3, _qmul(q2, _qmul(q1, q0))))
 
 
 def epc_rotation(epc: EpcState) -> Rotation:
     """Composite rotation of the whole EPC; light traverses squeezer 1 first.
 
-    Each stage is the squeezer's kept quaternion of angle gain * voltage about
-    its axis, multiplied on the left of the running product by ``compose``'s
+    Each stage, the quaternion of angle gain * voltage about the squeezer's
+    axis, is multiplied on the left of the running product by ``compose``'s
     kernel, which renormalizes after every product.
     """
-    s0, s1, s2, s3 = epc.squeezers
-    return _compose_stages(s0.stage, s1.stage, s2.stage, s3.stage)
+    q0, q1, q2, q3 = (
+        _axis_angle_q(sq.axis.s1, sq.axis.s2, sq.axis.s3, sq.gain * sq.voltage)
+        for sq in epc.squeezers
+    )
+    return Rotation(*_qmul(q3, _qmul(q2, _qmul(q1, q0))))
 
 
-def probe_rotation(epc: EpcState, i: int, voltage: float) -> Rotation:
-    """``epc_rotation(epc.with_voltage(i, voltage))``, without building that EPC.
+_ANALYZER_INDEX = {"Z": 0, "X": 1}  # arm -> its analyzer axis: s1 (H) or s2 (diagonal)
 
-    Swaps squeezer ``i``'s stage for its quaternion at ``voltage``, which must
-    lie in the squeezer's drive range, and composes the stages in the same
-    order, so the result is the same bit for bit.
+
+def _turn(a, c: float, s: float, v) -> tuple[float, float, float]:
+    """``v`` turned about the unit axis ``a`` by the angle of cosine ``c``, sine ``s``."""
+    a1, a2, a3 = a
+    v1, v2, v3 = v
+    k = (1.0 - c) * (a1 * v1 + a2 * v2 + a3 * v3)
+    return (
+        c * v1 + s * (a2 * v3 - a3 * v2) + k * a1,
+        c * v2 + s * (a3 * v1 - a1 * v3) + k * a2,
+        c * v3 + s * (a1 * v2 - a2 * v1) + k * a3,
+    )
+
+
+class AnalyzerSweep:
+    """One arm's analyzer element along each squeezer of its EPC, in closed form.
+
+    The element is ``photon_sim.analyzer_element``'s ``m = e_b . R e_b``.  Let
+    ``a`` be squeezer i's unit axis and theta = gain * v its angle, ``w`` the
+    analyzer axis ``e_b`` pushed forward through the channel and the stages
+    before i, and ``u`` the axis ``e_b`` pulled back through the stages after i:
+
+        m(theta) = (u.a)(a.w) + cos(theta) [u.w - (u.a)(a.w)] + sin(theta) u.(a x w).
+
+    Sweeps visit squeezers 0..3 in order, as the controller does.  A sweep
+    begins by pulling the ``u``'s back through the current stages;
+    ``element(i, v)`` reads squeezer i's sinusoid, and ``land(i, v)`` drives
+    squeezer i at ``v`` and turns ``w`` on through it.  The fourth landing
+    sets ``swept``, ``w`` on ``e_b``, and begins the next sweep.  The channel
+    is frozen and the sweep owns its arm's ``voltages`` for one correction.
+    Each voltage read is range-checked as a ``SqueezerState`` is, and a drive
+    range that could overflow the angle is refused up front.
     """
-    sq = epc.squeezers[i]
-    if not (sq.v_min <= voltage <= sq.v_max):
-        raise _out_of_range(voltage, sq.v_min, sq.v_max)
-    stages = [s.stage for s in epc.squeezers]
-    stages[i] = sq.stage_at(voltage)
-    return _compose_stages(*stages)
+
+    def __init__(self, channel_rot: Rotation, epc: EpcState, basis: str):
+        if basis not in _ANALYZER_INDEX:
+            raise ValueError(f"unknown basis {basis!r}")
+        self.basis, self.squeezers, self.voltages = basis, epc.squeezers, list(epc.voltages)
+        self._b = _ANALYZER_INDEX[basis]
+        self._e = tuple(float(k == self._b) for k in range(3))
+        q = channel_rot
+        self._w0 = _rotate((q.w, q.x, q.y, q.z), self._e)  # the sent state e_b after the channel
+        self._axes = []
+        for sq in self.squeezers:
+            if not math.isfinite(sq.gain * max(abs(sq.v_min), abs(sq.v_max))):
+                raise ValueError("rotation angle must be finite")
+            a, n = sq.axis, math.sqrt(sq.axis.dot(sq.axis))
+            self._axes.append((a.s1 / n, a.s2 / n, a.s3 / n))
+        self.swept = None  # the element after the last complete sweep
+        self._begin()
+
+    def _begin(self) -> None:
+        u = self._e
+        self._u = [u, u, u, u]
+        for i in (3, 2, 1):
+            theta = self.squeezers[i].gain * self.voltages[i]
+            u = self._u[i - 1] = _turn(self._axes[i], math.cos(theta), -math.sin(theta), u)
+        self._w = self._w0
+        self._move_to(0)
+
+    def _move_to(self, i: int) -> None:
+        self.at = i  # the squeezer the sweep is at
+        (u1, u2, u3), (a1, a2, a3), (w1, w2, w3) = self._u[i], self._axes[i], self._w
+        fixed = (u1 * a1 + u2 * a2 + u3 * a3) * (a1 * w1 + a2 * w2 + a3 * w3)
+        self._line = (
+            fixed,
+            u1 * w1 + u2 * w2 + u3 * w3 - fixed,
+            u1 * (a2 * w3 - a3 * w2) + u2 * (a3 * w1 - a1 * w3) + u3 * (a1 * w2 - a2 * w1),
+        )
+
+    def element(self, i: int, voltage: float) -> float:
+        """Analyzer element with squeezer ``i``, the one the sweep is at, at ``voltage``."""
+        if i != self.at:
+            raise ValueError(f"the sweep is at squeezer {self.at}, not {i}")
+        sq = self.squeezers[i]
+        if not (sq.v_min <= voltage <= sq.v_max):
+            raise _out_of_range(voltage, sq.v_min, sq.v_max)
+        fixed, cos_part, sin_part = self._line
+        theta = sq.gain * voltage
+        return fixed + cos_part * math.cos(theta) + sin_part * math.sin(theta)
+
+    def land(self, i: int, voltage: float) -> None:
+        """Drive squeezer ``i`` at ``voltage`` and move the sweep on to the next."""
+        if i != self.at:
+            raise ValueError(f"the sweep is at squeezer {self.at}, not {i}")
+        self.voltages[i] = voltage
+        theta = self.squeezers[i].gain * voltage
+        self._w = _turn(self._axes[i], math.cos(theta), math.sin(theta), self._w)
+        if i < 3:
+            self._move_to(i + 1)
+        else:
+            self.swept = self._w[self._b]
+            self._begin()
 
 
 def _tangent_basis(

@@ -29,15 +29,12 @@ those nine outcomes, at a cost independent of the number of pulses.
 Batches are pure functions of their random generator.
 
 A controller evaluates the feedback signal many times per correction, each
-time from one fresh batch, so the per-batch path is kept lean.  The EPC
-rotations it receives are composed from the squeezers' kept stage
-quaternions, and a dither probe's from ``optics.probe_rotation``, which
-builds no probed EPC.  Within one correction only the measured arm's EPC
-changes, so ``feedback.MonteCarloContext`` computes the other arm's four
-cells once and each evaluation computes only the measured arm's.  Every
-batch is drawn through the module-level name ``simulate_batch``, which pulse
-accounting may rebind; it takes the eight cells and does nothing but the
-draw.  ``DetectionTally`` and ``MeasurementMatrix`` are built like
+from one fresh batch, so that path is kept lean: ``optics.AnalyzerSweep``
+gives the measured arm's ``m`` in closed form, ``feedback.MonteCarloContext``
+computes the other arm's cells once, and every batch is drawn through the
+module-level name ``simulate_batch``, which pulse accounting may rebind; it
+takes the eight cells and does nothing but the draw.
+``DetectionTally`` and ``MeasurementMatrix`` are built like
 ``poincare``'s values: their own ``__init__`` validates the arguments and
 fills ``__dict__`` directly.  ``DetectionTally`` checks its counts in one
 ``min`` pass and names a field only when one is negative, and

@@ -18,11 +18,11 @@ Conventions used throughout the package:
 All types are immutable values and all operations are pure functions, so they
 are safe to use concurrently without coordination.
 
-A controller evaluation builds several of these values, so the frozen value
-types on the hot path (here, and ``DetectionTally``, ``MeasurementMatrix``,
-``SqueezerState`` and ``ControllerState`` elsewhere in the package) write
-their own ``__init__``: it validates the arguments as local values and fills
-the instance ``__dict__`` in one call, where a dataclass-generated ``__init__``
+Every feedback cycle builds several of these values, so the frozen value
+types on the hot path (here, and ``DetectionTally``, ``MeasurementMatrix``
+and ``SqueezerState`` elsewhere in the package) write their own
+``__init__``: it validates the arguments as local values and fills the
+instance ``__dict__`` in one call, where a dataclass-generated ``__init__``
 calls ``object.__setattr__`` once per field.  They stay frozen dataclasses, so
 assignment still raises ``FrozenInstanceError``, ``==``, ``hash`` and ``repr``
 are generated from the fields, and ``dataclasses.replace`` re-validates

@@ -1,0 +1,81 @@
+"""Reference controller on composed EPC rotations, and the noiseless context.
+
+``adjust_squeezer`` and ``control_cycle`` are the dither-gradient controller
+as the package ran it before ``feedback`` moved each correction onto
+``optics.AnalyzerSweep``: every evaluation composes the EPC's rotation with
+``epc_rotation`` and reads its analyzer element with ``analyzer_element``,
+and every step builds its ``EpcState`` and ``ControllerState``.  The dither
+probe rotates ``epc.with_voltage(i, v + D)``, which the package's former
+``probe_rotation`` matched bit for bit.  The decisions are the package's:
+hold, dither, step, recenter and the sweep cap, on E alone.
+``tests/test_feedback.py`` requires the package's controller to return the
+same voltages, recenters and converged flag as this one.
+
+``ExactContext`` is the noiseless feedback signal of one frozen channel.
+With no detector noise both rows of the measurement matrix have the same
+wrong-port probability j = (1 - m) / 2, so E = 4 j^2.  It is the reference
+the controller is checked against, not the mean of the noisy plant.
+"""
+
+from __future__ import annotations
+
+from poltrack.feedback import ControllerConfig, ControllerState
+from poltrack.optics import epc_rotation
+from poltrack.photon_sim import analyzer_element
+from poltrack.poincare import Rotation
+
+
+class ExactContext:
+    """Noiseless closed-form feedback signal, ``evaluate(m, basis) = 4 ((1 - m) / 2)^2``."""
+
+    def __init__(self, channel_rot: Rotation):
+        self.channel_rot = channel_rot
+
+    def evaluate(self, m: float, basis: str) -> float:
+        j = 0.5 * (1.0 - m)
+        return 4.0 * j * j
+
+
+def evaluate_rotation(ctx, epc_rot: Rotation, basis: str) -> float:
+    """E of the context's plant with the measured arm's EPC rotated by ``epc_rot``."""
+    return ctx.evaluate(analyzer_element(ctx.channel_rot, epc_rot, basis), basis)
+
+
+def adjust_squeezer(
+    state: ControllerState, i: int, basis: str, sim_context, config: ControllerConfig
+) -> ControllerState:
+    """One dither-gradient step on squeezer ``i`` (0-based)."""
+    if not 0 <= i <= 3:
+        raise ValueError("squeezer index must be 0..3")
+    epc = state.epc
+    sq = epc.squeezers[i]
+    recenters = 0
+    v = sq.voltage
+    if v + config.dither_volts > sq.v_max:
+        v = sq.center
+        recenters += 1
+        epc = epc.with_voltage(i, v)
+    e1 = evaluate_rotation(sim_context, epc_rotation(epc), basis)
+    probed = epc.with_voltage(i, v + config.dither_volts)
+    e2 = evaluate_rotation(sim_context, epc_rotation(probed), basis)
+    v_new = v + config.tau * (e2 - e1) / config.dither_volts
+    if not (sq.v_min <= v_new <= sq.v_max):
+        v_new = sq.center
+        recenters += 1
+    return ControllerState(
+        epc.with_voltage(i, v_new), state.recenter_count + recenters, state.converged
+    )
+
+
+def control_cycle(
+    state: ControllerState, e: float, basis: str, sim_context, config: ControllerConfig
+) -> ControllerState:
+    """Hold below threshold, else sweep squeezers 1..4 until E < threshold or the cap."""
+    if e < config.e_threshold:
+        return ControllerState(state.epc, state.recenter_count, converged=True)
+    for _ in range(config.max_cycles_per_correction):
+        for i in range(4):
+            state = adjust_squeezer(state, i, basis, sim_context, config)
+        if evaluate_rotation(sim_context, epc_rotation(state.epc), basis) < config.e_threshold:
+            return ControllerState(state.epc, state.recenter_count, converged=True)
+    return ControllerState(state.epc, state.recenter_count, converged=False)

@@ -16,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from controller_oracle import ExactContext, evaluate_rotation
 from poltrack.feedback import (
     ControllerConfig,
     ControllerState,
-    ExactContext,
     MonteCarloContext,
     control_cycle,
 )
@@ -159,9 +159,9 @@ def test_criterion_4_convergence():
         angle = float(rng.uniform(0.0, math.pi / 2))
         ctx = ExactContext(rotation_from_axis_angle(StokesVector(*axis), angle))
         state = ControllerState(epc=default_epc(rng, gain_jitter=0.1))
-        e = ctx.evaluate(epc_rotation(state.epc), "Z")
+        e = evaluate_rotation(ctx, epc_rotation(state.epc), "Z")
         state = control_cycle(state, e, "Z", ctx, cfg)
-        if state.converged and ctx.evaluate(epc_rotation(state.epc), "Z") < e_thr:
+        if state.converged and evaluate_rotation(ctx, epc_rotation(state.epc), "Z") < e_thr:
             ok += 1
     assert ok >= 48, f"noiseless convergence {ok}/50"
 
@@ -187,9 +187,9 @@ def test_criterion_4_convergence():
             channel, src, 1.0, mc_cfg, np.random.Generator(np.random.Philox(9000 + case))
         )
         state = ControllerState(epc=default_epc(rng, gain_jitter=0.1))
-        e = ctx.evaluate(epc_rotation(state.epc), "Z")
+        e = evaluate_rotation(ctx, epc_rotation(state.epc), "Z")
         state = control_cycle(state, e, "Z", ctx, mc_cfg)
-        e_true = ExactContext(channel).evaluate(epc_rotation(state.epc), "Z")
+        e_true = evaluate_rotation(ExactContext(channel), epc_rotation(state.epc), "Z")
         if e_true < e_thr + slack:
             ok_mc += 1
     assert ok_mc >= 45, f"noisy convergence {ok_mc}/50"

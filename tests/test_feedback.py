@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from poltrack import feedback
+import controller_oracle as oracle
+from controller_oracle import ExactContext, evaluate_rotation
 from poltrack.feedback import (
     ControllerConfig,
     ControllerState,
-    ExactContext,
     MonteCarloContext,
     World,
     adjust_squeezer,
@@ -18,6 +19,7 @@ from poltrack.feedback import (
 )
 from poltrack.harness import preset_config, run_scenario
 from poltrack.optics import (
+    AnalyzerSweep,
     ScramblerChannel,
     StaticChannel,
     default_epc,
@@ -59,19 +61,22 @@ def mc_context(channel_rot, seed, batch=16_000, source=NOISELESS, eta=1.0):
 
 def measure_e(state, basis, ctx):
     """One fresh evaluation of E at the state's current voltages."""
-    return ctx.evaluate(epc_rotation(state.epc), basis)
+    return evaluate_rotation(ctx, epc_rotation(state.epc), basis)
 
 
-class RecordingContext(ExactContext):
-    """ExactContext that records the rotation of each evaluation."""
+def adjust_one(state, i, basis, ctx, cfg):
+    """``adjust_squeezer`` on squeezer ``i`` of a sweep started from ``state``.
 
-    def __init__(self, channel_rot):
-        super().__init__(channel_rot)
-        self.rotations = []
-
-    def evaluate(self, epc_rot, basis):
-        self.rotations.append(epc_rot)
-        return super().evaluate(epc_rot, basis)
+    The sweep lands the squeezers before ``i`` where they are, so the step
+    sees the state's EPC; the result is the state the step leaves.
+    """
+    sweep = AnalyzerSweep(ctx.channel_rot, state.epc, basis)
+    for k in range(i):
+        sweep.land(k, sweep.voltages[k])
+    recenters = adjust_squeezer(sweep, i, ctx, cfg)
+    return ControllerState(
+        state.epc.with_voltages(sweep.voltages), state.recenter_count + recenters, state.converged
+    )
 
 
 class CountingContext(ExactContext):
@@ -79,9 +84,9 @@ class CountingContext(ExactContext):
 
     calls = 0
 
-    def evaluate(self, epc_rot, basis):
+    def evaluate(self, m, basis):
         self.calls += 1
-        return super().evaluate(epc_rot, basis)
+        return super().evaluate(m, basis)
 
 
 class TestFeedbackError:
@@ -129,8 +134,8 @@ class TestBasisAlignmentFixedPoint:
             angle = rng.uniform(0.05, 2 * math.pi - 0.05)
             channel = rotation_from_axis_angle(StokesVector(*v), float(angle))
             ctx = ExactContext(channel)
-            e_z = ctx.evaluate(IDENTITY, "Z")
-            e_x = ctx.evaluate(IDENTITY, "X")
+            e_z = evaluate_rotation(ctx, IDENTITY, "Z")
+            e_x = evaluate_rotation(ctx, IDENTITY, "X")
             if e_z <= 1e-15 and e_x <= 1e-15:
                 # both bases aligned: the rotation must act as the identity
                 # on the whole sphere (angle 0 or a full turn)
@@ -142,13 +147,13 @@ class TestBasisAlignmentFixedPoint:
         # to it, but the X basis sees it
         r = rotation_from_axis_angle(StokesVector(1.0, 0.0, 0.0), 0.7)
         ctx = ExactContext(r)
-        assert ctx.evaluate(IDENTITY, "Z") == pytest.approx(0.0, abs=1e-15)
-        assert ctx.evaluate(IDENTITY, "X") > 1e-3
+        assert evaluate_rotation(ctx, IDENTITY, "Z") == pytest.approx(0.0, abs=1e-15)
+        assert evaluate_rotation(ctx, IDENTITY, "X") > 1e-3
 
     def test_zero_feedback_in_both_bases_means_zero_qber(self):
         ctx = ExactContext(IDENTITY)
-        assert ctx.evaluate(IDENTITY, "Z") == 0.0
-        assert ctx.evaluate(IDENTITY, "X") == 0.0
+        assert evaluate_rotation(ctx, IDENTITY, "Z") == 0.0
+        assert evaluate_rotation(ctx, IDENTITY, "X") == 0.0
         # wrong-port rate (1 - m) / 2 of each arm
         assert analyzer_element(IDENTITY, IDENTITY, "Z") == 1.0
         assert analyzer_element(IDENTITY, IDENTITY, "X") == 1.0
@@ -166,7 +171,7 @@ class TestMeasureE:
         ctx, _ = mc_context(channel, 2, batch=40_000, source=src)
         state = ControllerState(epc=default_epc())
         values = [measure_e(state, "Z", ctx) for _ in range(100)]
-        analytic = ExactContext(channel).evaluate(epc_rotation(state.epc), "Z")
+        analytic = evaluate_rotation(ExactContext(channel), epc_rotation(state.epc), "Z")
         assert analytic == pytest.approx(0.25, abs=1e-12)
         se = float(np.std(values)) / math.sqrt(len(values))
         assert abs(float(np.mean(values)) - analytic) <= 3 * se
@@ -191,7 +196,7 @@ class TestAdjustSqueezer:
         ctx = ExactContext(IDENTITY)
         state = ControllerState(epc=default_epc())
         voltages = state.epc.voltages
-        out = adjust_squeezer(state, 0, "Z", ctx, ControllerConfig())
+        out = adjust_one(state, 0, "Z", ctx, ControllerConfig())
         assert out.epc.voltages == voltages
         assert out.recenter_count == 0
 
@@ -209,12 +214,16 @@ class TestAdjustSqueezer:
             sq = state.epc.squeezers[i]
             # independent central-difference slope with step D/10
             h = cfg.dither_volts / 10.0
-            e_plus = ctx.evaluate(epc_rotation(state.epc.with_voltage(i, sq.voltage + h)), "Z")
-            e_minus = ctx.evaluate(epc_rotation(state.epc.with_voltage(i, sq.voltage - h)), "Z")
+            e_plus = evaluate_rotation(
+                ctx, epc_rotation(state.epc.with_voltage(i, sq.voltage + h)), "Z"
+            )
+            e_minus = evaluate_rotation(
+                ctx, epc_rotation(state.epc.with_voltage(i, sq.voltage - h)), "Z"
+            )
             slope = (e_plus - e_minus) / (2.0 * h)
             if abs(slope) < 1e-4:
                 continue
-            out = adjust_squeezer(state, i, "Z", ctx, cfg)
+            out = adjust_one(state, i, "Z", ctx, cfg)
             dv = out.epc.squeezers[i].voltage - sq.voltage
             assert math.copysign(1.0, dv) == -math.copysign(1.0, slope)
             checked += 1
@@ -227,7 +236,7 @@ class TestAdjustSqueezer:
         ctx = ExactContext(channel)
         cfg = ControllerConfig(tau=-1e9)
         state = ControllerState(epc=default_epc())
-        out = adjust_squeezer(state, 1, "Z", ctx, cfg)
+        out = adjust_one(state, 1, "Z", ctx, cfg)
         sq = out.epc.squeezers[1]
         assert sq.voltage == sq.center
         assert out.recenter_count == 1
@@ -236,7 +245,7 @@ class TestAdjustSqueezer:
         ctx = ExactContext(IDENTITY)
         cfg = ControllerConfig()
         state = ControllerState(epc=default_epc().with_voltage(2, 149.5))
-        out = adjust_squeezer(state, 2, "Z", ctx, cfg)
+        out = adjust_one(state, 2, "Z", ctx, cfg)
         assert out.recenter_count == 1
         assert out.epc.squeezers[2].voltage == out.epc.squeezers[2].center
 
@@ -249,49 +258,23 @@ class TestAdjustSqueezer:
         h = 1e-4
 
         def fd_slope(d):
-            e1 = ctx.evaluate(epc_rotation(epc), "Z")
-            e2 = ctx.evaluate(epc_rotation(epc.with_voltage(i, v + d)), "Z")
+            e1 = evaluate_rotation(ctx, epc_rotation(epc), "Z")
+            e2 = evaluate_rotation(ctx, epc_rotation(epc.with_voltage(i, v + d)), "Z")
             return (e2 - e1) / d
 
         truth = (
-            ctx.evaluate(epc_rotation(epc.with_voltage(i, v + h)), "Z")
-            - ctx.evaluate(epc_rotation(epc.with_voltage(i, v - h)), "Z")
+            evaluate_rotation(ctx, epc_rotation(epc.with_voltage(i, v + h)), "Z")
+            - evaluate_rotation(ctx, epc_rotation(epc.with_voltage(i, v - h)), "Z")
         ) / (2.0 * h)
         err_d = abs(fd_slope(1.0) - truth)
         err_half = abs(fd_slope(0.5) - truth)
         assert err_half <= 0.6 * err_d + 1e-12
 
-    def test_probe_rotates_the_probed_epc_bit_for_bit(self):
-        # over random wandered EPCs, the two evaluations see exactly the
-        # rotations of the working EPC and of the EPC at voltage + D
-        rng = np.random.default_rng(57)
-        cfg = ControllerConfig()
-        recentered = 0
-        for _ in range(200):
-            epc = default_epc(rng, gain_jitter=0.1)
-            for i in range(4):
-                epc = epc.with_voltage(i, float(rng.uniform(0.0, 150.0)))
-            epc = drift_axes(epc, 1, rng, sigma=0.3, max_wander=math.pi)
-            channel = rotation_from_axis_angle(StokesVector(*random_unit(rng)), rng.uniform(0, 3))
-            ctx = RecordingContext(channel)
-            i = int(rng.integers(0, 4))
-            v = epc.squeezers[i].voltage
-            if v + cfg.dither_volts > epc.squeezers[i].v_max:
-                v = epc.squeezers[i].center
-                epc = epc.with_voltage(i, v)
-                recentered += 1
-            adjust_squeezer(ControllerState(epc), i, "Z", ctx, cfg)
-            assert ctx.rotations == [
-                epc_rotation(epc),
-                epc_rotation(epc.with_voltage(i, v + cfg.dither_volts)),
-            ]
-        assert recentered > 0
-
     def test_index_validation(self):
         ctx = ExactContext(IDENTITY)
-        state = ControllerState(epc=default_epc())
+        sweep = AnalyzerSweep(IDENTITY, default_epc(), "Z")
         with pytest.raises(ValueError):
-            adjust_squeezer(state, 4, "Z", ctx, ControllerConfig())
+            adjust_squeezer(sweep, 4, ctx, ControllerConfig())
 
 
 class TestControlCycle:
@@ -345,7 +328,7 @@ class TestControlCycle:
         # each sweep is four two-point probes plus one re-measurement
         channel = rotation_from_axis_angle(S2, math.radians(30.0))
         start = ControllerState(epc=default_epc())
-        e0 = ExactContext(channel).evaluate(epc_rotation(start.epc), "Z")
+        e0 = evaluate_rotation(ExactContext(channel), epc_rotation(start.epc), "Z")
 
         def run(cap):
             ctx = CountingContext(channel)
@@ -379,6 +362,74 @@ class TestControlCycle:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="batch_pulses"):
             ControllerConfig(batch_pulses=0)
+
+
+def random_correction_start(rng):
+    """A drifted jittered-gain EPC at random voltages behind a random misalignment."""
+    epc = default_epc(rng, gain_jitter=0.1)
+    for i in range(4):
+        epc = epc.with_voltage(i, float(rng.uniform(0.0, 150.0)))
+    epc = drift_axes(epc, 1, rng, sigma=0.05, max_wander=math.radians(10.0))
+    axis = StokesVector(*random_unit(rng))
+    channel = rotation_from_axis_angle(axis, float(rng.uniform(0.0, math.pi / 2)))
+    return ControllerState(epc), channel
+
+
+class TestMatchesOracleController:
+    """The controller equals ``controller_oracle``, which composes EPC rotations.
+
+    Both decide on E alone; the package reads each analyzer element from
+    ``AnalyzerSweep``'s closed form, the oracle from ``epc_rotation`` and
+    ``analyzer_element``.
+    """
+
+    @numpy_streams_as_golden
+    @pytest.mark.parametrize("fraction", [1.0, 0.1])
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_monte_carlo_corrections_equal_the_oracle_bit_for_bit(self, basis, fraction):
+        src = SourceParams(mean_photons=0.5, dark_count_prob=1e-4, misalignment_floor=0.012)
+        cfg = ControllerConfig(batch_pulses=25_000, sample_fraction=fraction)
+        rng = np.random.default_rng(81 if basis == "Z" else 82)
+        outcomes = set()
+        for k in range(200):
+            start, channel = random_correction_start(rng)
+            ctx, ref = (
+                MonteCarloContext(channel, src, 0.9, cfg, rng_for(1000 + k)) for _ in range(2)
+            )
+            out = control_cycle(start, 1.0, basis, ctx, cfg)
+            want = oracle.control_cycle(start, 1.0, basis, ref, cfg)
+            assert out.epc.voltages == want.epc.voltages, k
+            assert out.recenter_count == want.recenter_count, k
+            assert out.converged == want.converged, k
+            assert ctx.rng.random(4).tolist() == ref.rng.random(4).tolist(), k  # same stream
+            outcomes.add((out.converged, out.recenter_count > 0))
+        # converged and capped corrections, with and without recenters, all occur
+        assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_exact_corrections_match_the_oracle(self, basis):
+        cfg = ControllerConfig()
+        rng = np.random.default_rng(83 if basis == "Z" else 84)
+        agreed = diverged = 0
+        for k in range(200):
+            start, channel = random_correction_start(rng)
+            ctx, ref = CountingContext(channel), CountingContext(channel)
+            out = control_cycle(start, 1.0, basis, ctx, cfg)
+            want = oracle.control_cycle(start, 1.0, basis, ref, cfg)
+            same_decisions = (
+                ctx.calls == ref.calls
+                and out.converged == want.converged
+                and out.recenter_count == want.recenter_count
+            )
+            if not same_decisions:
+                diverged += 1
+                continue
+            agreed += 1
+            gap = max(abs(a - b) for a, b in zip(out.epc.voltages, want.epc.voltages))
+            assert gap <= 1e-9, (k, gap)
+        # a flip needs E within rounding of a threshold or a range edge
+        print(f"{basis}: {agreed} corrections agree within 1e-9 V, {diverged} decided otherwise")
+        assert diverged <= 2
 
 
 class TestTrack:
@@ -483,9 +534,9 @@ class TestSimulateBatchHook:
             batches.append(n_pulses)
             return draw(n_pulses, *args)
 
-        def counted_evaluate(self, epc_rot, basis):
+        def counted_evaluate(self, m, basis):
             evaluations.append(basis)
-            return evaluate(self, epc_rot, basis)
+            return evaluate(self, m, basis)
 
         monkeypatch.setattr(feedback, "simulate_batch", counted_draw)
         monkeypatch.setattr(MonteCarloContext, "evaluate", counted_evaluate)
@@ -554,7 +605,7 @@ class TestIdleArm:
             src, eta = sources[case % 3], float(rng.uniform(0.01, 1.0))
             ctx = MonteCarloContext(channel, src, eta, ControllerConfig(), rng)
             for basis in ("Z", "X"):
-                ctx.evaluate(epc_rot, basis)
+                ctx.evaluate(analyzer_element(channel, epc_rot, basis), basis)
                 rot_z, rot_x = (epc_rot, IDENTITY) if basis == "Z" else (IDENTITY, epc_rot)
                 m_z = analyzer_element(channel, rot_z, "Z")
                 m_x = analyzer_element(channel, rot_x, "X")
@@ -576,7 +627,8 @@ class TestIdleArm:
         ctx = MonteCarloContext(channel, src, 0.9, ControllerConfig(), rng_for(74))
         assert calls == []
         for n in range(1, 6):
-            ctx.evaluate(random_rotation(np.random.default_rng(n)), "X")
+            epc_rot = random_rotation(np.random.default_rng(n))
+            ctx.evaluate(analyzer_element(channel, epc_rot, "X"), "X")
             assert len(calls) == n + 1
 
     @numpy_streams_as_golden
@@ -590,6 +642,7 @@ class TestIdleArm:
         setup = np.random.default_rng(73)
         for k in range(300):
             epc_rot, basis = random_rotation(setup), "ZX"[k % 2]
-            assert ctx.evaluate(epc_rot, basis) == full_plant_evaluate(ref, epc_rot, basis), k
+            m = analyzer_element(channel, epc_rot, basis)
+            assert ctx.evaluate(m, basis) == full_plant_evaluate(ref, epc_rot, basis), k
         # the generators end in the same state
         assert ctx.rng.random(4).tolist() == ref.rng.random(4).tolist()

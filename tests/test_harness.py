@@ -376,6 +376,24 @@ class TestConfigValidation:
             parse_config(text)
         assert str(err.value) == message
 
+    def test_section_and_cross_field_errors_reported_in_one_pass(self):
+        text = "[controller]\ntau = 5\n[epc]\ngain_rad_per_volt = -1\n[scenario]\nseed = -1\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).splitlines() == [
+            "controller.tau: must be non-positive (negative to minimize E)",
+            "scenario.seed: must be non-negative",
+            "epc.gain_rad_per_volt: must be positive",
+        ]
+
+    def test_keys_beside_a_failing_key_are_still_cross_checked(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[controller]\ntau = 5\ndither_volts = 100\n")
+        assert str(err.value).splitlines() == [
+            "controller.tau: must be non-positive (negative to minimize E)",
+            "controller.dither_volts: must be at most half the epc voltage range",
+        ]
+
     def test_unread_channel_field_is_not_checked(self):
         # a config built in code may hold any value in a field its kind never reads
         zero_axis = replace(ChannelParams(), axis=(0.0, 0.0, 0.0))

@@ -7,6 +7,7 @@ import pytest
 import optics_oracle
 from poltrack import optics, poincare
 from poltrack.optics import (
+    AnalyzerSweep,
     EpcState,
     LinkBudget,
     RandomWalkChannel,
@@ -17,9 +18,9 @@ from poltrack.optics import (
     default_epc,
     drift_axes,
     epc_rotation,
-    probe_rotation,
     transmittance,
 )
+from poltrack.photon_sim import analyzer_element
 from poltrack.poincare import (
     IDENTITY,
     StokesVector,
@@ -255,48 +256,25 @@ class TestFloatPathMatchesOracle:
             with pytest.raises(ValueError, match="finite"):
                 path(huge)
 
-    def test_kept_stages_equal_fresh_axis_angle(self):
-        rng = np.random.default_rng(54)
-        for k in range(300):
-            epc = _random_epc(rng, wander_steps=k % 3)
-            for sq in epc.squeezers:
-                a = sq.axis
-                fresh = poincare._axis_angle_q(a.s1, a.s2, a.s3, sq.gain * sq.voltage)
-                assert sq.stage == fresh
-                assert sq.stage is sq.stage  # computed once, then kept
-            # a rotation from kept stages equals one computed from scratch
-            assert epc_rotation(epc) == optics_oracle.epc_rotation(epc)
-
-    def test_probe_rotation_equals_rotating_the_probed_epc(self):
-        rng = np.random.default_rng(55)
-        for k in range(400):
-            epc = _random_epc(rng, wander_steps=k % 3)
-            if k % 2:
-                epc_rotation(epc)  # stages kept before the probe
-            i = int(rng.integers(0, 4))
-            v = float(rng.uniform(0.0, 150.0))
-            probed = epc.with_voltage(i, v)
-            assert probe_rotation(epc, i, v) == epc_rotation(probed)
-            assert probe_rotation(epc, i, v) == optics_oracle.epc_rotation(probed)
-            # the probe swaps one stage; the EPC's own stages are untouched
-            assert epc_rotation(epc) == optics_oracle.epc_rotation(epc)
-
     @pytest.mark.parametrize("v", [-0.5, 150.5, math.nan])
     def test_probe_voltage_range_checked(self, v):
         epc = _random_epc(np.random.default_rng(56))
+        sweep = AnalyzerSweep(IDENTITY, epc, "Z")
+        sweep.land(0, epc.squeezers[0].voltage)
         with pytest.raises(ValueError, match="outside"):
-            probe_rotation(epc, 1, v)
+            sweep.element(1, v)
         with pytest.raises(ValueError, match="outside"):
             epc.with_voltage(1, v)
 
     def test_probe_keeps_rotation_from_axis_angle_checks(self):
-        # gain * voltage overflows in a kept stage and in the probed one
+        # gain * voltage can overflow within squeezer 2's drive range, so a
+        # sweep of this EPC, which would probe it, is refused up front
         sqs = list(default_epc().squeezers)
         sqs[2] = replace(sqs[2], gain=1e308)
         huge = EpcState(tuple(sqs))
-        for i in (0, 2):
+        for basis in ("Z", "X"):
             with pytest.raises(ValueError, match="finite"):
-                probe_rotation(huge, i, 150.0)
+                AnalyzerSweep(IDENTITY, huge, basis)
 
     def test_with_voltage_matches_replace(self):
         rng = np.random.default_rng(52)
@@ -348,6 +326,65 @@ class TestFloatPathMatchesOracle:
         got = optics._clamp_to_cone(-nominal, nominal, math.cos(0.3), math.sin(0.3))
         assert got == optics_oracle._clamp_to_cone(-nominal, nominal, 0.3)
         assert got.dot(nominal) == pytest.approx(math.cos(0.3))
+
+
+class TestAnalyzerSweep:
+    """The closed-form analyzer element equals the composed rotation's."""
+
+    def test_element_matches_the_composed_rotation(self):
+        rng = np.random.default_rng(58)
+        worst = 0.0
+        for k in range(150):
+            epc = _random_epc(rng, wander_steps=1 + k % 3)
+            channel = rotation_from_axis_angle(StokesVector(*random_unit(rng)), rng.uniform(0, 6.3))
+            for basis in ("Z", "X"):
+                sweep = AnalyzerSweep(channel, epc, basis)
+                landed = epc
+                for _ in range(2):  # the second sweep starts from the first's landings
+                    for i in range(4):
+                        sq = epc.squeezers[i]
+                        for v in (sq.v_min, sq.v_max, *rng.uniform(sq.v_min, sq.v_max, size=3)):
+                            want = analyzer_element(
+                                channel, epc_rotation(landed.with_voltage(i, float(v))), basis
+                            )
+                            worst = max(worst, abs(sweep.element(i, float(v)) - want))
+                        v_land = float(rng.uniform(sq.v_min, sq.v_max))
+                        sweep.land(i, v_land)
+                        landed = landed.with_voltage(i, v_land)
+                    assert sweep.voltages == list(landed.voltages)
+                    want = analyzer_element(channel, epc_rotation(landed), basis)
+                    worst = max(worst, abs(sweep.swept - want))
+        assert worst <= 1e-12, worst
+
+    def test_squeezers_are_visited_in_order(self):
+        sweep = AnalyzerSweep(IDENTITY, default_epc(), "Z")
+        assert sweep.swept is None
+        with pytest.raises(ValueError, match="at squeezer 0, not 1"):
+            sweep.element(1, 75.0)
+        with pytest.raises(ValueError, match="at squeezer 0, not 2"):
+            sweep.land(2, 75.0)
+        for i in range(4):
+            sweep.land(i, 75.0)
+        assert sweep.swept == pytest.approx(1.0, abs=1e-15)
+        assert sweep.at == 0  # the next sweep has begun
+        with pytest.raises(ValueError, match="at squeezer 0, not 4"):
+            sweep.element(4, 75.0)
+
+    def test_unknown_basis(self):
+        with pytest.raises(ValueError, match="unknown basis"):
+            AnalyzerSweep(IDENTITY, default_epc(), "Y")
+
+    def test_with_voltages_matches_with_voltage(self):
+        rng = np.random.default_rng(60)
+        for _ in range(100):
+            epc = _random_epc(rng, wander_steps=1)
+            volts = [float(v) for v in rng.uniform(0.0, 150.0, size=4)]
+            one_by_one = epc
+            for i, v in enumerate(volts):
+                one_by_one = one_by_one.with_voltage(i, v)
+            assert epc.with_voltages(volts) == one_by_one
+        with pytest.raises(ValueError, match="outside"):
+            epc.with_voltages([75.0, 75.0, 151.0, 75.0])
 
 
 class TestChannels:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from poltrack.feedback import ExactContext
 from poltrack.photon_sim import (
     _COUNT_FIELDS as FIELDS,
     DetectionTally,
@@ -34,6 +33,7 @@ from conftest import (
     random_rotation,
     rodrigues_matrix,
 )
+from controller_oracle import ExactContext, evaluate_rotation
 from per_pulse_oracle import DIAG, H, sifted_cells, simulate_batch_per_pulse
 
 S2 = StokesVector(0.0, 1.0, 0.0)
@@ -173,7 +173,7 @@ class TestPlant:
             for basis, axis in (("Z", H), ("X", DIAG)):
                 image = apply_rotation(compose(epc, channel), axis)
                 j = 0.5 * (1.0 - image.dot(axis))
-                assert abs(ctx.evaluate(epc, basis) - 4.0 * j * j) <= 1e-12
+                assert abs(evaluate_rotation(ctx, epc, basis) - 4.0 * j * j) <= 1e-12
 
     def test_unknown_basis(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,6 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "tally_new",
         "compose",
         "epc_rotation",
-        "probe_rotation",
         "with_voltage",
         "drift_axes",
         "simulate_batch",
@@ -42,6 +41,7 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "adjust_squeezer_mc",
         "adjust_squeezer",
         "control_cycle",
+        "control_cycle_mc",
         "track_cycle",
         "series_to_csv_50",
     }

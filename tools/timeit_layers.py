@@ -4,21 +4,22 @@
 
 Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
 the construction of a validated ``Rotation`` (``rotation_new``) and of a
-``DetectionTally`` (``tally_new``); quaternion ``compose``; ``epc_rotation``
-(of an EPC whose squeezers already keep their stage quaternions, as on the
-controller's path), ``probe_rotation`` (one stage swapped for a probe
-voltage), ``EpcState.with_voltage`` and ``drift_axes`` of a jittered-gain
-EPC; ``simulate_batch`` of one desk batch (the draw alone, from precomputed
-sifted cells), ``reveal_sample`` of that tally at fraction 1 and of a ``--full``-sized tally
-at the ``--full`` fraction 0.1; one ``MonteCarloContext.evaluate``;
-one ``adjust_squeezer`` against a seeded ``MonteCarloContext``
-(``adjust_squeezer_mc``, the saturated controller's hot path: two
-evaluations, the probe and the landing);
-one ``adjust_squeezer`` and one ``control_cycle`` against an ``ExactContext``
-(measuring E, then a full correction from a fixed 30 degree misalignment);
-one ``track``
-cycle, averaged over a 50-cycle run from the preset's starting EPCs; and
-``series_to_csv`` of that 50-cycle series.
+``DetectionTally`` (``tally_new``); quaternion ``compose``; ``epc_rotation``,
+``EpcState.with_voltage`` and ``drift_axes`` of a jittered-gain EPC;
+``simulate_batch`` of one desk batch (the draw alone, from precomputed
+sifted cells), ``reveal_sample`` of that tally at fraction 1 and of a
+``--full``-sized tally at the ``--full`` fraction 0.1; one
+``MonteCarloContext.evaluate``; one ``adjust_squeezer`` step of a
+long-lived ``AnalyzerSweep``, on whichever squeezer the sweep is at,
+against a seeded ``MonteCarloContext`` (``adjust_squeezer_mc``: two
+evaluations, at the working voltage and at the probe) and against a
+noiseless context (``adjust_squeezer``); one ``control_cycle`` from a fixed 30 degree misalignment against the
+noiseless context (``control_cycle``) and, freshly seeded each call,
+against a ``MonteCarloContext`` (``control_cycle_mc``, the saturated
+controller's hot path); one ``track`` cycle, averaged over a 50-cycle run
+from the preset's starting EPCs; and ``series_to_csv`` of that 50-cycle
+series.  The noiseless context is defined here: E = 4 ((1 - m) / 2)^2 of
+the arm's analyzer element ``m``.
 Each figure is the fastest of ``REPEAT`` timeit repeats, with the loop count
 per repeat chosen by ``Timer.autorange``.  Prints one JSON object.  Uses the
 standard library and poltrack (with numpy, its one dependency) only, so the
@@ -42,6 +43,17 @@ from poltrack.harness import build_channel
 SEED = 12345
 TRACK_CYCLES = 50
 REPEAT = 7
+
+
+class NoiselessContext:
+    """The feedback signal of a frozen channel without detector noise."""
+
+    def __init__(self, channel_rot):
+        self.channel_rot = channel_rot
+
+    def evaluate(self, m, basis):
+        j = 0.5 * (1.0 - m)
+        return 4.0 * j * j
 
 
 def best_us(stmt, per_call: int = 1) -> float:
@@ -79,6 +91,7 @@ def main() -> None:
         m_x = pt.analyzer_element(ch_rot, epc_rot, "X")
         return pt.sifted_cell_probs(m_z, m_x, source, eta)
 
+    m_z = pt.analyzer_element(ch_rot, epc_rot, "Z")
     desk_cells = cells(world.source, world.eta)
     desk_tally = pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng)
     tally_fields = astuple(desk_tally)
@@ -88,10 +101,21 @@ def main() -> None:
     full_tally = pt.simulate_batch(full_ctrl.batch_pulses, full_cells, rng)
 
     diagonal = pt.StokesVector(0.0, 1.0, 0.0)
-    misaligned = pt.ExactContext(pt.rotation_from_axis_angle(diagonal, math.radians(30.0)))
+    misaligned = NoiselessContext(pt.rotation_from_axis_angle(diagonal, math.radians(30.0)))
     ctrl = pt.ControllerConfig(max_cycles_per_correction=200)
     state = pt.ControllerState(epc=pt.default_epc())
-    working = pt.ControllerState(epc=epc)
+    e_misaligned = misaligned.evaluate(
+        pt.analyzer_element(misaligned.channel_rot, pt.epc_rotation(state.epc), "Z"), "Z"
+    )
+
+    # long-lived sweeps; each step adjusts whichever squeezer its sweep is at
+    sweep_mc = pt.AnalyzerSweep(ch_rot, epc, "Z")
+    sweep_exact = pt.AnalyzerSweep(misaligned.channel_rot, epc, "Z")
+
+    def correct_mc():
+        rng_mc = np.random.Generator(np.random.Philox(SEED))
+        ctx = pt.MonteCarloContext(misaligned.channel_rot, world.source, world.eta, ctrl, rng_mc)
+        return pt.control_cycle(state, e_misaligned, "Z", ctx, ctrl)
 
     def track():
         return pt.track(
@@ -110,7 +134,6 @@ def main() -> None:
         "tally_new": lambda: pt.DetectionTally(*tally_fields),
         "compose": lambda: pt.compose(r1, r2),
         "epc_rotation": lambda: pt.epc_rotation(epc),
-        "probe_rotation": lambda: pt.probe_rotation(epc, 2, 80.0),
         "with_voltage": lambda: epc.with_voltage(2, 80.0),
         "drift_axes": lambda: pt.drift_axes(
             epc, 1, rng,
@@ -121,12 +144,13 @@ def main() -> None:
         f"reveal_sample_{full_ctrl.sample_fraction}": lambda: pt.reveal_sample(
             full_tally, full_ctrl.sample_fraction, rng
         ),
-        "MonteCarloContext.evaluate": lambda: mc.evaluate(epc_rot, "Z"),
-        "adjust_squeezer_mc": lambda: pt.adjust_squeezer(working, 1, "Z", mc, cfg.controller),
-        "adjust_squeezer": lambda: pt.adjust_squeezer(state, 1, "Z", misaligned, ctrl),
-        "control_cycle": lambda: pt.control_cycle(
-            state, misaligned.evaluate(pt.epc_rotation(state.epc), "Z"), "Z", misaligned, ctrl
+        "MonteCarloContext.evaluate": lambda: mc.evaluate(m_z, "Z"),
+        "adjust_squeezer_mc": lambda: pt.adjust_squeezer(sweep_mc, sweep_mc.at, mc, cfg.controller),
+        "adjust_squeezer": lambda: pt.adjust_squeezer(
+            sweep_exact, sweep_exact.at, misaligned, ctrl
         ),
+        "control_cycle": lambda: pt.control_cycle(state, e_misaligned, "Z", misaligned, ctrl),
+        "control_cycle_mc": correct_mc,
         "track_cycle": track,
         "series_to_csv_50": lambda: pt.series_to_csv(series),
     }
