@@ -182,7 +182,7 @@ def control_cycle(
     a correction builds one EPC and one state, at its end.
     """
     if e < config.e_threshold:
-        return ControllerState(state.epc, state.recenter_count, converged=True)
+        return state if state.converged else ControllerState(state.epc, state.recenter_count, True)
 
     sweep = AnalyzerSweep(sim_context.channel_rot, state.epc, basis)
     recenters = state.recenter_count
@@ -282,14 +282,14 @@ def track(
 
         rows.append(
             TimeSeriesRow(
-                cycle=cycle,
-                t_seconds=cycle * CYCLE_SECONDS,
-                qber_est=qber_est,
-                e_z=e_z,
-                e_x=e_x,
-                voltages=z_state.epc.voltages + x_state.epc.voltages,
-                recenter=z_state.recenter_count + x_state.recenter_count - recenters_before,
-                converged=data_ok and z_state.converged and x_state.converged,
+                cycle,
+                cycle * CYCLE_SECONDS,
+                qber_est,
+                e_z,
+                e_x,
+                tuple([sq.voltage for sq in z_state.epc.squeezers + x_state.epc.squeezers]),
+                z_state.recenter_count + x_state.recenter_count - recenters_before,
+                data_ok and z_state.converged and x_state.converged,
             )
         )
     return TimeSeries(tuple(rows))

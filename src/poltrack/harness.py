@@ -70,6 +70,18 @@ class EpcParams:
     axis_drift_sigma_rad: float = DEFAULT_AXIS_DRIFT_SIGMA
     max_axis_wander_rad: float = DEFAULT_MAX_AXIS_WANDER
 
+    def __post_init__(self) -> None:
+        # v_min/v_max is checked as a pair, in validate_config
+        checks = (
+            ("gain_rad_per_volt", self.gain_rad_per_volt > 0.0, "must be positive"),
+            ("gain_jitter", 0.0 <= self.gain_jitter < 1.0, "must be in [0, 1)"),
+            ("axis_drift_sigma_rad", not self.axis_drift_sigma_rad < 0.0, "must be non-negative"),
+            ("max_axis_wander_rad", self.max_axis_wander_rad >= 0.0, "must be non-negative"),
+        )
+        failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
+        if failures:
+            raise ValueError("\n".join(failures))
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -229,9 +241,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Cross-field checks with messages that name their field by ``section.key``.
+    """The checks no section makes of itself, each message naming ``section.key``.
 
-    The ``[channel]`` checks run only for the keys that ``cfg.kind`` reads.
+    These are the ``[scenario]`` keys, the ``[channel]`` keys that
+    ``cfg.kind`` reads, and the checks across fields; every other section
+    checks its own fields when it is built.
     """
     ch, epc = cfg.channel, cfg.epc
     read = _CHANNEL_KEYS.get(cfg.kind, ())
@@ -245,11 +259,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
          "need a non-zero 3-vector"),
         ("channel.step_sigma_rad", "step_sigma_rad" not in read or ch.step_sigma_rad >= 0.0,
          "must be non-negative"),
-        ("epc.gain_jitter", 0.0 <= epc.gain_jitter < 1.0, "must be in [0, 1)"),
-        ("epc.gain_rad_per_volt", epc.gain_rad_per_volt > 0.0, "must be positive"),
         ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
-        ("epc.axis_drift_sigma_rad", not epc.axis_drift_sigma_rad < 0.0, "must be non-negative"),
-        ("epc.max_axis_wander_rad", epc.max_axis_wander_rad >= 0.0, "must be non-negative"),
         # the first probe of a squeezer at its range center goes up by dither
         ("controller.dither_volts",
          0.5 * (epc.v_min + epc.v_max) + cfg.controller.dither_volts <= epc.v_max,
@@ -389,19 +399,15 @@ def summary_to_text(summary: Summary) -> str:
 # ---------------------------------------------------------------------------
 # CSV emission
 
+# cycle, t_seconds, qber_est, e_z, e_x, eight voltages, recenter, converged
+_ROW_FORMAT = ",".join(["%d"] + ["%.9g"] * 12 + ["%d", "%d"])
+
+
 def _row_text(r: TimeSeriesRow) -> str:
     """One CSV line of a row, without its newline."""
-    fields = [
-        str(r.cycle),
-        f"{r.t_seconds:.9g}",
-        f"{r.qber_est:.9g}",
-        f"{r.e_z:.9g}",
-        f"{r.e_x:.9g}",
-        *(f"{v:.9g}" for v in r.voltages),
-        str(r.recenter),
-        "1" if r.converged else "0",
-    ]
-    return ",".join(fields)
+    return _ROW_FORMAT % (
+        r.cycle, r.t_seconds, r.qber_est, r.e_z, r.e_x, *r.voltages, r.recenter, bool(r.converged)
+    )
 
 
 def series_to_csv(series: TimeSeries) -> str:

@@ -14,12 +14,20 @@ at a constant rate.
 States are immutable values evolved by pure step functions taking explicit
 random generators; independent simulation instances may run concurrently.
 
-``epc_rotation`` and ``drift_axes`` compose quaternions and tip axes on
-plain floats and validate only the objects they return.  They call the float
-kernels that the public ``poincare`` quaternion API wraps, so they agree
-with that checked reference bit for bit; ``tests/optics_oracle.py`` keeps
-the object-based form.  A squeezer whose angle gain * voltage overflows can
-be built and fails the "rotation angle must be finite" check when rotated.
+``epc_rotation``, ``drift_axes`` and the random-walk step of
+``channel_step`` compose quaternions and tip axes on plain floats and
+validate only the objects they return.  They call the float kernels that the
+public ``poincare`` quaternion API wraps, so they agree with that checked
+reference bit for bit; ``tests/optics_oracle.py`` keeps the object-based
+form.  A squeezer whose angle gain * voltage overflows can be built and
+fails the "rotation angle must be finite" check when rotated.
+
+Values drawn into numpy arrays enter the package as Python floats
+(``random_unit_vector`` takes ``.tolist()`` of its draws).  The IEEE result
+is the same, but arithmetic on ``numpy.float64`` scalars is several times
+slower, and every value computed from one inherits its type: a channel
+rotation of numpy scalars would slow the plant, the monitor and every step
+of a correction.
 
 A controller correction rotates no EPC at all: along one squeezer's voltage
 the analyzer element of an arm is a sinusoid, which ``AnalyzerSweep``
@@ -47,7 +55,6 @@ from .poincare import (
     _axis_angle_q,
     _qmul,
     _rotate,
-    compose,
     rotation_from_axis_angle,
 )
 
@@ -183,11 +190,12 @@ def epc_rotation(epc: EpcState) -> Rotation:
     axis, is multiplied on the left of the running product by ``compose``'s
     kernel, which renormalizes after every product.
     """
-    q0, q1, q2, q3 = (
-        _axis_angle_q(sq.axis.s1, sq.axis.s2, sq.axis.s3, sq.gain * sq.voltage)
-        for sq in epc.squeezers
-    )
-    return Rotation(*_qmul(q3, _qmul(q2, _qmul(q1, q0))))
+    a, b, c, d = epc.squeezers
+    q = _axis_angle_q(a.axis.s1, a.axis.s2, a.axis.s3, a.gain * a.voltage)
+    q = _qmul(_axis_angle_q(b.axis.s1, b.axis.s2, b.axis.s3, b.gain * b.voltage), q)
+    q = _qmul(_axis_angle_q(c.axis.s1, c.axis.s2, c.axis.s3, c.gain * c.voltage), q)
+    q = _qmul(_axis_angle_q(d.axis.s1, d.axis.s2, d.axis.s3, d.gain * d.voltage), q)
+    return Rotation(*q)
 
 
 _ANALYZER_INDEX = {"Z": 0, "X": 1}  # arm -> its analyzer axis: s1 (H) or s2 (diagonal)
@@ -410,7 +418,7 @@ ChannelModel = StaticChannel | ScramblerChannel | RandomWalkChannel
 def random_unit_vector(rng: np.random.Generator) -> StokesVector:
     """Isotropically random point on the sphere."""
     while True:
-        x, y, z = rng.normal(size=3)
+        x, y, z = rng.normal(size=3).tolist()
         n = math.sqrt(x * x + y * y + z * z)
         if n > 1e-12:
             return StokesVector(x / n, y / n, z / n)
@@ -435,11 +443,13 @@ def channel_step(
         steps = int(dt)
         if steps != dt:
             raise ValueError("random-walk channel advances by whole cycles")
-        current = ch.current
+        c = ch.current
+        q = (c.w, c.x, c.y, c.z)
         for _ in range(steps):
             axis = random_unit_vector(rng)
             angle = rng.normal(0.0, ch.step_sigma)
-            current = compose(rotation_from_axis_angle(axis, angle), current)
+            q = _qmul(_axis_angle_q(axis.s1, axis.s2, axis.s3, angle), q)
+        current = Rotation(*q)
         return RandomWalkChannel(ch.step_sigma, current), current
     raise TypeError(f"unknown channel model {type(ch).__name__}")
 

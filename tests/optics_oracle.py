@@ -1,13 +1,14 @@
-"""Reference EPC model on validated ``poincare`` objects.
+"""Reference EPC and random-walk channel models on validated ``poincare`` objects.
 
-This is the object-based EPC composition and axis drift that the package ran
-before ``poltrack.optics`` moved them onto plain floats, kept verbatim.  Every
-step goes through the public quaternion API (``rotation_from_axis_angle``,
-``compose``, ``apply_rotation``), which ``tests/test_poincare.py`` checks
-against an independent rotation-matrix oracle.  The float path in
-``poltrack.optics`` performs the same operations in the same order, so
-``tests/test_optics.py`` requires bitwise equality with this module, not
-closeness.
+This is the object-based EPC composition, axis drift and random-walk channel
+step that the package ran before ``poltrack.optics`` moved them onto plain
+floats, kept verbatim (the channel step includes the random axis of numpy
+scalars it drew).  Every step goes through the public quaternion API
+(``rotation_from_axis_angle``, ``compose``, ``apply_rotation``), which
+``tests/test_poincare.py`` checks against an independent rotation-matrix
+oracle.  The float path in ``poltrack.optics`` performs the same operations
+in the same order, so ``tests/test_optics.py`` requires bitwise equality
+with this module, not closeness.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from poltrack.optics import (
     DEFAULT_AXIS_DRIFT_SIGMA,
     DEFAULT_MAX_AXIS_WANDER,
     EpcState,
+    RandomWalkChannel,
 )
 from poltrack.poincare import (
     Rotation,
@@ -109,3 +111,24 @@ def drift_axes(
         moved = apply_rotation(rotation_from_axis_angle(tip_axis, angle), sq.axis)
         squeezers.append(replace(sq, axis=_clamp_to_cone(moved, sq.nominal_axis, max_wander)))
     return EpcState(tuple(squeezers))
+
+
+def random_unit_vector(rng: np.random.Generator) -> StokesVector:
+    """Isotropically random point on the sphere; its components are numpy scalars."""
+    while True:
+        x, y, z = rng.normal(size=3)
+        n = math.sqrt(x * x + y * y + z * z)
+        if n > 1e-12:
+            return StokesVector(x / n, y / n, z / n)
+
+
+def random_walk_step(
+    ch: RandomWalkChannel, dt: float, rng: np.random.Generator
+) -> tuple[RandomWalkChannel, Rotation]:
+    """``optics.channel_step`` of a random-walk channel, one validated object per operation."""
+    current = ch.current
+    for _ in range(int(dt)):
+        axis = random_unit_vector(rng)
+        angle = rng.normal(0.0, ch.step_sigma)
+        current = compose(rotation_from_axis_angle(axis, angle), current)
+    return RandomWalkChannel(ch.step_sigma, current), current

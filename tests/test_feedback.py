@@ -282,8 +282,10 @@ class TestControlCycle:
         ctx = ExactContext(IDENTITY)
         state = ControllerState(epc=default_epc())
         out = control_cycle(state, 0.0001, "Z", ctx, ControllerConfig())
-        assert out.epc.voltages == state.epc.voltages
-        assert out.converged
+        assert out is state  # a converged hold builds no new state
+        stuck = ControllerState(state.epc, 2, converged=False)
+        out = control_cycle(stuck, 0.0001, "Z", ctx, ControllerConfig())
+        assert out == ControllerState(state.epc, 2, converged=True)
 
     def test_hold_persists_across_cycles(self):
         ctx = ExactContext(IDENTITY)

@@ -14,6 +14,7 @@ from poltrack.harness import (
     SCENARIO_KINDS,
     ChannelParams,
     ConfigError,
+    EpcParams,
     ScenarioConfig,
     Summary,
     build_channel,
@@ -309,6 +310,23 @@ class TestConfigValidation:
         assert str(err.value).startswith(f"{section}.{key}: ")
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("gain_rad_per_volt", -1.0, "must be positive"),
+            ("gain_jitter", 1.0, "must be in [0, 1)"),
+            ("axis_drift_sigma_rad", -0.1, "must be non-negative"),
+            ("max_axis_wander_rad", -0.1, "must be non-negative"),
+        ],
+    )
+    def test_epc_params_check_their_own_fields(self, key, value, message):
+        with pytest.raises(ValueError) as err:
+            EpcParams(**{key: value})
+        assert str(err.value) == f"{key}: {message}"
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[epc]\n{key} = {value}\n")
+        assert str(err.value) == f"epc.{key}: {message}"
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("epc", "gain_rad_per_volt", "inf"),
@@ -381,9 +399,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert str(err.value).splitlines() == [
+            "epc.gain_rad_per_volt: must be positive",
             "controller.tau: must be non-positive (negative to minimize E)",
             "scenario.seed: must be non-negative",
-            "epc.gain_rad_per_volt: must be positive",
         ]
 
     def test_keys_beside_a_failing_key_are_still_cross_checked(self):

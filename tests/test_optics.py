@@ -233,6 +233,11 @@ def _random_epc(rng, wander_steps=0, sigma=0.5):
     return epc
 
 
+def _hex(r):
+    """The bits of a rotation's components, whatever their float type."""
+    return tuple(float(v).hex() for v in (r.w, r.x, r.y, r.z))
+
+
 class TestFloatPathMatchesOracle:
     """The float EPC path equals the object-based reference bit for bit."""
 
@@ -320,6 +325,24 @@ class TestFloatPathMatchesOracle:
                 epc = got
         assert clamped > 0, "no step left the wander cone"
         assert polar > 0, "no axis reached the |s3| >= 0.9 tangent branch"
+
+    def test_random_walk_step_bitwise(self):
+        setup = np.random.default_rng(62)
+        for _ in range(200):
+            sigma = float(setup.uniform(0.0, 2.0))
+            dt = int(setup.choice([0, 1, 1, 3, 7]))
+            seed = int(setup.integers(2**32))
+            rng_float, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            axis = StokesVector(*random_unit(setup))
+            got_ch = want_ch = RandomWalkChannel(
+                sigma, rotation_from_axis_angle(axis, setup.uniform(0.0, 6.3))
+            )
+            for _ in range(10):
+                got_ch, got = channel_step(got_ch, dt, rng_float)
+                want_ch, want = optics_oracle.random_walk_step(want_ch, dt, rng_oracle)
+                assert _hex(got) == _hex(want)
+                assert got_ch.step_sigma == sigma and _hex(got_ch.current) == _hex(got)
+                assert rng_float.bit_generator.state == rng_oracle.bit_generator.state
 
     @pytest.mark.parametrize("nominal", [S1, S2, S3])
     def test_antipodal_clamp_bitwise(self, nominal):
@@ -437,6 +460,38 @@ class TestChannels:
         b_ch, b_rot = channel_step(ch, 50, np.random.default_rng(7))
         assert a_rot == b_rot
         assert a_ch == b_ch
+
+    @pytest.mark.parametrize("dt", [1, 3])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            StaticChannel(rotation_from_axis_angle(S2, 0.3)),
+            ScramblerChannel(axis=S3, rate=0.2),
+            RandomWalkChannel(step_sigma=0.012),
+        ],
+        ids=["static", "scramble", "random_walk"],
+    )
+    def test_rotations_hold_python_floats(self, model, dt):
+        # numpy scalar arithmetic is several times slower than float arithmetic
+        rng = np.random.default_rng(47)
+        ch = model
+        for _ in range(5):
+            ch, rot = channel_step(ch, dt, rng)
+            held = [rot, ch.current] if isinstance(ch, RandomWalkChannel) else [rot]
+            for r in held:
+                assert [type(v) for v in (r.w, r.x, r.y, r.z)] == [float] * 4
+
+    def test_random_walk_analyzer_elements_are_python_floats(self):
+        rng = np.random.default_rng(48)
+        _, ch_rot = channel_step(RandomWalkChannel(step_sigma=0.012), 1, rng)
+        epc = _random_epc(rng)
+        for basis in ("Z", "X"):
+            assert type(analyzer_element(ch_rot, epc_rotation(epc), basis)) is float
+            sweep = AnalyzerSweep(ch_rot, epc, basis)
+            for i in range(4):
+                assert type(sweep.element(i, 75.0)) is float
+                sweep.land(i, 75.0)
+            assert type(sweep.swept) is float
 
     def test_random_walk_diffuses(self):
         rng = np.random.default_rng(46)

@@ -34,6 +34,7 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "epc_rotation",
         "with_voltage",
         "drift_axes",
+        "channel_step_drift",
         "simulate_batch",
         "reveal_sample_full",
         "reveal_sample_0.1",

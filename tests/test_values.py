@@ -1,8 +1,9 @@
 """Frozen-value semantics of the types that build themselves on the hot path.
 
 ``Rotation``, ``StokesVector``, ``DetectionTally``, ``MeasurementMatrix``,
-``SqueezerState`` and ``ControllerState`` write their own ``__init__``; each
-must still behave as the frozen dataclass it is declared as.
+``SqueezerState``, ``ControllerState`` and ``TimeSeriesRow`` write their own
+``__init__``; each must still behave as the frozen dataclass it is declared
+as.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from poltrack.poincare import (
     compose,
     rotation_from_axis_angle,
 )
+from poltrack.timeseries import TimeSeriesRow
 
 HALF = math.sqrt(0.5)
 EPC = default_epc()
@@ -48,6 +50,15 @@ CASES = {
     ),
     ControllerState: (
         dict(epc=EPC, recenter_count=3, converged=False), dict(recenter_count=4), None, None
+    ),
+    TimeSeriesRow: (
+        dict(
+            cycle=3, t_seconds=36.0, qber_est=0.02, e_z=0.001, e_x=0.002,
+            voltages=(75.0,) * 8, recenter=0, converged=True,
+        ),
+        dict(recenter=1),
+        dict(voltages=(75.0,) * 7),
+        "expected 8 voltages",
     ),
 }
 

@@ -5,7 +5,8 @@
 Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
 the construction of a validated ``Rotation`` (``rotation_new``) and of a
 ``DetectionTally`` (``tally_new``); quaternion ``compose``; ``epc_rotation``,
-``EpcState.with_voltage`` and ``drift_axes`` of a jittered-gain EPC;
+``EpcState.with_voltage`` and ``drift_axes`` of a jittered-gain EPC; one
+random-walk step of the preset's channel (``channel_step_drift``);
 ``simulate_batch`` of one desk batch (the draw alone, from precomputed
 sifted cells), ``reveal_sample`` of that tally at fraction 1 and of a
 ``--full``-sized tally at the ``--full`` fraction 0.1; one
@@ -139,6 +140,7 @@ def main() -> None:
             epc, 1, rng,
             sigma=cfg.epc.axis_drift_sigma_rad, max_wander=cfg.epc.max_axis_wander_rad,
         ),
+        "channel_step_drift": lambda: pt.channel_step(world.channel, 1, rng),
         "simulate_batch": lambda: pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng),
         "reveal_sample_full": lambda: pt.reveal_sample(desk_tally, 1.0, rng),
         f"reveal_sample_{full_ctrl.sample_fraction}": lambda: pt.reveal_sample(
