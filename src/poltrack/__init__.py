@@ -50,11 +50,9 @@ from .photon_sim import (
     DetectionTally,
     EmptyRowError,
     InsufficientDataError,
-    MeasurementMatrix,
     SourceParams,
     analyzer_element,
     arm_cell_probs,
-    measurement_matrix,
     qber_from_tally,
     reveal_sample,
     sifted_cell_probs,

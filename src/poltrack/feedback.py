@@ -27,12 +27,12 @@ import numpy as np
 
 from .optics import AnalyzerSweep, ChannelModel, EpcState, channel_step, drift_axes, epc_rotation
 from .photon_sim import (
+    DetectionTally,
+    EmptyRowError,
     InsufficientDataError,
-    MeasurementMatrix,
     SourceParams,
     analyzer_element,
     arm_cell_probs,
-    measurement_matrix,
     qber_from_tally,
     reveal_sample,
     sifted_cell_probs,
@@ -44,6 +44,8 @@ from .timeseries import TimeSeries, TimeSeriesRow
 # Wall time of one feedback cycle, one hardware-scale pulse train; it only
 # labels the ``t_seconds`` column.
 CYCLE_SECONDS = 12.0
+
+_ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,24 @@ class ControllerState:
     converged: bool = True
 
 
-def feedback_error(mm: MeasurementMatrix) -> float:
-    """Squared distance between the measurement matrix and the identity.
+def feedback_error(tally: DetectionTally, basis: str) -> float:
+    """E of one basis, straight from its revealed counts.
 
-    Under row normalization the full sum over (U - I)^2 collapses to
-    2 * (j2^2 + j3^2); zero exactly when both wrong-port rates vanish.
+    E is the squared distance between the basis's row-normalized
+    sent-vs-detected matrix ``[[j1, j2], [j3, j4]]`` and the identity.  Each
+    row sums to 1, so the full sum over (J - I)^2 collapses to
+    2 * (j2^2 + j3^2), zero exactly when both wrong-port rates vanish; only
+    the two wrong-port rates are computed.  Raises ``EmptyRowError``, naming
+    the row, when a sent state of the basis has no counts.
     """
-    return 2.0 * (mm.j2 * mm.j2 + mm.j3 * mm.j3)
+    c00, c01, c10, c11 = tally.counts(basis)
+    row0, row1 = c00 + c01, c10 + c11
+    if row0 == 0:
+        raise EmptyRowError(basis, _ROW_LABELS[basis][0])
+    if row1 == 0:
+        raise EmptyRowError(basis, _ROW_LABELS[basis][1])
+    j2, j3 = c01 / row0, c10 / row1
+    return 2.0 * (j2 * j2 + j3 * j3)
 
 
 @dataclass(eq=False)
@@ -113,8 +126,9 @@ class MonteCarloContext:
     arm has analyzer element ``m``.  The two receiver arms are independent,
     so the arm not being measured is simulated with an identity EPC; its four
     sifted cells are constant too and are computed once, on first use.  Each
-    evaluation computes only the measured arm's cells and consumes generator
-    state, so repeated calls scatter around the underlying value.
+    evaluation computes only the measured arm's cells and draws one batch
+    (and, below fraction 1, its reveal), so repeated calls scatter around the
+    underlying value; E is read straight from the revealed counts.
     """
 
     channel_rot: Rotation
@@ -132,8 +146,7 @@ class MonteCarloContext:
             idle = self._idle[basis] = arm_cell_probs(m_idle, self.source, self.eta)
         cells = arm + idle if basis == "Z" else idle + arm
         tally = simulate_batch(self.config.batch_pulses, cells, self.rng)
-        revealed = reveal_sample(tally, self.config.sample_fraction, self.rng)
-        return feedback_error(measurement_matrix(revealed, basis))
+        return feedback_error(reveal_sample(tally, self.config.sample_fraction, self.rng), basis)
 
 
 def adjust_squeezer(sweep: AnalyzerSweep, i: int, sim_context, config: ControllerConfig) -> int:
@@ -267,8 +280,8 @@ def track(
         data_ok = True
         try:
             qber_est = qber_from_tally(revealed)
-            e_z = feedback_error(measurement_matrix(revealed, "Z"))
-            e_x = feedback_error(measurement_matrix(revealed, "X"))
+            e_z = feedback_error(revealed, "Z")
+            e_x = feedback_error(revealed, "X")
         except InsufficientDataError:
             qber_est = e_z = e_x = math.nan
             data_ok = False

@@ -38,7 +38,9 @@ evaluates in closed form, building no rotation, squeezer or EPC.
 ``dataclasses.replace`` goes through the same checks.  ``with_voltages`` and
 ``drift_axes`` change only voltages or current axes, so their copies keep
 nominal axes that the source EPC's ``__post_init__`` has already checked and
-skip that check; the public ``EpcState`` constructor keeps it.
+skip that check; the public ``EpcState`` constructor keeps it.  Likewise
+``drift_axes`` copies each squeezer with only its axis replaced, without
+re-running the gain and range checks on values it did not change.
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ class SqueezerState:
     def center(self) -> float:
         """Center of the drive range, the reset target for endless control."""
         return 0.5 * (self.v_min + self.v_max)
+
+    def _with_axis(self, axis: StokesVector) -> "SqueezerState":
+        """Copy with the current axis replaced; the other fields were checked."""
+        sq = object.__new__(SqueezerState)
+        sq.__dict__.update(self.__dict__, axis=axis)
+        return sq
 
 
 @dataclass(frozen=True)
@@ -371,16 +379,7 @@ def drift_axes(
         n = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
         q = _axis_angle_q(t1 / n, t2 / n, t3 / n, angle)
         moved = StokesVector(*_rotate(q, (s1, s2, s3)))
-        squeezers.append(
-            SqueezerState(
-                _clamp_to_cone(moved, sq.nominal_axis, cw, sw),
-                sq.nominal_axis,
-                sq.gain,
-                sq.voltage,
-                sq.v_min,
-                sq.v_max,
-            )
-        )
+        squeezers.append(sq._with_axis(_clamp_to_cone(moved, sq.nominal_axis, cw, sw)))
     return epc._copy(tuple(squeezers))
 
 

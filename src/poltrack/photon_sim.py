@@ -34,11 +34,13 @@ gives the measured arm's ``m`` in closed form, ``feedback.MonteCarloContext``
 computes the other arm's cells once, and every batch is drawn through the
 module-level name ``simulate_batch``, which pulse accounting may rebind; it
 takes the eight cells and does nothing but the draw.
-``DetectionTally`` and ``MeasurementMatrix`` are built like
-``poincare``'s values: their own ``__init__`` validates the arguments and
-fills ``__dict__`` directly.  ``DetectionTally`` checks its counts in one
-``min`` pass and names a field only when one is negative, and
-``reveal_sample`` at fraction 1 counts the non-empty cells directly.
+``DetectionTally`` is built like ``poincare``'s values: its own
+``__init__`` validates the counts in one chain of comparisons, names a
+field only when one fails, and fills ``__dict__`` directly.
+``reveal_sample`` at fraction 1 is the identity and draws nothing, so an
+evaluation makes one draw.  ``feedback.feedback_error`` reads E straight
+from the revealed counts; the row-normalized measurement matrix of the
+paper is kept in ``tests/matrix_oracle.py`` as its reference.
 """
 
 from __future__ import annotations
@@ -50,15 +52,12 @@ import numpy as np
 
 from .poincare import Rotation, _qprod
 
-_ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
-
-
 class InsufficientDataError(RuntimeError):
     """A tally holds too few counts for the requested statistic."""
 
 
 class EmptyRowError(InsufficientDataError):
-    """A measurement-matrix row has no counts; accumulate more pulses."""
+    """One sent state of a basis has no revealed counts; accumulate more pulses."""
 
     def __init__(self, basis: str, row: str):
         super().__init__(f"no counts in basis {basis}, row {row}")
@@ -120,12 +119,16 @@ class DetectionTally:
         n_dd: int = 0, n_da: int = 0, n_ad: int = 0, n_aa: int = 0,
         pulses_sent: int = 0,
     ) -> None:
-        # One pass for the common case; the field is named only on failure.
-        # ``not min >= 0`` also sends a nan minimum to the per-field check.
-        if not min(n_hh, n_hv, n_vh, n_vv, n_dd, n_da, n_ad, n_aa, pulses_sent) >= 0:
+        # One chain of comparisons for the common case; the field is named
+        # only on failure.  ``>=`` is False for nan, so a nan count fails
+        # like a negative one.
+        if not (
+            n_hh >= 0 and n_hv >= 0 and n_vh >= 0 and n_vv >= 0 and n_dd >= 0
+            and n_da >= 0 and n_ad >= 0 and n_aa >= 0 and pulses_sent >= 0
+        ):
             values = (n_hh, n_hv, n_vh, n_vv, n_dd, n_da, n_ad, n_aa, pulses_sent)
             for name, value in zip(_TALLY_FIELDS, values):
-                if value < 0:
+                if not value >= 0:
                     raise ValueError(f"{name} must be non-negative")
         self.__dict__.update(
             n_hh=n_hh, n_hv=n_hv, n_vh=n_vh, n_vv=n_vv,
@@ -147,24 +150,6 @@ class DetectionTally:
         if basis == "X":
             return (self.n_dd, self.n_da, self.n_ad, self.n_aa)
         raise ValueError(f"unknown basis {basis!r}")
-
-
-@dataclass(frozen=True, init=False)
-class MeasurementMatrix:
-    """Row-normalized sent-vs-detected frequencies of one basis."""
-
-    j1: float
-    j2: float
-    j3: float
-    j4: float
-
-    def __init__(self, j1: float, j2: float, j3: float, j4: float) -> None:
-        if abs(j1 + j2 - 1.0) > 1e-12 or abs(j3 + j4 - 1.0) > 1e-12:
-            raise ValueError("measurement matrix rows must sum to 1")
-        for j in (j1, j2, j3, j4):
-            if not (-1e-12 <= j <= 1.0 + 1e-12):
-                raise ValueError("matrix entries must be probabilities")
-        self.__dict__.update(j1=j1, j2=j2, j3=j3, j4=j4)
 
 
 def analyzer_element(channel_rot: Rotation, epc_rot: Rotation, basis: str) -> float:
@@ -239,17 +224,6 @@ def simulate_batch(
     return DetectionTally(*counts[:8].tolist(), pulses_sent=n_pulses)
 
 
-def measurement_matrix(tally: DetectionTally, basis: str) -> MeasurementMatrix:
-    """Row-normalize one basis of a tally into a measurement matrix."""
-    c00, c01, c10, c11 = tally.counts(basis)
-    row0, row1 = c00 + c01, c10 + c11
-    if row0 == 0:
-        raise EmptyRowError(basis, _ROW_LABELS[basis][0])
-    if row1 == 0:
-        raise EmptyRowError(basis, _ROW_LABELS[basis][1])
-    return MeasurementMatrix(c00 / row0, c01 / row0, c10 / row1, c11 / row1)
-
-
 def qber_from_tally(tally: DetectionTally) -> float:
     """Fraction of wrong-detector events among all sifted events."""
     total = tally.sifted_total
@@ -266,20 +240,12 @@ def reveal_sample(
 
     The remainder is conceptually retained as key material and not modeled
     further; ``pulses_sent`` is carried over unchanged as provenance.  With
-    ``fraction`` 1 every event is revealed and the tally itself is returned.
+    ``fraction`` 1 every event is revealed: the tally itself is returned and
+    the generator is not touched.
     """
     if not (0.0 < fraction <= 1.0):
         raise ValueError("fraction must be in (0, 1]")
     if fraction == 1.0:
-        # numpy's binomial(n, 1.0) returns n but still draws one double when
-        # n > 0 and none when n == 0.  Drawing as many doubles leaves the
-        # generator where the per-cell draws would, so later batches, and
-        # seeded output, are unchanged.
-        t = tally
-        rng.random(
-            (t.n_hh > 0) + (t.n_hv > 0) + (t.n_vh > 0) + (t.n_vv > 0)
-            + (t.n_dd > 0) + (t.n_da > 0) + (t.n_ad > 0) + (t.n_aa > 0)
-        )
         return tally
     kept = (int(rng.binomial(getattr(tally, f), fraction)) for f in _COUNT_FIELDS)
     return DetectionTally(*kept, pulses_sent=tally.pulses_sent)

@@ -19,11 +19,11 @@ All types are immutable values and all operations are pure functions, so they
 are safe to use concurrently without coordination.
 
 Every feedback cycle builds several of these values, so the frozen value
-types on the hot path (here, and ``DetectionTally``, ``MeasurementMatrix``,
-``SqueezerState`` and ``TimeSeriesRow`` elsewhere in the package) write
-their own ``__init__``: it validates the arguments as local values and fills
-the instance ``__dict__`` in one call, where a dataclass-generated
-``__init__`` calls ``object.__setattr__`` once per field.  They stay frozen
+types on the hot path (here, and ``DetectionTally``, ``SqueezerState`` and
+``TimeSeriesRow`` elsewhere in the package) write their own ``__init__``:
+it validates the arguments as local values and fills the instance
+``__dict__`` in one call, where a dataclass-generated ``__init__`` calls
+``object.__setattr__`` once per field.  They stay frozen
 dataclasses, so assignment still raises ``FrozenInstanceError``, ``==``,
 ``hash`` and ``repr`` are generated from the fields, and
 ``dataclasses.replace`` re-validates through the same ``__init__``.
@@ -37,7 +37,9 @@ The arithmetic of ``rotation_from_axis_angle``, ``compose`` and
 and ``optics`` calls them directly on its hot path.  ``_qmul`` renormalizes
 the unnormalized product ``_qprod``, which ``photon_sim.analyzer_element``
 reads directly, so the whole package shares one product convention,
-operation order and renormalization.
+operation order and renormalization.  The acceptance suite checks these
+kernels, not only the public functions, against rotation matrices built
+from Rodrigues' formula.
 """
 
 from __future__ import annotations

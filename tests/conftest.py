@@ -10,6 +10,15 @@ itself only composes on floats.  ``plant_cells`` and ``plant_batch`` give the
 eight sifted cells, and one batch drawn from them, of a channel and two arm
 EPC rotations, in the per-pulse oracle's argument order.  ``numpy_streams_as_golden`` skips a test
 that pins a ``Generator`` stream under another numpy release.
+
+The run-level distribution kit tells whether two ways of running a scenario
+are equal in distribution, where a changed random stream rules out a
+bitwise comparison.  ``scenario_run_metrics`` reduces one run to its
+per-run metrics, ``compare_runs`` draws them over two seed sets from two
+seed -> run functions and returns, per metric, the two-sample
+Kolmogorov-Smirnov distance ``ks_distance`` and the critical distance
+``ks_critical`` at the false-alarm rate ``KS_FALSE_ALARM``, which the metrics
+share (each is tested at the rate divided by their number).
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poltrack import feedback
+from poltrack.harness import ScenarioConfig, run_scenario
 from poltrack.optics import SqueezerState
 from poltrack.photon_sim import analyzer_element, sifted_cell_probs, simulate_batch
 from poltrack.poincare import Rotation, StokesVector, rotation_from_axis_angle
@@ -148,3 +159,76 @@ def table_from_csv(text: str):
         b_values.append(int(parts[0]))
         rows.append([float(x) for x in parts[1:]])
     return qber_values, tuple(b_values), np.array(rows)
+
+
+# Chance that ``compare_runs`` flags at least one metric of two run functions
+# that are equal in distribution (a bound; discrete metrics flag less often).
+KS_FALSE_ALARM = 0.01
+
+
+def ks_distance(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the samples' CDFs."""
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def ks_critical(n: int, m: int, alpha: float) -> float:
+    """KS distance that samples of sizes ``n`` and ``m`` of one distribution pass with
+    probability at least ``1 - alpha``, from the asymptotic Kolmogorov bound
+    P(sqrt(n m / (n + m)) D > c) <= 2 exp(-2 c^2)."""
+    return math.sqrt(-0.5 * math.log(alpha / 2.0) * (n + m) / (n * m))
+
+
+def scenario_run_metrics(cfg: ScenarioConfig) -> dict[str, float]:
+    """Per-run metrics of one scenario run.
+
+    QBER mean and std over the run and at its last cycle; the corrections
+    (basis-cycles whose measured E reached ``e_threshold``), the control
+    evaluations (batches beyond one monitoring batch per cycle), the
+    recenters and the non-converged cycles.
+    """
+    draws = 0
+    draw = feedback.simulate_batch
+
+    def counted(*args):
+        nonlocal draws
+        draws += 1
+        return draw(*args)
+
+    feedback.simulate_batch = counted
+    try:
+        series, summary = run_scenario(cfg)
+    finally:
+        feedback.simulate_batch = draw
+    threshold = cfg.controller.e_threshold
+    return {
+        "mean_qber": summary.mean_qber,
+        "std_qber": summary.std_qber,
+        "last_qber": series.rows[-1].qber_est,
+        "corrections": sum((row.e_z >= threshold) + (row.e_x >= threshold) for row in series),
+        "evaluations": draws - len(series),
+        "recenters": summary.recenter_events,
+        "nonconverged": summary.nonconverged_cycles,
+    }
+
+
+def compare_runs(run_a, run_b, seeds_a, seeds_b, false_alarm: float = KS_FALSE_ALARM):
+    """Per metric, ``(D, critical D)`` between ``run_a`` over ``seeds_a`` and ``run_b``
+    over ``seeds_b``.
+
+    Each run function maps a seed to a dict of per-run metrics, as
+    ``scenario_run_metrics`` gives them.  Use disjoint seed sets: the test
+    assumes independent samples.  A metric whose D exceeds its critical D
+    differs; if the two run functions are equal in distribution, any metric
+    does so with probability at most ``false_alarm``.
+    """
+    a = [run_a(seed) for seed in seeds_a]
+    b = [run_b(seed) for seed in seeds_b]
+    critical = ks_critical(len(a), len(b), false_alarm / len(a[0]))
+    return {
+        name: (ks_distance([r[name] for r in a], [r[name] for r in b]), critical)
+        for name in a[0]
+    }

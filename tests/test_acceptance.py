@@ -34,6 +34,10 @@ from poltrack.photon_sim import SourceParams
 from poltrack.poincare import (
     IDENTITY,
     StokesVector,
+    _axis_angle_q,
+    _qmul,
+    _qprod,
+    _rotate,
     apply_rotation,
     compose,
     inverse,
@@ -95,9 +99,19 @@ def test_criterion_1_sphere_math_oracle():
         lhs = apply_rotation(compose(rb, ra), sv)
         rhs = apply_rotation(rb, apply_rotation(ra, sv))
         assert np.allclose(lhs.as_tuple(), rhs.as_tuple(), atol=1e-9)
+        # the float kernels that optics and photon_sim run directly; _qprod
+        # is the unnormalized product, whose norm stays 1 for unit factors
+        qa, qb = _axis_angle_q(*ax_a, ang_a), _axis_angle_q(*ax_b, ang_b)
+        assert np.allclose(_rotate(qa, s), ma @ np.array(s), atol=1e-9)
+        assert np.allclose(_rotate(_qmul(qb, qa), s), mb @ ma @ np.array(s), atol=1e-9)
+        product = _qprod(qb, qa)
+        assert abs(math.fsum(c * c for c in product) - 1.0) <= 1e-9
+        assert np.allclose(_rotate(product, s), mb @ ma @ np.array(s), atol=1e-9)
     elapsed = time.time() - t0
     assert elapsed < 1.0
-    report(1, "sphere-math oracle equivalence", elapsed, "1000 random pairs to 1e-9")
+    report(
+        1, "sphere-math oracle equivalence", elapsed, "1000 random pairs, API and kernels, to 1e-9"
+    )
 
 
 @criterion(2, "analytic QBER equivalence")

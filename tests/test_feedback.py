@@ -6,6 +6,8 @@ import pytest
 
 from poltrack import feedback
 import controller_oracle as oracle
+import matrix_oracle
+from matrix_oracle import feedback_error as matrix_e
 from controller_oracle import ExactContext, evaluate_rotation
 from poltrack.feedback import (
     ControllerConfig,
@@ -28,12 +30,11 @@ from poltrack.optics import (
 )
 from poltrack.photon_sim import (
     DetectionTally,
+    EmptyRowError,
     InsufficientDataError,
-    MeasurementMatrix,
     SourceParams,
     analyzer_element,
     arm_cell_probs,
-    measurement_matrix,
     sifted_cell_probs,
 )
 from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
@@ -51,7 +52,12 @@ def rng_for(seed):
 
 
 def mm_from_wrong_rates(j2, j3):
-    return MeasurementMatrix(1.0 - j2, j2, j3, 1.0 - j3)
+    return matrix_oracle.MeasurementMatrix(1.0 - j2, j2, j3, 1.0 - j3)
+
+
+def paper_e(tally, basis):
+    """E of one basis through the paper-form measurement matrix."""
+    return matrix_e(matrix_oracle.measurement_matrix(tally, basis))
 
 
 def mc_context(channel_rot, seed, batch=16_000, source=NOISELESS, eta=1.0):
@@ -90,16 +96,18 @@ class CountingContext(ExactContext):
 
 
 class TestFeedbackError:
+    """The paper-form E of a measurement matrix, the reference of ``feedback_error``."""
+
     def test_identity_matrix_gives_zero(self):
-        assert feedback_error(mm_from_wrong_rates(0.0, 0.0)) == 0.0
+        assert matrix_e(mm_from_wrong_rates(0.0, 0.0)) == 0.0
 
     def test_half_half(self):
-        assert feedback_error(mm_from_wrong_rates(0.5, 0.5)) == 1.0
+        assert matrix_e(mm_from_wrong_rates(0.5, 0.5)) == 1.0
 
     def test_sixty_degree_misalignment(self):
         # a 60 degree rotation about s2 puts a quarter of each row in the
         # wrong port: E = 2 * (0.0625 + 0.0625)
-        assert feedback_error(mm_from_wrong_rates(0.25, 0.25)) == pytest.approx(0.25)
+        assert matrix_e(mm_from_wrong_rates(0.25, 0.25)) == pytest.approx(0.25)
 
     def test_matches_full_frobenius_form(self):
         rng = np.random.default_rng(51)
@@ -107,20 +115,52 @@ class TestFeedbackError:
             j2, j3 = rng.uniform(0.0, 1.0, size=2)
             mm = mm_from_wrong_rates(float(j2), float(j3))
             full = (mm.j1 - 1.0) ** 2 + mm.j2**2 + mm.j3**2 + (mm.j4 - 1.0) ** 2
-            assert feedback_error(mm) == pytest.approx(full, abs=1e-12)
+            assert matrix_e(mm) == pytest.approx(full, abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(52)
         for _ in range(200):
             j2, j3 = rng.uniform(0.0, 1.0, size=2)
-            e = feedback_error(mm_from_wrong_rates(float(j2), float(j3)))
+            e = matrix_e(mm_from_wrong_rates(float(j2), float(j3)))
             assert 0.0 <= e <= 4.0
-        assert feedback_error(mm_from_wrong_rates(1.0, 1.0)) == 4.0
+        assert matrix_e(mm_from_wrong_rates(1.0, 1.0)) == 4.0
 
     def test_zero_iff_both_wrong_rates_zero(self):
-        assert feedback_error(mm_from_wrong_rates(0.0, 0.0)) == 0.0
-        assert feedback_error(mm_from_wrong_rates(1e-6, 0.0)) > 0.0
-        assert feedback_error(mm_from_wrong_rates(0.0, 1e-6)) > 0.0
+        assert matrix_e(mm_from_wrong_rates(0.0, 0.0)) == 0.0
+        assert matrix_e(mm_from_wrong_rates(1e-6, 0.0)) > 0.0
+        assert matrix_e(mm_from_wrong_rates(0.0, 1e-6)) > 0.0
+
+
+class TestFeedbackErrorFromCounts:
+    """``feedback_error`` reads E from the counts exactly as the paper form does."""
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_equals_the_matrix_form_bit_for_bit(self, basis):
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            # counts from 1 to 10^5, with some cells empty (never a whole row)
+            counts = rng.integers(1, 10**int(rng.integers(1, 6)), size=8, endpoint=True)
+            counts[rng.random(8) < 0.2] = 0
+            counts[[0, 2, 4, 6]] += (counts[[0, 2, 4, 6]] + counts[[1, 3, 5, 7]]) == 0
+            tally = DetectionTally(*counts.tolist())
+            assert feedback_error(tally, basis).hex() == paper_e(tally, basis).hex(), tally
+
+    @pytest.mark.parametrize(
+        "basis, empty, row",
+        [("Z", ("n_hh", "n_hv"), "H"), ("Z", ("n_vh", "n_vv"), "V"),
+         ("X", ("n_dd", "n_da"), "D"), ("X", ("n_ad", "n_aa"), "A")],
+    )
+    def test_empty_row_raises_the_same_named_error(self, basis, empty, row):
+        full = dict(n_hh=5, n_hv=1, n_vh=2, n_vv=6, n_dd=7, n_da=3, n_ad=4, n_aa=8)
+        tally = DetectionTally(**{**full, **dict.fromkeys(empty, 0)})
+        for e_of in (feedback_error, paper_e):
+            with pytest.raises(EmptyRowError) as err:
+                e_of(tally, basis)
+            assert (err.value.basis, err.value.row) == (basis, row)
+            assert str(err.value) == f"no counts in basis {basis}, row {row}"
+        # the other basis is unaffected
+        other = "X" if basis == "Z" else "Z"
+        assert feedback_error(tally, other) == paper_e(tally, other)
 
 
 class TestBasisAlignmentFixedPoint:
@@ -570,9 +610,10 @@ def cells_before_split(m_z, m_x, src, eta):
 def full_plant_evaluate(ctx, epc_rot, basis):
     """``MonteCarloContext.evaluate`` drawn from all eight cells computed afresh.
 
-    The arm not being measured gets an identity EPC, and the reveal draws one
-    binomial per cell, as both did before the context kept the idle arm and
-    before the full-fraction reveal counted non-empty cells.
+    The arm not being measured gets an identity EPC, as it did before the
+    context kept the idle arm.  Below fraction 1 the reveal draws one
+    binomial per cell; at fraction 1 it is the identity and draws nothing.
+    E comes from the paper-form measurement matrix.
     """
     rot_z, rot_x = (epc_rot, IDENTITY) if basis == "Z" else (IDENTITY, epc_rot)
     q = cells_before_split(
@@ -584,9 +625,11 @@ def full_plant_evaluate(ctx, epc_rot, basis):
     q.append(1.0 - sum(q))
     n = ctx.config.batch_pulses
     counts = ctx.rng.multinomial(n, q)[:8].tolist()
-    kept = [int(ctx.rng.binomial(c, ctx.config.sample_fraction)) for c in counts]
-    revealed = DetectionTally(*kept, pulses_sent=n)
-    return feedback_error(measurement_matrix(revealed, basis))
+    fraction = ctx.config.sample_fraction
+    if fraction < 1.0:
+        counts = [int(ctx.rng.binomial(c, fraction)) for c in counts]
+    revealed = DetectionTally(*counts, pulses_sent=n)
+    return paper_e(revealed, basis)
 
 
 class TestIdleArm:

@@ -106,6 +106,9 @@ class TestEpc:
                 epc = drift_axes(epc, 1, rng, sigma=0.2, max_wander=0.5)
                 assert type(epc) is EpcState and epc == EpcState(epc.squeezers)
                 assert vars(epc) == {"squeezers": epc.squeezers}
+                for sq in epc.squeezers:  # drift_axes also skips the squeezer checks
+                    assert type(sq) is SqueezerState
+                    assert vars(sq) == vars(SqueezerState(**vars(sq)))
 
     def test_all_zero_voltages_is_identity(self):
         epc = default_epc(v_min=-10.0, v_max=10.0)

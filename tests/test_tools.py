@@ -38,6 +38,7 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "simulate_batch",
         "reveal_sample_full",
         "reveal_sample_0.1",
+        "feedback_error",
         "MonteCarloContext.evaluate",
         "adjust_squeezer_mc",
         "adjust_squeezer",

@@ -1,9 +1,10 @@
 """Frozen-value semantics of the types that build themselves on the hot path.
 
-``Rotation``, ``StokesVector``, ``DetectionTally``, ``MeasurementMatrix``,
-``SqueezerState``, ``ControllerState`` and ``TimeSeriesRow`` write their own
-``__init__``; each must still behave as the frozen dataclass it is declared
-as.
+``Rotation``, ``StokesVector``, ``DetectionTally``, ``SqueezerState`` and
+``TimeSeriesRow`` write their own ``__init__``; each must still behave as the
+frozen dataclass it is declared as.  ``ControllerState`` and the tests-side
+``MeasurementMatrix`` reference are plain frozen dataclasses, held to the
+same semantics.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 
 from poltrack.feedback import ControllerState
 from poltrack.optics import SQUEEZER_AXIS_A, SqueezerState, default_epc, epc_rotation
-from poltrack.photon_sim import DetectionTally, MeasurementMatrix
+from poltrack.photon_sim import _TALLY_FIELDS, DetectionTally
 from poltrack.poincare import (
     Rotation,
     StokesVector,
@@ -22,6 +23,8 @@ from poltrack.poincare import (
     rotation_from_axis_angle,
 )
 from poltrack.timeseries import TimeSeriesRow
+
+from matrix_oracle import MeasurementMatrix
 
 HALF = math.sqrt(0.5)
 EPC = default_epc()
@@ -96,6 +99,17 @@ def test_replace_revalidates(cls):
         dataclasses.replace(cls(**values), **bad)
     with pytest.raises(ValueError, match=message):
         cls(**{**values, **bad})
+
+
+@pytest.mark.parametrize("name", _TALLY_FIELDS)
+def test_tally_rejects_a_nan_count(name):
+    # nan compares False both ways, so it must fail the check, not pass it,
+    # whether it stands alone or among valid counts
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        DetectionTally(**{name: math.nan})
+    valid = CASES[DetectionTally][0]
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        DetectionTally(**{**valid, name: math.nan})
 
 
 @pytest.mark.parametrize("cls", [Rotation, StokesVector], ids=lambda cls: cls.__name__)

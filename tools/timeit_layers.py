@@ -10,6 +10,7 @@ random-walk step of the preset's channel (``channel_step_drift``);
 ``simulate_batch`` of one desk batch (the draw alone, from precomputed
 sifted cells), ``reveal_sample`` of that tally at fraction 1 and of a
 ``--full``-sized tally at the ``--full`` fraction 0.1; one
+``feedback_error`` of that desk tally's Z basis; one
 ``MonteCarloContext.evaluate``; one ``adjust_squeezer`` step of a
 long-lived ``AnalyzerSweep``, on whichever squeezer the sweep is at,
 against a seeded ``MonteCarloContext`` (``adjust_squeezer_mc``: two
@@ -146,6 +147,7 @@ def main() -> None:
         f"reveal_sample_{full_ctrl.sample_fraction}": lambda: pt.reveal_sample(
             full_tally, full_ctrl.sample_fraction, rng
         ),
+        "feedback_error": lambda: pt.feedback_error(desk_tally, "Z"),
         "MonteCarloContext.evaluate": lambda: mc.evaluate(m_z, "Z"),
         "adjust_squeezer_mc": lambda: pt.adjust_squeezer(sweep_mc, sweep_mc.at, mc, cfg.controller),
         "adjust_squeezer": lambda: pt.adjust_squeezer(
