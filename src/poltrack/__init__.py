@@ -38,7 +38,6 @@ from .optics import (
     LinkBudget,
     RandomWalkChannel,
     ScramblerChannel,
-    SqueezerState,
     StaticChannel,
     channel_step,
     default_epc,

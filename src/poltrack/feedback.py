@@ -75,7 +75,7 @@ class ControllerConfig:
     def __post_init__(self) -> None:
         checks = (
             ("dither_volts", self.dither_volts > 0.0, "must be positive"),
-            ("tau", not self.tau > 0.0, "must be non-positive (negative to minimize E)"),
+            ("tau", self.tau <= 0.0, "must be non-positive (negative to minimize E)"),
             ("e_threshold", 0.0 < self.e_threshold < 2.0, "must be in (0, 2)"),
             ("sample_fraction", 0.0 < self.sample_fraction <= 1.0, "must be in (0, 1]"),
             ("max_cycles_per_correction", self.max_cycles_per_correction >= 1,
@@ -159,18 +159,18 @@ def adjust_squeezer(sweep: AnalyzerSweep, i: int, sim_context, config: Controlle
     """
     if not 0 <= i <= 3:
         raise ValueError("squeezer index must be 0..3")
-    sq = sweep.squeezers[i]
+    epc = sweep.epc
     recenters = 0
     v = sweep.voltages[i]
-    if v + config.dither_volts > sq.v_max:
+    if v + config.dither_volts > epc.v_max:
         # no headroom to probe upward; restart this squeezer from the center
-        v = sq.center
+        v = epc.center
         recenters += 1
     e1 = sim_context.evaluate(sweep.element(i, v), sweep.basis)
     e2 = sim_context.evaluate(sweep.element(i, v + config.dither_volts), sweep.basis)
     v_new = v + config.tau * (e2 - e1) / config.dither_volts
-    if not (sq.v_min <= v_new <= sq.v_max):
-        v_new = sq.center
+    if not (epc.v_min <= v_new <= epc.v_max):
+        v_new = epc.center
         recenters += 1
     sweep.land(i, v_new)
     return recenters
@@ -300,7 +300,7 @@ def track(
                 qber_est,
                 e_z,
                 e_x,
-                tuple([sq.voltage for sq in z_state.epc.squeezers + x_state.epc.squeezers]),
+                z_state.epc.voltages + x_state.epc.voltages,
                 z_state.recenter_count + x_state.recenter_count - recenters_before,
                 data_ok and z_state.converged and x_state.converged,
             )

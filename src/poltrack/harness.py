@@ -75,7 +75,7 @@ class EpcParams:
         checks = (
             ("gain_rad_per_volt", self.gain_rad_per_volt > 0.0, "must be positive"),
             ("gain_jitter", 0.0 <= self.gain_jitter < 1.0, "must be in [0, 1)"),
-            ("axis_drift_sigma_rad", not self.axis_drift_sigma_rad < 0.0, "must be non-negative"),
+            ("axis_drift_sigma_rad", self.axis_drift_sigma_rad >= 0.0, "must be non-negative"),
             ("max_axis_wander_rad", self.max_axis_wander_rad >= 0.0, "must be non-negative"),
         )
         failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
@@ -116,6 +116,7 @@ class Summary:
     max_qber: float
     recenter_events: int
     nonconverged_cycles: int
+    starved_cycles: int  # cycles with too few revealed bits for an estimate
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +375,7 @@ def summarize(series: TimeSeries) -> Summary:
     if len(series) == 0:
         raise ValueError("cannot summarize an empty series")
     q = np.array(series.column("qber_est"))
-    q = q[np.isfinite(q)]  # skip data-starved cycles; NaN stats if all starved
+    q = q[np.isfinite(q)]  # skip data-starved cycles, and count them; NaN stats if all starved
     return Summary(
         cycles=len(series),
         mean_qber=float(np.mean(q)) if q.size else math.nan,
@@ -382,6 +383,7 @@ def summarize(series: TimeSeries) -> Summary:
         max_qber=float(np.max(q)) if q.size else math.nan,
         recenter_events=int(sum(series.column("recenter"))),
         nonconverged_cycles=sum(1 for c in series.column("converged") if not c),
+        starved_cycles=len(series) - q.size,
     )
 
 
@@ -393,6 +395,7 @@ def summary_to_text(summary: Summary) -> str:
         f"max_qber = {summary.max_qber:.9g}\n"
         f"recenter_events = {summary.recenter_events}\n"
         f"nonconverged_cycles = {summary.nonconverged_cycles}\n"
+        f"starved_cycles = {summary.starved_cycles}\n"
     )
 
 
@@ -423,36 +426,40 @@ def series_from_csv(text: str) -> TimeSeries:
     """Parse a series CSV; emit(parse(text)) reproduces each row byte for byte.
 
     A row that would re-emit as different text, such as ``01`` for a cycle or
-    ``0.0200`` for a float, is rejected with its line number.  So are a
-    ``recenter`` count below zero and a ``converged`` flag other than 0 or 1,
-    with messages of their own: neither would give a true summary.
+    ``0.0200`` for a float, is rejected.  So are a field that does not parse,
+    a ``recenter`` count below zero and a ``converged`` flag other than 0 or
+    1, the last two with messages of their own: neither would give a true
+    summary.  Every message starts with the line number.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad or missing CSV header; expected {CSV_HEADER!r}")
     rows = []
     for n, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 15:
-            raise ValueError(f"line {n}: expected 15 fields, got {len(parts)}")
-        recenter = int(parts[13])
-        if recenter < 0:
-            raise ValueError(f"line {n}: recenter must be non-negative, got {recenter}")
-        if parts[14] not in ("0", "1"):
-            raise ValueError(f"line {n}: converged must be 0 or 1, got {parts[14]!r}")
-        row = TimeSeriesRow(
-            cycle=int(parts[0]),
-            t_seconds=float(parts[1]),
-            qber_est=float(parts[2]),
-            e_z=float(parts[3]),
-            e_x=float(parts[4]),
-            voltages=tuple(float(p) for p in parts[5:13]),
-            recenter=recenter,
-            converged=parts[14] == "1",
-        )
-        emitted = _row_text(row)
-        if emitted != line:
-            raise ValueError(f"line {n}: does not round-trip; it would be written as {emitted!r}")
+        try:
+            parts = line.split(",")
+            if len(parts) != 15:
+                raise ValueError(f"expected 15 fields, got {len(parts)}")
+            recenter = int(parts[13])
+            if recenter < 0:
+                raise ValueError(f"recenter must be non-negative, got {recenter}")
+            if parts[14] not in ("0", "1"):
+                raise ValueError(f"converged must be 0 or 1, got {parts[14]!r}")
+            row = TimeSeriesRow(
+                cycle=int(parts[0]),
+                t_seconds=float(parts[1]),
+                qber_est=float(parts[2]),
+                e_z=float(parts[3]),
+                e_x=float(parts[4]),
+                voltages=tuple(float(p) for p in parts[5:13]),
+                recenter=recenter,
+                converged=parts[14] == "1",
+            )
+            emitted = _row_text(row)
+            if emitted != line:
+                raise ValueError(f"does not round-trip; it would be written as {emitted!r}")
+        except ValueError as err:
+            raise ValueError(f"line {n}: {err}") from None
         rows.append(row)
     return TimeSeries(tuple(rows))
 

@@ -31,16 +31,12 @@ of a correction.
 
 A controller correction rotates no EPC at all: along one squeezer's voltage
 the analyzer element of an arm is a sinusoid, which ``AnalyzerSweep``
-evaluates in closed form, building no rotation, squeezer or EPC.
+evaluates in closed form, building no rotation or EPC.
 
-``SqueezerState`` is built like ``poincare``'s hot values: its own
-``__init__`` validates the arguments and fills ``__dict__`` directly, and
-``dataclasses.replace`` goes through the same checks.  ``with_voltages`` and
-``drift_axes`` change only voltages or current axes, so their copies keep
-nominal axes that the source EPC's ``__post_init__`` has already checked and
-skip that check; the public ``EpcState`` constructor keeps it.  Likewise
-``drift_axes`` copies each squeezer with only its axis replaced, without
-re-running the gain and range checks on values it did not change.
+``EpcState`` holds its squeezers as 4-tuples of gains, voltages and current
+axes with one drive range; the nominal axes are the constant
+``NOMINAL_AXES``.  Every EPC, the copies that ``with_voltages`` and
+``drift_axes`` return included, is built and checked by its constructor.
 """
 
 from __future__ import annotations
@@ -74,95 +70,48 @@ _TWO_PI = 2.0 * math.pi
 
 SQUEEZER_AXIS_A = StokesVector(1.0, 0.0, 0.0)
 SQUEEZER_AXIS_B = StokesVector(0.0, 1.0, 0.0)
+NOMINAL_AXES = (SQUEEZER_AXIS_A, SQUEEZER_AXIS_B, SQUEEZER_AXIS_A, SQUEEZER_AXIS_B)
 
 
 def _out_of_range(voltage: float, v_min: float, v_max: float) -> ValueError:
     return ValueError(f"voltage {voltage!r} outside [{v_min!r}, {v_max!r}]")
 
 
-@dataclass(frozen=True, init=False)
-class SqueezerState:
-    """One fiber squeezer: rotation axis, voltage-to-angle gain, drive state."""
+@dataclass(frozen=True)
+class EpcState:
+    """Four fiber squeezers in light-path order, sharing one drive range.
 
-    axis: StokesVector
-    nominal_axis: StokesVector
-    gain: float
-    voltage: float
-    v_min: float
-    v_max: float
+    Squeezer i rotates about its current axis ``axes[i]`` by the angle
+    ``gains[i] * voltages[i]``; the axis wanders about ``NOMINAL_AXES[i]``.
+    """
 
-    def __init__(
-        self, axis: StokesVector, nominal_axis: StokesVector, gain: float, voltage: float,
-        v_min: float = DEFAULT_V_MIN, v_max: float = DEFAULT_V_MAX,
-    ) -> None:
+    gains: tuple[float, float, float, float]
+    voltages: tuple[float, float, float, float]
+    axes: tuple[StokesVector, StokesVector, StokesVector, StokesVector] = NOMINAL_AXES
+    v_min: float = DEFAULT_V_MIN
+    v_max: float = DEFAULT_V_MAX
+
+    def __post_init__(self) -> None:
+        if not len(self.gains) == len(self.voltages) == len(self.axes) == 4:
+            raise ValueError("an EPC has exactly 4 squeezers")
+        v_min, v_max = self.v_min, self.v_max
         if not (v_min < v_max):
             raise ValueError("squeezer voltage range is empty")
-        if not (v_min <= voltage <= v_max):
-            raise _out_of_range(voltage, v_min, v_max)
-        if not (gain > 0.0 and math.isfinite(gain)):
-            raise ValueError("squeezer gain must be positive and finite")
-        self.__dict__.update(
-            axis=axis, nominal_axis=nominal_axis, gain=gain,
-            voltage=voltage, v_min=v_min, v_max=v_max,
-        )
+        for gain in self.gains:
+            if not (gain > 0.0 and math.isfinite(gain)):
+                raise ValueError("squeezer gain must be positive and finite")
+        for voltage in self.voltages:
+            if not (v_min <= voltage <= v_max):
+                raise _out_of_range(voltage, v_min, v_max)
 
     @property
     def center(self) -> float:
         """Center of the drive range, the reset target for endless control."""
         return 0.5 * (self.v_min + self.v_max)
 
-    def _with_axis(self, axis: StokesVector) -> "SqueezerState":
-        """Copy with the current axis replaced; the other fields were checked."""
-        sq = object.__new__(SqueezerState)
-        sq.__dict__.update(self.__dict__, axis=axis)
-        return sq
-
-
-@dataclass(frozen=True)
-class EpcState:
-    """Four squeezers in light-path order; stages 1 and 3 share a nominal axis,
-    stages 2 and 4 share the orthogonal equatorial one."""
-
-    squeezers: tuple[SqueezerState, SqueezerState, SqueezerState, SqueezerState]
-
-    def __post_init__(self) -> None:
-        if len(self.squeezers) != 4:
-            raise ValueError("an EPC has exactly 4 squeezers")
-        n = [sq.nominal_axis for sq in self.squeezers]
-        if n[0].dot(n[2]) < 1.0 - 1e-9 or n[1].dot(n[3]) < 1.0 - 1e-9:
-            raise ValueError("squeezers 1/3 and 2/4 must share nominal axes")
-        if abs(n[0].dot(n[1])) > 1e-9:
-            raise ValueError("the two nominal axes must be orthogonal")
-        if abs(n[0].s3) > 1e-9 or abs(n[1].s3) > 1e-9:
-            raise ValueError("nominal axes must lie on the sphere equator")
-
-    @property
-    def voltages(self) -> tuple[float, float, float, float]:
-        return tuple(sq.voltage for sq in self.squeezers)  # type: ignore[return-value]
-
-    def with_voltage(self, i: int, voltage: float) -> "EpcState":
-        """Copy with squeezer ``i`` driven at ``voltage``."""
-        sqs = list(self.squeezers)
-        sq = sqs[i]
-        sqs[i] = SqueezerState(sq.axis, sq.nominal_axis, sq.gain, voltage, sq.v_min, sq.v_max)
-        return self._copy(tuple(sqs))
-
     def with_voltages(self, voltages) -> "EpcState":
         """Copy with the squeezers driven at ``voltages``, in light-path order."""
-        return self._copy(tuple(
-            SqueezerState(sq.axis, sq.nominal_axis, sq.gain, v, sq.v_min, sq.v_max)
-            for sq, v in zip(self.squeezers, voltages)
-        ))
-
-    def _copy(self, squeezers: tuple[SqueezerState, ...]) -> "EpcState":
-        """An EPC of ``squeezers``, which keep this EPC's nominal axes.
-
-        ``__post_init__`` checks only the nominal axes, which this EPC has
-        already passed, so the copy skips it.
-        """
-        epc = object.__new__(EpcState)
-        epc.__dict__["squeezers"] = squeezers
-        return epc
+        return EpcState(self.gains, tuple(voltages), self.axes, self.v_min, self.v_max)
 
 
 def default_epc(
@@ -180,15 +129,11 @@ def default_epc(
     """
     if gain_jitter > 0.0 and rng is None:
         raise ValueError("gain_jitter requires an rng")
-    axes = (SQUEEZER_AXIS_A, SQUEEZER_AXIS_B, SQUEEZER_AXIS_A, SQUEEZER_AXIS_B)
+    gains = (gain,) * 4
+    if gain_jitter > 0.0:
+        gains = tuple(gain * (1.0 + gain_jitter * rng.uniform(-1.0, 1.0)) for _ in range(4))
     center = 0.5 * (v_min + v_max)
-    squeezers = []
-    for axis in axes:
-        g = gain
-        if gain_jitter > 0.0:
-            g = gain * (1.0 + gain_jitter * rng.uniform(-1.0, 1.0))
-        squeezers.append(SqueezerState(axis, axis, g, center, v_min, v_max))
-    return EpcState(tuple(squeezers))
+    return EpcState(gains, (center,) * 4, NOMINAL_AXES, v_min, v_max)
 
 
 def epc_rotation(epc: EpcState) -> Rotation:
@@ -198,11 +143,11 @@ def epc_rotation(epc: EpcState) -> Rotation:
     axis, is multiplied on the left of the running product by ``compose``'s
     kernel, which renormalizes after every product.
     """
-    a, b, c, d = epc.squeezers
-    q = _axis_angle_q(a.axis.s1, a.axis.s2, a.axis.s3, a.gain * a.voltage)
-    q = _qmul(_axis_angle_q(b.axis.s1, b.axis.s2, b.axis.s3, b.gain * b.voltage), q)
-    q = _qmul(_axis_angle_q(c.axis.s1, c.axis.s2, c.axis.s3, c.gain * c.voltage), q)
-    q = _qmul(_axis_angle_q(d.axis.s1, d.axis.s2, d.axis.s3, d.gain * d.voltage), q)
+    (a, b, c, d), (ga, gb, gc, gd), (va, vb, vc, vd) = epc.axes, epc.gains, epc.voltages
+    q = _axis_angle_q(a.s1, a.s2, a.s3, ga * va)
+    q = _qmul(_axis_angle_q(b.s1, b.s2, b.s3, gb * vb), q)
+    q = _qmul(_axis_angle_q(c.s1, c.s2, c.s3, gc * vc), q)
+    q = _qmul(_axis_angle_q(d.s1, d.s2, d.s3, gd * vd), q)
     return Rotation(*q)
 
 
@@ -237,23 +182,24 @@ class AnalyzerSweep:
     squeezer i at ``v`` and turns ``w`` on through it.  The fourth landing
     sets ``swept``, ``w`` on ``e_b``, and begins the next sweep.  The channel
     is frozen and the sweep owns its arm's ``voltages`` for one correction.
-    Each voltage read is range-checked as a ``SqueezerState`` is, and a drive
-    range that could overflow the angle is refused up front.
+    Each voltage read is range-checked as ``EpcState`` checks its voltages,
+    and a drive range that could overflow the angle is refused up front.
     """
 
     def __init__(self, channel_rot: Rotation, epc: EpcState, basis: str):
         if basis not in _ANALYZER_INDEX:
             raise ValueError(f"unknown basis {basis!r}")
-        self.basis, self.squeezers, self.voltages = basis, epc.squeezers, list(epc.voltages)
+        self.basis, self.epc, self.voltages = basis, epc, list(epc.voltages)
         self._b = _ANALYZER_INDEX[basis]
         self._e = tuple(float(k == self._b) for k in range(3))
         q = channel_rot
         self._w0 = _rotate((q.w, q.x, q.y, q.z), self._e)  # the sent state e_b after the channel
+        reach = max(abs(epc.v_min), abs(epc.v_max))
+        if not all(math.isfinite(gain * reach) for gain in epc.gains):
+            raise ValueError("rotation angle must be finite")
         self._axes = []
-        for sq in self.squeezers:
-            if not math.isfinite(sq.gain * max(abs(sq.v_min), abs(sq.v_max))):
-                raise ValueError("rotation angle must be finite")
-            a, n = sq.axis, math.sqrt(sq.axis.dot(sq.axis))
+        for a in epc.axes:
+            n = math.sqrt(a.dot(a))
             self._axes.append((a.s1 / n, a.s2 / n, a.s3 / n))
         self.swept = None  # the element after the last complete sweep
         self._begin()
@@ -262,7 +208,7 @@ class AnalyzerSweep:
         u = self._e
         self._u = [u, u, u, u]
         for i in (3, 2, 1):
-            theta = self.squeezers[i].gain * self.voltages[i]
+            theta = self.epc.gains[i] * self.voltages[i]
             u = self._u[i - 1] = _turn(self._axes[i], math.cos(theta), -math.sin(theta), u)
         self._w = self._w0
         self._move_to(0)
@@ -281,11 +227,11 @@ class AnalyzerSweep:
         """Analyzer element with squeezer ``i``, the one the sweep is at, at ``voltage``."""
         if i != self.at:
             raise ValueError(f"the sweep is at squeezer {self.at}, not {i}")
-        sq = self.squeezers[i]
-        if not (sq.v_min <= voltage <= sq.v_max):
-            raise _out_of_range(voltage, sq.v_min, sq.v_max)
+        epc = self.epc
+        if not (epc.v_min <= voltage <= epc.v_max):
+            raise _out_of_range(voltage, epc.v_min, epc.v_max)
         fixed, cos_part, sin_part = self._line
-        theta = sq.gain * voltage
+        theta = epc.gains[i] * voltage
         return fixed + cos_part * math.cos(theta) + sin_part * math.sin(theta)
 
     def land(self, i: int, voltage: float) -> None:
@@ -293,7 +239,7 @@ class AnalyzerSweep:
         if i != self.at:
             raise ValueError(f"the sweep is at squeezer {self.at}, not {i}")
         self.voltages[i] = voltage
-        theta = self.squeezers[i].gain * voltage
+        theta = self.epc.gains[i] * voltage
         self._w = _turn(self._axes[i], math.cos(theta), math.sin(theta), self._w)
         if i < 3:
             self._move_to(i + 1)
@@ -364,13 +310,13 @@ def drift_axes(
         return epc
     scale = sigma * math.sqrt(dt)
     cw, sw = math.cos(max_wander), math.sin(max_wander)
-    squeezers = []
-    for sq in epc.squeezers:
+    axes = []
+    for axis, nominal in zip(epc.axes, NOMINAL_AXES):
         # numpy's normal(0, scale) and uniform(0, 2 pi) return 0 + scale * z
         # and 0 + 2 pi * u for these same draws, so the stream is unchanged.
         angle = scale * rng.standard_normal()
         psi = _TWO_PI * rng.random()
-        s1, s2, s3 = sq.axis.s1, sq.axis.s2, sq.axis.s3
+        s1, s2, s3 = axis.s1, axis.s2, axis.s3
         e1, e2 = _tangent_basis(s1, s2, s3)
         cp, sp = math.cos(psi), math.sin(psi)
         t1 = cp * e1[0] + sp * e2[0]
@@ -379,8 +325,8 @@ def drift_axes(
         n = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
         q = _axis_angle_q(t1 / n, t2 / n, t3 / n, angle)
         moved = StokesVector(*_rotate(q, (s1, s2, s3)))
-        squeezers.append(sq._with_axis(_clamp_to_cone(moved, sq.nominal_axis, cw, sw)))
-    return epc._copy(tuple(squeezers))
+        axes.append(_clamp_to_cone(moved, nominal, cw, sw))
+    return EpcState(epc.gains, epc.voltages, tuple(axes), epc.v_min, epc.v_max)
 
 
 @dataclass(frozen=True)
@@ -463,8 +409,8 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         checks = (
-            ("alpha_db_per_km", not self.alpha_db_per_km < 0.0, "must be non-negative"),
-            ("length_km", not self.length_km < 0.0, "must be non-negative"),
+            ("alpha_db_per_km", self.alpha_db_per_km >= 0.0, "must be non-negative"),
+            ("length_km", self.length_km >= 0.0, "must be non-negative"),
             ("eta_bob", 0.0 < self.eta_bob <= 1.0, "must be in (0, 1]"),
         )
         failures = [f"{key}: {text}" for key, ok, text in checks if not ok]

@@ -19,14 +19,14 @@ All types are immutable values and all operations are pure functions, so they
 are safe to use concurrently without coordination.
 
 Every feedback cycle builds several of these values, so the frozen value
-types on the hot path (here, and ``DetectionTally``, ``SqueezerState`` and
-``TimeSeriesRow`` elsewhere in the package) write their own ``__init__``:
-it validates the arguments as local values and fills the instance
-``__dict__`` in one call, where a dataclass-generated ``__init__`` calls
-``object.__setattr__`` once per field.  They stay frozen
-dataclasses, so assignment still raises ``FrozenInstanceError``, ``==``,
-``hash`` and ``repr`` are generated from the fields, and
-``dataclasses.replace`` re-validates through the same ``__init__``.
+types on the hot path (here, and ``DetectionTally`` and ``TimeSeriesRow``
+elsewhere in the package) write their own ``__init__``: it validates the
+arguments as local values and fills the instance ``__dict__`` in one call,
+where a dataclass-generated ``__init__`` calls ``object.__setattr__`` once
+per field.  They stay frozen dataclasses, so assignment still raises
+``FrozenInstanceError``, ``==``, ``hash`` and ``repr`` are generated from
+the fields, and ``dataclasses.replace`` re-validates through the same
+``__init__``.
 ``StokesVector`` and ``Rotation`` end their ``__init__`` by calling an empty
 ``__post_init__``: patching that method on the class is how ``perfbench``'s
 tracer counts every construction.

@@ -6,7 +6,8 @@ via Rodrigues' formula, never from the quaternion code under test.
 only writes.  ``qber_true`` and ``monte_carlo_sigma`` are the binomial
 oracle for the closed-form estimator bound in ``poltrack.stats``.
 ``squeezer_rotation`` is one EPC stage as a ``Rotation``, which the package
-itself only composes on floats.  ``plant_cells`` and ``plant_batch`` give the
+itself only composes on floats, and ``with_voltage`` drives one stage of an
+EPC, which the package only ever drives all at once.  ``plant_cells`` and ``plant_batch`` give the
 eight sifted cells, and one batch drawn from them, of a channel and two arm
 EPC rotations, in the per-pulse oracle's argument order.  ``numpy_streams_as_golden`` skips a test
 that pins a ``Generator`` stream under another numpy release.
@@ -32,7 +33,7 @@ import pytest
 
 from poltrack import feedback
 from poltrack.harness import ScenarioConfig, run_scenario
-from poltrack.optics import SqueezerState
+from poltrack.optics import EpcState
 from poltrack.photon_sim import analyzer_element, sifted_cell_probs, simulate_batch
 from poltrack.poincare import Rotation, StokesVector, rotation_from_axis_angle
 from poltrack.stats import EstimatorScenario
@@ -97,9 +98,14 @@ def rodrigues_matrix(axis, angle: float) -> np.ndarray:
     )
 
 
-def squeezer_rotation(sq: SqueezerState) -> Rotation:
-    """Rotation applied by one squeezer, angle = gain * voltage about its axis."""
-    return rotation_from_axis_angle(sq.axis, sq.gain * sq.voltage)
+def squeezer_rotation(epc: EpcState, i: int) -> Rotation:
+    """Rotation applied by squeezer ``i``, angle = gain * voltage about its axis."""
+    return rotation_from_axis_angle(epc.axes[i], epc.gains[i] * epc.voltages[i])
+
+
+def with_voltage(epc: EpcState, i: int, voltage: float) -> EpcState:
+    """Copy of ``epc`` with squeezer ``i`` driven at ``voltage``."""
+    return epc.with_voltages(epc.voltages[:i] + (voltage,) + epc.voltages[i + 1:])
 
 
 def plant_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta) -> list[float]:

@@ -5,7 +5,7 @@ as the package ran it before ``feedback`` moved each correction onto
 ``optics.AnalyzerSweep``: every evaluation composes the EPC's rotation with
 ``epc_rotation`` and reads its analyzer element with ``analyzer_element``,
 and every step builds its ``EpcState`` and ``ControllerState``.  The dither
-probe rotates ``epc.with_voltage(i, v + D)``, which the package's former
+probe rotates the EPC with squeezer i at v + D, which the package's former
 ``probe_rotation`` matched bit for bit.  The decisions are the package's:
 hold, dither, step, recenter and the sweep cap, on E alone.
 ``tests/test_feedback.py`` requires the package's controller to return the
@@ -23,6 +23,8 @@ from poltrack.feedback import ControllerConfig, ControllerState
 from poltrack.optics import epc_rotation
 from poltrack.photon_sim import analyzer_element
 from poltrack.poincare import Rotation
+
+from conftest import with_voltage
 
 
 class ExactContext:
@@ -48,22 +50,21 @@ def adjust_squeezer(
     if not 0 <= i <= 3:
         raise ValueError("squeezer index must be 0..3")
     epc = state.epc
-    sq = epc.squeezers[i]
     recenters = 0
-    v = sq.voltage
-    if v + config.dither_volts > sq.v_max:
-        v = sq.center
+    v = epc.voltages[i]
+    if v + config.dither_volts > epc.v_max:
+        v = epc.center
         recenters += 1
-        epc = epc.with_voltage(i, v)
+        epc = with_voltage(epc, i, v)
     e1 = evaluate_rotation(sim_context, epc_rotation(epc), basis)
-    probed = epc.with_voltage(i, v + config.dither_volts)
+    probed = with_voltage(epc, i, v + config.dither_volts)
     e2 = evaluate_rotation(sim_context, epc_rotation(probed), basis)
     v_new = v + config.tau * (e2 - e1) / config.dither_volts
-    if not (sq.v_min <= v_new <= sq.v_max):
-        v_new = sq.center
+    if not (epc.v_min <= v_new <= epc.v_max):
+        v_new = epc.center
         recenters += 1
     return ControllerState(
-        epc.with_voltage(i, v_new), state.recenter_count + recenters, state.converged
+        with_voltage(epc, i, v_new), state.recenter_count + recenters, state.converged
     )
 
 

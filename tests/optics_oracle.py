@@ -2,8 +2,8 @@
 
 This is the object-based EPC composition, axis drift and random-walk channel
 step that the package ran before ``poltrack.optics`` moved them onto plain
-floats, kept verbatim (the channel step includes the random axis of numpy
-scalars it drew).  Every step goes through the public quaternion API
+floats, kept as it was apart from reading the EPC's tuples (the channel step
+includes the random axis of numpy scalars it drew).  Every step goes through the public quaternion API
 (``rotation_from_axis_angle``, ``compose``, ``apply_rotation``), which
 ``tests/test_poincare.py`` checks against an independent rotation-matrix
 oracle.  The float path in ``poltrack.optics`` performs the same operations
@@ -21,6 +21,7 @@ import numpy as np
 from poltrack.optics import (
     DEFAULT_AXIS_DRIFT_SIGMA,
     DEFAULT_MAX_AXIS_WANDER,
+    NOMINAL_AXES,
     EpcState,
     RandomWalkChannel,
 )
@@ -37,9 +38,9 @@ from conftest import squeezer_rotation
 
 def epc_rotation(epc: EpcState) -> Rotation:
     """Composite rotation of the whole EPC; light traverses squeezer 1 first."""
-    r = squeezer_rotation(epc.squeezers[0])
-    for sq in epc.squeezers[1:]:
-        r = compose(squeezer_rotation(sq), r)
+    r = squeezer_rotation(epc, 0)
+    for i in (1, 2, 3):
+        r = compose(squeezer_rotation(epc, i), r)
     return r
 
 
@@ -98,19 +99,19 @@ def drift_axes(
     if dt == 0 or sigma == 0.0:
         return epc
     scale = sigma * math.sqrt(dt)
-    squeezers = []
-    for sq in epc.squeezers:
+    axes = []
+    for axis, nominal in zip(epc.axes, NOMINAL_AXES):
         angle = rng.normal(0.0, scale)
         psi = rng.uniform(0.0, 2.0 * math.pi)
-        e1, e2 = _tangent_basis(sq.axis)
+        e1, e2 = _tangent_basis(axis)
         tip_axis = StokesVector.unit(
             math.cos(psi) * e1.s1 + math.sin(psi) * e2.s1,
             math.cos(psi) * e1.s2 + math.sin(psi) * e2.s2,
             math.cos(psi) * e1.s3 + math.sin(psi) * e2.s3,
         )
-        moved = apply_rotation(rotation_from_axis_angle(tip_axis, angle), sq.axis)
-        squeezers.append(replace(sq, axis=_clamp_to_cone(moved, sq.nominal_axis, max_wander)))
-    return EpcState(tuple(squeezers))
+        moved = apply_rotation(rotation_from_axis_angle(tip_axis, angle), axis)
+        axes.append(_clamp_to_cone(moved, nominal, max_wander))
+    return replace(epc, axes=tuple(axes))
 
 
 def random_unit_vector(rng: np.random.Generator) -> StokesVector:

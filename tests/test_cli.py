@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,9 @@ from poltrack.harness import (
     CSV_HEADER,
     config_to_ini,
     preset_config,
+    run_scenario,
     series_from_csv,
+    series_to_csv,
 )
 
 from conftest import table_from_csv
@@ -216,6 +219,19 @@ class TestSummary:
         text = capsys.readouterr().out
         assert text == (out / "summary.txt").read_text()
 
+    def test_summary_counts_starved_cycles(self, tmp_path, capsys):
+        # 40-pulse batches leave some cycles with an empty row of revealed bits
+        cfg = preset_config("static")
+        cfg = replace(cfg, duration=20, controller=replace(cfg.controller, batch_pulses=40))
+        series, summary = run_scenario(cfg)
+        starved = sum(math.isnan(row.qber_est) for row in series)
+        assert 0 < starved < len(series)
+        assert summary.starved_cycles == starved
+        csv = tmp_path / "series.csv"
+        csv.write_text(series_to_csv(series))
+        assert main(["summary", str(csv)]) == 0
+        assert capsys.readouterr().out.endswith(f"\nstarved_cycles = {starved}\n")
+
     def test_malformed_csv_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("cycle,qber\n1,0.5\n")
@@ -226,6 +242,8 @@ class TestSummary:
         [
             (13, "-4", "line 2: recenter must be non-negative, got -4"),
             (14, "yes", "line 2: converged must be 0 or 1, got 'yes'"),
+            (13, "x", "line 2: invalid literal for int() with base 10: 'x'"),
+            (2, "abc", "line 2: could not convert string to float: 'abc'"),
             (
                 0,
                 "01",

@@ -39,7 +39,7 @@ from poltrack.photon_sim import (
 )
 from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
 
-from conftest import numpy_streams_as_golden, random_rotation, random_unit
+from conftest import numpy_streams_as_golden, random_rotation, random_unit, with_voltage
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
@@ -251,20 +251,16 @@ class TestAdjustSqueezer:
             ctx = ExactContext(channel)
             state = ControllerState(epc=default_epc(rng, gain_jitter=0.1))
             i = int(rng.integers(0, 4))
-            sq = state.epc.squeezers[i]
+            v = state.epc.voltages[i]
             # independent central-difference slope with step D/10
             h = cfg.dither_volts / 10.0
-            e_plus = evaluate_rotation(
-                ctx, epc_rotation(state.epc.with_voltage(i, sq.voltage + h)), "Z"
-            )
-            e_minus = evaluate_rotation(
-                ctx, epc_rotation(state.epc.with_voltage(i, sq.voltage - h)), "Z"
-            )
+            e_plus = evaluate_rotation(ctx, epc_rotation(with_voltage(state.epc, i, v + h)), "Z")
+            e_minus = evaluate_rotation(ctx, epc_rotation(with_voltage(state.epc, i, v - h)), "Z")
             slope = (e_plus - e_minus) / (2.0 * h)
             if abs(slope) < 1e-4:
                 continue
             out = adjust_one(state, i, "Z", ctx, cfg)
-            dv = out.epc.squeezers[i].voltage - sq.voltage
+            dv = out.epc.voltages[i] - v
             assert math.copysign(1.0, dv) == -math.copysign(1.0, slope)
             checked += 1
         assert checked >= 20
@@ -277,17 +273,16 @@ class TestAdjustSqueezer:
         cfg = ControllerConfig(tau=-1e9)
         state = ControllerState(epc=default_epc())
         out = adjust_one(state, 1, "Z", ctx, cfg)
-        sq = out.epc.squeezers[1]
-        assert sq.voltage == sq.center
+        assert out.epc.voltages[1] == out.epc.center
         assert out.recenter_count == 1
 
     def test_no_probe_headroom_recenters_first(self):
         ctx = ExactContext(IDENTITY)
         cfg = ControllerConfig()
-        state = ControllerState(epc=default_epc().with_voltage(2, 149.5))
+        state = ControllerState(epc=with_voltage(default_epc(), 2, 149.5))
         out = adjust_one(state, 2, "Z", ctx, cfg)
         assert out.recenter_count == 1
-        assert out.epc.squeezers[2].voltage == out.epc.squeezers[2].center
+        assert out.epc.voltages[2] == out.epc.center
 
     def test_gradient_error_shrinks_linearly_with_dither(self):
         # forward-difference slope error is first order in the dither size
@@ -299,12 +294,12 @@ class TestAdjustSqueezer:
 
         def fd_slope(d):
             e1 = evaluate_rotation(ctx, epc_rotation(epc), "Z")
-            e2 = evaluate_rotation(ctx, epc_rotation(epc.with_voltage(i, v + d)), "Z")
+            e2 = evaluate_rotation(ctx, epc_rotation(with_voltage(epc, i, v + d)), "Z")
             return (e2 - e1) / d
 
         truth = (
-            evaluate_rotation(ctx, epc_rotation(epc.with_voltage(i, v + h)), "Z")
-            - evaluate_rotation(ctx, epc_rotation(epc.with_voltage(i, v - h)), "Z")
+            evaluate_rotation(ctx, epc_rotation(with_voltage(epc, i, v + h)), "Z")
+            - evaluate_rotation(ctx, epc_rotation(with_voltage(epc, i, v - h)), "Z")
         ) / (2.0 * h)
         err_d = abs(fd_slope(1.0) - truth)
         err_half = abs(fd_slope(0.5) - truth)
@@ -391,7 +386,7 @@ class TestControlCycle:
         # recenters before probing; zero tau keeps the correction capped
         ctx = CountingContext(rotation_from_axis_angle(S2, math.radians(30.0)))
         cfg = ControllerConfig(tau=-0.0, max_cycles_per_correction=3)
-        state = ControllerState(epc=default_epc().with_voltage(2, 149.5))
+        state = ControllerState(epc=with_voltage(default_epc(), 2, 149.5))
         out = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
         assert not out.converged
         assert out.recenter_count == 1
@@ -410,7 +405,7 @@ def random_correction_start(rng):
     """A drifted jittered-gain EPC at random voltages behind a random misalignment."""
     epc = default_epc(rng, gain_jitter=0.1)
     for i in range(4):
-        epc = epc.with_voltage(i, float(rng.uniform(0.0, 150.0)))
+        epc = with_voltage(epc, i, float(rng.uniform(0.0, 150.0)))
     epc = drift_axes(epc, 1, rng, sigma=0.05, max_wander=math.radians(10.0))
     axis = StokesVector(*random_unit(rng))
     channel = rotation_from_axis_angle(axis, float(rng.uniform(0.0, math.pi / 2)))

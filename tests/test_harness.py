@@ -327,6 +327,21 @@ class TestConfigValidation:
         assert str(err.value) == f"epc.{key}: {message}"
 
     @pytest.mark.parametrize(
+        "section, key, message",
+        [
+            ("controller", "tau", "must be non-positive (negative to minimize E)"),
+            ("epc", "axis_drift_sigma_rad", "must be non-negative"),
+            ("link", "alpha_db_per_km", "must be non-negative"),
+            ("link", "length_km", "must be non-negative"),
+        ],
+    )
+    def test_nan_fails_the_constructor_check(self, section, key, message):
+        # nan compares False both ways, so each check must fail on it, not pass it
+        with pytest.raises(ValueError) as err:
+            replace(getattr(ScenarioConfig(), section), **{key: math.nan})
+        assert str(err.value) == f"{key}: {message}"
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("epc", "gain_rad_per_volt", "inf"),
@@ -474,7 +489,9 @@ class TestBuildChannel:
 class TestSummarize:
     def test_constant_column(self):
         s = summarize(TimeSeries(tuple(make_row(i) for i in range(1, 6))))
-        assert s == Summary(5, pytest.approx(0.02), pytest.approx(0.0), pytest.approx(0.02), 0, 0)
+        assert s == Summary(
+            5, pytest.approx(0.02), pytest.approx(0.0), pytest.approx(0.02), 0, 0, 0
+        )
 
     def test_two_row_mean_std(self):
         rows = (make_row(1, q=0.01), make_row(2, q=0.03))
@@ -505,17 +522,18 @@ class TestSummarize:
         assert s.mean_qber == pytest.approx(0.02)
         assert s.std_qber == pytest.approx(0.01)
         assert s.max_qber == pytest.approx(0.03)
-        assert (s.cycles, s.nonconverged_cycles) == (3, 1)
+        assert (s.cycles, s.nonconverged_cycles, s.starved_cycles) == (3, 1, 1)
 
     def test_all_starved_gives_nan_stats(self):
         s = summarize(TimeSeries((make_row(1, q=math.nan, conv=False),)))
         assert math.isnan(s.mean_qber) and math.isnan(s.std_qber) and math.isnan(s.max_qber)
-        assert (s.cycles, s.nonconverged_cycles) == (1, 1)
+        assert (s.cycles, s.nonconverged_cycles, s.starved_cycles) == (1, 1, 1)
 
     def test_summary_text_shape(self):
         text = summary_to_text(summarize(TimeSeries((make_row(1),))))
         assert text.startswith("cycles = 1\n")
         assert "mean_qber = " in text
+        assert text.endswith("\nstarved_cycles = 0\n")
 
 
 ROUND_TRIP = "line 3: does not round-trip; it would be written as {emitted!r}"

@@ -9,10 +9,10 @@ from poltrack import optics, poincare
 from poltrack.optics import (
     AnalyzerSweep,
     EpcState,
+    NOMINAL_AXES,
     LinkBudget,
     RandomWalkChannel,
     ScramblerChannel,
-    SqueezerState,
     StaticChannel,
     channel_step,
     default_epc,
@@ -30,102 +30,80 @@ from poltrack.poincare import (
     rotation_from_axis_angle,
 )
 
-from conftest import numpy_streams_as_golden, random_unit, rodrigues_matrix, squeezer_rotation
+from conftest import (
+    numpy_streams_as_golden,
+    random_unit,
+    rodrigues_matrix,
+    squeezer_rotation,
+    with_voltage,
+)
 
 S1 = StokesVector(1.0, 0.0, 0.0)
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
 
 
-def make_squeezer(voltage=75.0, gain=math.pi / 75, axis=S1):
-    return SqueezerState(axis=axis, nominal_axis=axis, gain=gain, voltage=voltage)
+def one_stage(voltage=75.0, gain=math.pi / 75, axis=S1, v_max=150.0):
+    """EPC whose first squeezer alone is driven; the other three sit at 0 V."""
+    return EpcState((gain,) * 4, (voltage, 0.0, 0.0, 0.0), (axis, S2, S1, S2), v_max=v_max)
 
 
 class TestSqueezer:
     def test_zero_voltage_is_identity(self):
-        sq = SqueezerState(axis=S1, nominal_axis=S1, gain=0.1, voltage=0.0)
-        r = squeezer_rotation(sq)
-        assert r.angle == 0.0
+        epc = one_stage(voltage=0.0, gain=0.1)
+        assert squeezer_rotation(epc, 0).angle == 0.0
+        assert epc_rotation(epc).angle == 0.0
 
     def test_linear_voltage_map(self):
-        sq = SqueezerState(axis=S1, nominal_axis=S1, gain=math.pi / 10, voltage=5.0, v_max=10.0)
-        r = squeezer_rotation(sq)
-        assert r.angle == pytest.approx(math.pi / 2, abs=1e-12)
-        assert r.axis.as_tuple() == pytest.approx(S1.as_tuple())
+        epc = one_stage(voltage=5.0, gain=math.pi / 10, v_max=10.0)
+        for r in (squeezer_rotation(epc, 0), epc_rotation(epc)):
+            assert r.angle == pytest.approx(math.pi / 2, abs=1e-12)
+            assert r.axis.as_tuple() == pytest.approx(S1.as_tuple())
 
     def test_coaxial_voltages_add(self):
-        a = squeezer_rotation(make_squeezer(voltage=30.0))
-        b = squeezer_rotation(make_squeezer(voltage=45.0))
+        a = squeezer_rotation(one_stage(voltage=30.0), 0)
+        b = squeezer_rotation(one_stage(voltage=45.0), 0)
         combined = compose(b, a)
         assert combined.angle == pytest.approx(math.pi / 75 * 75.0, abs=1e-9)
 
     def test_voltage_range_enforced(self):
-        with pytest.raises(ValueError):
-            make_squeezer(voltage=200.0)
-        with pytest.raises(ValueError):
-            make_squeezer(voltage=-1.0)
+        with pytest.raises(ValueError, match="outside"):
+            one_stage(voltage=200.0)
+        with pytest.raises(ValueError, match="outside"):
+            one_stage(voltage=-1.0)
 
     def test_center(self):
-        assert make_squeezer().center == 75.0
+        assert one_stage().center == 75.0
 
 
 class TestEpc:
-    def test_requires_paired_nominal_axes(self):
-        good = default_epc()
-        sqs = list(good.squeezers)
-        sqs[2] = SqueezerState(axis=S2, nominal_axis=S2, gain=0.04, voltage=75.0)
-        with pytest.raises(ValueError):
-            EpcState(tuple(sqs))
-
     @pytest.mark.parametrize(
-        "axis_a, axis_b, message",
+        "change, message",
         [
-            (S1, StokesVector.unit(1.0, 1.0, 0.0), "orthogonal"),
-            (StokesVector.unit(1.0, 0.0, 0.1), StokesVector(0.0, 1.0, 0.0), "equator"),
-            (S1, S3, "equator"),
+            (dict(gains=(0.04,) * 3), "exactly 4 squeezers"),
+            (dict(axes=NOMINAL_AXES[:3]), "exactly 4 squeezers"),
+            (dict(v_min=150.0), "range is empty"),
+            (dict(v_max=math.nan), "range is empty"),
+            (dict(gains=(0.04, 0.0, 0.04, 0.04)), "gain must be positive and finite"),
+            (dict(gains=(0.04, 0.04, math.inf, 0.04)), "gain must be positive and finite"),
+            (dict(gains=(0.04, 0.04, 0.04, math.nan)), "gain must be positive and finite"),
+            (dict(voltages=(75.0, 150.5, 75.0, 75.0)), "outside"),
+            (dict(voltages=(75.0, 75.0, math.nan, 75.0)), "outside"),
         ],
     )
-    def test_constructor_checks_nominal_axes(self, axis_a, axis_b, message):
-        sqs = [
-            SqueezerState(axis=a, nominal_axis=a, gain=0.04, voltage=75.0)
-            for a in (axis_a, axis_b, axis_a, axis_b)
-        ]
+    def test_constructor_checks_each_field(self, change, message):
+        fields = dict(gains=(0.04,) * 4, voltages=(75.0,) * 4, axes=NOMINAL_AXES)
         with pytest.raises(ValueError, match=message):
-            EpcState(tuple(sqs))
-
-    def test_copies_equal_a_constructor_rebuild(self):
-        # with_voltage and drift_axes skip the nominal-axis checks; what they
-        # return must be what the checked constructor builds from the same
-        # squeezers
-        rng = np.random.default_rng(54)
-        for _ in range(100):
-            epc = default_epc(rng, gain_jitter=0.1)
-            for _ in range(5):
-                epc = epc.with_voltage(int(rng.integers(0, 4)), float(rng.uniform(0.0, 150.0)))
-                assert type(epc) is EpcState and epc == EpcState(epc.squeezers)
-                epc = drift_axes(epc, 1, rng, sigma=0.2, max_wander=0.5)
-                assert type(epc) is EpcState and epc == EpcState(epc.squeezers)
-                assert vars(epc) == {"squeezers": epc.squeezers}
-                for sq in epc.squeezers:  # drift_axes also skips the squeezer checks
-                    assert type(sq) is SqueezerState
-                    assert vars(sq) == vars(SqueezerState(**vars(sq)))
+            EpcState(**{**fields, **change})
 
     def test_all_zero_voltages_is_identity(self):
-        epc = default_epc(v_min=-10.0, v_max=10.0)
-        epc = EpcState(tuple(
-            SqueezerState(sq.axis, sq.nominal_axis, sq.gain, 0.0, sq.v_min, sq.v_max)
-            for sq in epc.squeezers
-        ))
+        epc = default_epc(v_min=-10.0, v_max=10.0).with_voltages((0.0,) * 4)
         assert epc_rotation(epc).angle == 0.0
 
     def test_single_energized_stage(self):
-        epc = default_epc(v_min=-10.0, v_max=10.0)
-        base = EpcState(tuple(
-            SqueezerState(sq.axis, sq.nominal_axis, sq.gain, 0.0, sq.v_min, sq.v_max)
-            for sq in epc.squeezers
-        ))
-        driven = base.with_voltage(0, 5.0)
-        want = squeezer_rotation(driven.squeezers[0])
+        base = default_epc(v_min=-10.0, v_max=10.0).with_voltages((0.0,) * 4)
+        driven = with_voltage(base, 0, 5.0)
+        want = squeezer_rotation(driven, 0)
         got = epc_rotation(driven)
         assert (got.w, got.x, got.y, got.z) == pytest.approx((want.w, want.x, want.y, want.z))
 
@@ -134,10 +112,10 @@ class TestEpc:
         for _ in range(200):
             epc = default_epc(rng, gain_jitter=0.1)
             for i in range(4):
-                epc = epc.with_voltage(i, rng.uniform(0.0, 150.0))
+                epc = with_voltage(epc, i, rng.uniform(0.0, 150.0))
             m = np.eye(3)
-            for sq in epc.squeezers:
-                m = rodrigues_matrix(sq.axis.as_tuple(), sq.gain * sq.voltage) @ m
+            for axis, gain, v in zip(epc.axes, epc.gains, epc.voltages):
+                m = rodrigues_matrix(axis.as_tuple(), gain * v) @ m
             s = StokesVector(*random_unit(rng))
             got = apply_rotation(epc_rotation(epc), s)
             assert np.allclose(got.as_tuple(), m @ np.array(s.as_tuple()), atol=1e-9)
@@ -147,7 +125,7 @@ class TestEpc:
         for _ in range(300):
             epc = default_epc(rng, gain_jitter=0.1)
             for i in range(4):
-                epc = epc.with_voltage(i, rng.uniform(0.0, 150.0))
+                epc = with_voltage(epc, i, rng.uniform(0.0, 150.0))
             r = epc_rotation(epc)
             assert abs(math.sqrt(r.w**2 + r.x**2 + r.y**2 + r.z**2) - 1.0) <= 1e-9
 
@@ -158,13 +136,13 @@ class TestEpc:
         for _ in range(100):
             epc = default_epc(rng, gain_jitter=0.1)
             for i in range(4):
-                epc = epc.with_voltage(i, rng.uniform(10.0, 140.0))
+                epc = with_voltage(epc, i, rng.uniform(10.0, 140.0))
             i = int(rng.integers(0, 4))
             delta = float(rng.uniform(0.0, 5.0))
             before = epc_rotation(epc)
-            after = epc_rotation(epc.with_voltage(i, epc.squeezers[i].voltage + delta))
+            after = epc_rotation(with_voltage(epc, i, epc.voltages[i] + delta))
             rel = compose(after, inverse(before))
-            expected = epc.squeezers[i].gain * delta
+            expected = epc.gains[i] * delta
             angle = rel.angle if rel.angle <= math.pi else 2 * math.pi - rel.angle
             assert angle <= expected + 1e-9
 
@@ -188,8 +166,8 @@ class TestDriftAxes:
         sq_disp = []
         for _ in range(10_000):
             moved = drift_axes(epc, 1, rng, sigma=sigma, max_wander=math.pi)
-            for a, b in zip(epc.squeezers, moved.squeezers):
-                d = max(-1.0, min(1.0, a.axis.dot(b.axis)))
+            for a, b in zip(epc.axes, moved.axes):
+                d = max(-1.0, min(1.0, a.dot(b)))
                 sq_disp.append(math.acos(d) ** 2)
             epc = moved
         rms = math.sqrt(sum(sq_disp) / len(sq_disp))
@@ -201,8 +179,8 @@ class TestDriftAxes:
         cap = math.radians(10.0)
         for _ in range(2000):
             epc = drift_axes(epc, 1, rng, sigma=0.05, max_wander=cap)
-            for sq in epc.squeezers:
-                assert sq.axis.dot(sq.nominal_axis) >= math.cos(cap) - 1e-12
+            for axis, nominal in zip(epc.axes, NOMINAL_AXES):
+                assert axis.dot(nominal) >= math.cos(cap) - 1e-12
 
     def test_deterministic_given_seed(self):
         epc = default_epc()
@@ -230,7 +208,7 @@ def _random_epc(rng, wander_steps=0, sigma=0.5):
     """Jittered-gain EPC at random voltages, its axes tipped off nominal."""
     epc = default_epc(rng, gain_jitter=0.1)
     for i in range(4):
-        epc = epc.with_voltage(i, float(rng.uniform(0.0, 150.0)))
+        epc = with_voltage(epc, i, float(rng.uniform(0.0, 150.0)))
     for _ in range(wander_steps):
         epc = optics_oracle.drift_axes(epc, 1, rng, sigma=sigma, max_wander=math.pi)
     return epc
@@ -256,10 +234,8 @@ class TestFloatPathMatchesOracle:
         with pytest.raises(ValueError, match="finite"):
             poincare._axis_angle_q(0.0, 1.0, 0.0, math.nan)
         # a finite gain can still overflow the angle gain * voltage
-        epc = default_epc().with_voltage(2, 150.0)
-        sqs = list(epc.squeezers)
-        sqs[2] = replace(sqs[2], gain=1e308)
-        huge = EpcState(tuple(sqs))
+        epc = with_voltage(default_epc(), 2, 150.0)
+        huge = replace(epc, gains=epc.gains[:2] + (1e308,) + epc.gains[3:])
         for path in (epc_rotation, optics_oracle.epc_rotation):
             with pytest.raises(ValueError, match="finite"):
                 path(huge)
@@ -268,18 +244,17 @@ class TestFloatPathMatchesOracle:
     def test_probe_voltage_range_checked(self, v):
         epc = _random_epc(np.random.default_rng(56))
         sweep = AnalyzerSweep(IDENTITY, epc, "Z")
-        sweep.land(0, epc.squeezers[0].voltage)
+        sweep.land(0, epc.voltages[0])
         with pytest.raises(ValueError, match="outside"):
             sweep.element(1, v)
         with pytest.raises(ValueError, match="outside"):
-            epc.with_voltage(1, v)
+            with_voltage(epc, 1, v)
 
     def test_probe_keeps_rotation_from_axis_angle_checks(self):
         # gain * voltage can overflow within squeezer 2's drive range, so a
         # sweep of this EPC, which would probe it, is refused up front
-        sqs = list(default_epc().squeezers)
-        sqs[2] = replace(sqs[2], gain=1e308)
-        huge = EpcState(tuple(sqs))
+        epc = default_epc()
+        huge = replace(epc, gains=epc.gains[:2] + (1e308,) + epc.gains[3:])
         for basis in ("Z", "X"):
             with pytest.raises(ValueError, match="finite"):
                 AnalyzerSweep(IDENTITY, huge, basis)
@@ -290,11 +265,11 @@ class TestFloatPathMatchesOracle:
             epc = _random_epc(rng, wander_steps=1)
             i = int(rng.integers(0, 4))
             v = float(rng.uniform(0.0, 150.0))
-            sqs = list(epc.squeezers)
-            sqs[i] = replace(sqs[i], voltage=v)
-            assert epc.with_voltage(i, v) == EpcState(tuple(sqs))
+            volts = list(epc.voltages)
+            volts[i] = v
+            assert with_voltage(epc, i, v) == replace(epc, voltages=tuple(volts))
         with pytest.raises(ValueError, match="outside"):
-            epc.with_voltage(0, 151.0)
+            with_voltage(epc, 0, 151.0)
 
     def test_drift_axes_bitwise(self, monkeypatch):
         clamped = 0
@@ -318,7 +293,7 @@ class TestFloatPathMatchesOracle:
             rng_float = np.random.default_rng(seed)
             rng_oracle = np.random.default_rng(seed)
             for _ in range(10):
-                polar += sum(abs(sq.axis.s3) >= 0.9 for sq in epc.squeezers)
+                polar += sum(abs(axis.s3) >= 0.9 for axis in epc.axes)
                 got = drift_axes(epc, dt, rng_float, sigma=sigma, max_wander=max_wander)
                 want = optics_oracle.drift_axes(
                     epc, dt, rng_oracle, sigma=sigma, max_wander=max_wander
@@ -368,15 +343,15 @@ class TestAnalyzerSweep:
                 landed = epc
                 for _ in range(2):  # the second sweep starts from the first's landings
                     for i in range(4):
-                        sq = epc.squeezers[i]
-                        for v in (sq.v_min, sq.v_max, *rng.uniform(sq.v_min, sq.v_max, size=3)):
+                        lo, hi = epc.v_min, epc.v_max
+                        for v in (lo, hi, *rng.uniform(lo, hi, size=3)):
                             want = analyzer_element(
-                                channel, epc_rotation(landed.with_voltage(i, float(v))), basis
+                                channel, epc_rotation(with_voltage(landed, i, float(v))), basis
                             )
                             worst = max(worst, abs(sweep.element(i, float(v)) - want))
-                        v_land = float(rng.uniform(sq.v_min, sq.v_max))
+                        v_land = float(rng.uniform(lo, hi))
                         sweep.land(i, v_land)
-                        landed = landed.with_voltage(i, v_land)
+                        landed = with_voltage(landed, i, v_land)
                     assert sweep.voltages == list(landed.voltages)
                     want = analyzer_element(channel, epc_rotation(landed), basis)
                     worst = max(worst, abs(sweep.swept - want))
@@ -407,8 +382,10 @@ class TestAnalyzerSweep:
             volts = [float(v) for v in rng.uniform(0.0, 150.0, size=4)]
             one_by_one = epc
             for i, v in enumerate(volts):
-                one_by_one = one_by_one.with_voltage(i, v)
-            assert epc.with_voltages(volts) == one_by_one
+                one_by_one = with_voltage(one_by_one, i, v)
+            driven = epc.with_voltages(volts)
+            assert driven == one_by_one and driven.voltages == tuple(volts)
+            assert driven == replace(epc, voltages=tuple(volts))
         with pytest.raises(ValueError, match="outside"):
             epc.with_voltages([75.0, 75.0, 151.0, 75.0])
 

@@ -32,7 +32,7 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "tally_new",
         "compose",
         "epc_rotation",
-        "with_voltage",
+        "with_voltages",
         "drift_axes",
         "channel_step_drift",
         "simulate_batch",
@@ -43,7 +43,7 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "adjust_squeezer_mc",
         "adjust_squeezer",
         "control_cycle",
-        "control_cycle_mc",
+        "control_cycle_mc_per_eval",
         "track_cycle",
         "series_to_csv_50",
     }

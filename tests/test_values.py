@@ -1,8 +1,8 @@
 """Frozen-value semantics of the types that build themselves on the hot path.
 
-``Rotation``, ``StokesVector``, ``DetectionTally``, ``SqueezerState`` and
-``TimeSeriesRow`` write their own ``__init__``; each must still behave as the
-frozen dataclass it is declared as.  ``ControllerState`` and the tests-side
+``Rotation``, ``StokesVector``, ``DetectionTally`` and ``TimeSeriesRow``
+write their own ``__init__``; each must still behave as the frozen dataclass
+it is declared as.  ``EpcState``, ``ControllerState`` and the tests-side
 ``MeasurementMatrix`` reference are plain frozen dataclasses, held to the
 same semantics.
 """
@@ -13,7 +13,7 @@ import math
 import pytest
 
 from poltrack.feedback import ControllerState
-from poltrack.optics import SQUEEZER_AXIS_A, SqueezerState, default_epc, epc_rotation
+from poltrack.optics import NOMINAL_AXES, EpcState, default_epc, epc_rotation
 from poltrack.photon_sim import _TALLY_FIELDS, DetectionTally
 from poltrack.poincare import (
     Rotation,
@@ -42,13 +42,10 @@ CASES = {
     MeasurementMatrix: (
         dict(j1=0.75, j2=0.25, j3=0.5, j4=0.5), dict(j3=0.25, j4=0.75), dict(j2=0.5), "sum to 1"
     ),
-    SqueezerState: (
-        dict(
-            axis=SQUEEZER_AXIS_A, nominal_axis=SQUEEZER_AXIS_A, gain=0.04,
-            voltage=75.0, v_min=0.0, v_max=150.0,
-        ),
-        dict(voltage=80.0),
-        dict(voltage=151.0),
+    EpcState: (
+        dict(gains=(0.04,) * 4, voltages=(75.0,) * 4, axes=NOMINAL_AXES, v_min=0.0, v_max=150.0),
+        dict(voltages=(75.0, 80.0, 75.0, 75.0)),
+        dict(voltages=(75.0, 75.0, 151.0, 75.0)),
         "outside",
     ),
     ControllerState: (

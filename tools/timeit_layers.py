@@ -5,7 +5,7 @@
 Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
 the construction of a validated ``Rotation`` (``rotation_new``) and of a
 ``DetectionTally`` (``tally_new``); quaternion ``compose``; ``epc_rotation``,
-``EpcState.with_voltage`` and ``drift_axes`` of a jittered-gain EPC; one
+``EpcState.with_voltages`` and ``drift_axes`` of a jittered-gain EPC; one
 random-walk step of the preset's channel (``channel_step_drift``);
 ``simulate_batch`` of one desk batch (the draw alone, from precomputed
 sifted cells), ``reveal_sample`` of that tally at fraction 1 and of a
@@ -15,11 +15,14 @@ sifted cells), ``reveal_sample`` of that tally at fraction 1 and of a
 long-lived ``AnalyzerSweep``, on whichever squeezer the sweep is at,
 against a seeded ``MonteCarloContext`` (``adjust_squeezer_mc``: two
 evaluations, at the working voltage and at the probe) and against a
-noiseless context (``adjust_squeezer``); one ``control_cycle`` from a fixed 30 degree misalignment against the
-noiseless context (``control_cycle``) and, freshly seeded each call,
-against a ``MonteCarloContext`` (``control_cycle_mc``, the saturated
-controller's hot path); one ``track`` cycle, averaged over a 50-cycle run
-from the preset's starting EPCs; and ``series_to_csv`` of that 50-cycle
+noiseless context (``adjust_squeezer``); one ``control_cycle`` from a fixed
+30 degree misalignment against the noiseless context (``control_cycle``)
+and, per evaluation, against a ``MonteCarloContext``
+(``control_cycle_mc_per_eval``, the saturated controller's hot path: one
+correction for each seed of ``MC_SEEDS``, timed together and divided by the
+evaluations they make, since how many a correction makes depends on its
+random stream); one ``track`` cycle, averaged over a 50-cycle run from the
+preset's starting EPCs; and ``series_to_csv`` of that 50-cycle
 series.  The noiseless context is defined here: E = 4 ((1 - m) / 2)^2 of
 the arm's analyzer element ``m``.
 Each figure is the fastest of ``REPEAT`` timeit repeats, with the loop count
@@ -44,6 +47,7 @@ from poltrack.harness import build_channel
 
 SEED = 12345
 TRACK_CYCLES = 50
+MC_SEEDS = range(10)
 REPEAT = 7
 
 
@@ -71,9 +75,9 @@ def main() -> None:
         pt.default_epc(rng, gain=cfg.epc.gain_rad_per_volt, gain_jitter=cfg.epc.gain_jitter)
         for _ in range(2)
     )
-    epc = start_z
-    for i in range(4):
-        epc = epc.with_voltage(i, float(rng.uniform(cfg.epc.v_min, cfg.epc.v_max)))
+    epc = start_z.with_voltages(
+        [float(rng.uniform(cfg.epc.v_min, cfg.epc.v_max)) for _ in range(4)]
+    )
     r1 = pt.rotation_from_axis_angle(pt.StokesVector.unit(1.0, 2.0, 3.0), 0.7)
     r2 = pt.rotation_from_axis_angle(pt.StokesVector.unit(-2.0, 0.5, 1.0), 1.9)
     epc_rot = pt.epc_rotation(epc)
@@ -114,10 +118,21 @@ def main() -> None:
     sweep_mc = pt.AnalyzerSweep(ch_rot, epc, "Z")
     sweep_exact = pt.AnalyzerSweep(misaligned.channel_rot, epc, "Z")
 
-    def correct_mc():
-        rng_mc = np.random.Generator(np.random.Philox(SEED))
-        ctx = pt.MonteCarloContext(misaligned.channel_rot, world.source, world.eta, ctrl, rng_mc)
-        return pt.control_cycle(state, e_misaligned, "Z", ctx, ctrl)
+    evaluations = 0
+
+    class CountingContext(pt.MonteCarloContext):
+        def evaluate(self, m, basis):
+            nonlocal evaluations
+            evaluations += 1
+            return super().evaluate(m, basis)
+
+    def correct_mc(context=pt.MonteCarloContext):
+        for seed in MC_SEEDS:
+            rng_mc = np.random.Generator(np.random.Philox(seed))
+            ctx = context(misaligned.channel_rot, world.source, world.eta, ctrl, rng_mc)
+            pt.control_cycle(state, e_misaligned, "Z", ctx, ctrl)
+
+    correct_mc(CountingContext)  # the seeds fix how many evaluations the corrections make
 
     def track():
         return pt.track(
@@ -136,7 +151,7 @@ def main() -> None:
         "tally_new": lambda: pt.DetectionTally(*tally_fields),
         "compose": lambda: pt.compose(r1, r2),
         "epc_rotation": lambda: pt.epc_rotation(epc),
-        "with_voltage": lambda: epc.with_voltage(2, 80.0),
+        "with_voltages": lambda: epc.with_voltages((75.0, 75.0, 80.0, 75.0)),
         "drift_axes": lambda: pt.drift_axes(
             epc, 1, rng,
             sigma=cfg.epc.axis_drift_sigma_rad, max_wander=cfg.epc.max_axis_wander_rad,
@@ -154,16 +169,14 @@ def main() -> None:
             sweep_exact, sweep_exact.at, misaligned, ctrl
         ),
         "control_cycle": lambda: pt.control_cycle(state, e_misaligned, "Z", misaligned, ctrl),
-        "control_cycle_mc": correct_mc,
+        "control_cycle_mc_per_eval": correct_mc,
         "track_cycle": track,
         "series_to_csv_50": lambda: pt.series_to_csv(series),
     }
-    result = {
-        name: best_us(stmt, TRACK_CYCLES if name == "track_cycle" else 1)
-        for name, stmt in timings.items()
-    }
+    per_call = {"track_cycle": TRACK_CYCLES, "control_cycle_mc_per_eval": evaluations}
+    result = {name: best_us(stmt, per_call.get(name, 1)) for name, stmt in timings.items()}
     result["_meta"] = {
-        "unit": "us per call, best of repeats",
+        "unit": "us per call (per cycle or evaluation where the key says so), best of repeats",
         "repeat": REPEAT,
         "python": platform.python_version(),
         "numpy": np.__version__,
