@@ -53,7 +53,6 @@ from .photon_sim import (
     analyzer_element,
     arm_cell_probs,
     qber_from_tally,
-    reveal_sample,
     sifted_cell_probs,
     simulate_batch,
 )

@@ -34,7 +34,6 @@ from .photon_sim import (
     analyzer_element,
     arm_cell_probs,
     qber_from_tally,
-    reveal_sample,
     sifted_cell_probs,
     simulate_batch,
 )
@@ -96,6 +95,11 @@ class ControllerState:
     converged: bool = True
 
 
+def _revealed_cells(cells: list[float], fraction: float) -> list[float]:
+    """Cells of the revealed tally: each sifted event is revealed with probability ``fraction``."""
+    return cells if fraction == 1.0 else [fraction * c for c in cells]
+
+
 def feedback_error(tally: DetectionTally, basis: str) -> float:
     """E of one basis, straight from its revealed counts.
 
@@ -125,9 +129,9 @@ class MonteCarloContext:
     correction.  ``evaluate(m, basis)`` gives E of one batch whose measured
     arm has analyzer element ``m``.  The two receiver arms are independent,
     so the arm not being measured is simulated with an identity EPC; its four
-    sifted cells are constant too and are computed once, on first use.  Each
-    evaluation computes only the measured arm's cells and draws one batch
-    (and, below fraction 1, its reveal), so repeated calls scatter around the
+    revealed cells are constant too and are computed once, on first use.  Each
+    evaluation computes only the measured arm's revealed cells and draws the
+    revealed tally in one batch, so repeated calls scatter around the
     underlying value; E is read straight from the revealed counts.
     """
 
@@ -139,14 +143,15 @@ class MonteCarloContext:
     _idle: dict = field(default_factory=dict, init=False)  # measured basis -> idle arm's cells
 
     def evaluate(self, m: float, basis: str) -> float:
-        arm = arm_cell_probs(m, self.source, self.eta)
+        fraction = self.config.sample_fraction
+        arm = _revealed_cells(arm_cell_probs(m, self.source, self.eta), fraction)
         idle = self._idle.get(basis)
         if idle is None:
             m_idle = analyzer_element(self.channel_rot, IDENTITY, "X" if basis == "Z" else "Z")
-            idle = self._idle[basis] = arm_cell_probs(m_idle, self.source, self.eta)
+            idle = arm_cell_probs(m_idle, self.source, self.eta)
+            idle = self._idle[basis] = _revealed_cells(idle, fraction)
         cells = arm + idle if basis == "Z" else idle + arm
-        tally = simulate_batch(self.config.batch_pulses, cells, self.rng)
-        return feedback_error(reveal_sample(tally, self.config.sample_fraction, self.rng), basis)
+        return feedback_error(simulate_batch(self.config.batch_pulses, cells, self.rng), basis)
 
 
 def adjust_squeezer(sweep: AnalyzerSweep, i: int, sim_context, config: ControllerConfig) -> int:
@@ -230,19 +235,19 @@ def track(
 ) -> TimeSeries:
     """Run ``duration`` feedback cycles against an evolving world.
 
-    Per cycle: advance the channel and squeezer-axis drift, simulate one
-    monitoring batch, estimate the error rate and per-basis feedback signals
-    from the revealed subset, then (when control is enabled) run one control
+    Per cycle: advance the channel and squeezer-axis drift, draw the revealed
+    tally of one monitoring batch, estimate the error rate and per-basis
+    feedback signals from it, then (when control is enabled) run one control
     cycle per basis, Z first.  ``config`` tunes both controllers and sizes
-    the monitoring batch.  Uses separate seed streams for the channel,
-    the monitoring batches, and each controller, so paired-seed runs with
-    control on and off see the same channel trajectory.
+    the monitoring batch.  Uses separate seed streams for the channel, the
+    axis drift, the monitoring batches, and each controller, so paired-seed
+    runs with control on and off see the same channel trajectory.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng_channel, rng_drift, rng_monitor, rng_reveal, rng_ctrl_z, rng_ctrl_x = (
-        np.random.Generator(np.random.Philox(kid)) for kid in ss.spawn(6)
+    rng_channel, rng_drift, rng_monitor, rng_ctrl_z, rng_ctrl_x = (
+        np.random.Generator(np.random.Philox(kid)) for kid in ss.spawn(5)
     )
 
     def drifted(state: ControllerState) -> ControllerState:
@@ -273,8 +278,9 @@ def track(
             world.source,
             world.eta,
         )
-        tally = simulate_batch(config.batch_pulses, cells, rng_monitor)
-        revealed = reveal_sample(tally, config.sample_fraction, rng_reveal)
+        revealed = simulate_batch(
+            config.batch_pulses, _revealed_cells(cells, config.sample_fraction), rng_monitor
+        )
 
         recenters_before = z_state.recenter_count + x_state.recenter_count
         data_ok = True

@@ -14,20 +14,21 @@ at a constant rate.
 States are immutable values evolved by pure step functions taking explicit
 random generators; independent simulation instances may run concurrently.
 
-``epc_rotation``, ``drift_axes`` and the random-walk step of
-``channel_step`` compose quaternions and tip axes on plain floats and
-validate only the objects they return.  They call the float kernels that the
-public ``poincare`` quaternion API wraps, so they agree with that checked
-reference bit for bit; ``tests/optics_oracle.py`` keeps the object-based
-form.  A squeezer whose angle gain * voltage overflows can be built and
-fails the "rotation angle must be finite" check when rotated.
+``epc_rotation`` and the random-walk step of ``channel_step`` compose
+quaternions on plain floats and validate only the objects they return.  They
+call the float kernels that the public ``poincare`` quaternion API wraps, so
+they agree with that checked reference bit for bit; ``tests/optics_oracle.py``
+keeps the object-based form.  A squeezer whose angle gain * voltage
+overflows can be built and fails the "rotation angle must be finite" check
+when rotated.  ``drift_axes`` tips each axis in closed form (``_tip``), which
+agrees with the oracle's quaternion tip to rounding.
 
-Values drawn into numpy arrays enter the package as Python floats
-(``random_unit_vector`` takes ``.tolist()`` of its draws).  The IEEE result
-is the same, but arithmetic on ``numpy.float64`` scalars is several times
-slower, and every value computed from one inherits its type: a channel
-rotation of numpy scalars would slow the plant, the monitor and every step
-of a correction.
+Each random stream is drawn once per call, as one numpy block: four normals
+for a random-walk step (``normal(size=3)`` then ``normal(0, sigma)`` give the
+same values), four normals then four uniforms for ``drift_axes``.  Blocks
+enter the package as Python floats (``.tolist()``).  The IEEE values are the
+same, but arithmetic on ``numpy.float64`` scalars is several times slower,
+and every value computed from one inherits its type.
 
 A controller correction rotates no EPC at all: along one squeezer's voltage
 the analyzer element of an arm is a sinusoid, which ``AnalyzerSweep``
@@ -92,6 +93,9 @@ class EpcState:
     v_max: float = DEFAULT_V_MAX
 
     def __post_init__(self) -> None:
+        for name in ("gains", "voltages", "axes"):
+            if not isinstance(getattr(self, name), tuple):
+                raise TypeError(f"{name} must be a tuple")
         if not len(self.gains) == len(self.voltages) == len(self.axes) == 4:
             raise ValueError("an EPC has exactly 4 squeezers")
         v_min, v_max = self.v_min, self.v_max
@@ -290,6 +294,22 @@ def _clamp_to_cone(
     )
 
 
+def _tip(axis: StokesVector, angle: float, psi: float) -> StokesVector:
+    """``axis`` turned by ``angle`` about its tangent t = cos(psi) e1 + sin(psi) e2.
+
+    ``e1, e2`` are ``_tangent_basis(axis)``, a right-handed frame with the
+    axis s, so t x s = sin(psi) e1 - cos(psi) e2 and, t being perpendicular
+    to s, the turn is cos(angle) s + sin(angle) (t x s), renormalized.
+    """
+    s1, s2, s3 = axis.s1, axis.s2, axis.s3
+    (a1, a2, a3), (b1, b2, b3) = _tangent_basis(s1, s2, s3)
+    c, s = math.cos(angle), math.sin(angle)
+    u, v = s * math.sin(psi), -s * math.cos(psi)
+    return StokesVector.unit(
+        c * s1 + u * a1 + v * b1, c * s2 + u * a2 + v * b2, c * s3 + u * a3 + v * b3
+    )
+
+
 def drift_axes(
     epc: EpcState,
     dt: float,
@@ -302,7 +322,9 @@ def drift_axes(
 
     Each axis is tipped in a uniformly random tangent direction by an angle
     drawn from N(0, sigma*sqrt(dt)), then clamped to stay within
-    ``max_wander`` of its nominal orientation.  Deterministic given the rng.
+    ``max_wander`` of its nominal orientation.  One call draws one block:
+    four standard normals (the angles, squeezers in order), then four
+    uniforms (the directions).  Deterministic given the rng.
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
@@ -310,23 +332,13 @@ def drift_axes(
         return epc
     scale = sigma * math.sqrt(dt)
     cw, sw = math.cos(max_wander), math.sin(max_wander)
-    axes = []
-    for axis, nominal in zip(epc.axes, NOMINAL_AXES):
-        # numpy's normal(0, scale) and uniform(0, 2 pi) return 0 + scale * z
-        # and 0 + 2 pi * u for these same draws, so the stream is unchanged.
-        angle = scale * rng.standard_normal()
-        psi = _TWO_PI * rng.random()
-        s1, s2, s3 = axis.s1, axis.s2, axis.s3
-        e1, e2 = _tangent_basis(s1, s2, s3)
-        cp, sp = math.cos(psi), math.sin(psi)
-        t1 = cp * e1[0] + sp * e2[0]
-        t2 = cp * e1[1] + sp * e2[1]
-        t3 = cp * e1[2] + sp * e2[2]
-        n = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
-        q = _axis_angle_q(t1 / n, t2 / n, t3 / n, angle)
-        moved = StokesVector(*_rotate(q, (s1, s2, s3)))
-        axes.append(_clamp_to_cone(moved, nominal, cw, sw))
-    return EpcState(epc.gains, epc.voltages, tuple(axes), epc.v_min, epc.v_max)
+    normals = rng.standard_normal(4).tolist()
+    uniforms = rng.random(4).tolist()
+    axes = tuple([
+        _clamp_to_cone(_tip(axis, scale * z, _TWO_PI * u), nominal, cw, sw)
+        for axis, nominal, z, u in zip(epc.axes, NOMINAL_AXES, normals, uniforms)
+    ])
+    return EpcState(epc.gains, epc.voltages, axes, epc.v_min, epc.v_max)
 
 
 @dataclass(frozen=True)
@@ -360,15 +372,6 @@ class RandomWalkChannel:
 ChannelModel = StaticChannel | ScramblerChannel | RandomWalkChannel
 
 
-def random_unit_vector(rng: np.random.Generator) -> StokesVector:
-    """Isotropically random point on the sphere."""
-    while True:
-        x, y, z = rng.normal(size=3).tolist()
-        n = math.sqrt(x * x + y * y + z * z)
-        if n > 1e-12:
-            return StokesVector(x / n, y / n, z / n)
-
-
 def channel_step(
     ch: ChannelModel, dt: float, rng: np.random.Generator
 ) -> tuple[ChannelModel, Rotation]:
@@ -391,9 +394,13 @@ def channel_step(
         c = ch.current
         q = (c.w, c.x, c.y, c.z)
         for _ in range(steps):
-            axis = random_unit_vector(rng)
-            angle = rng.normal(0.0, ch.step_sigma)
-            q = _qmul(_axis_angle_q(axis.s1, axis.s2, axis.s3, angle), q)
+            # an isotropic axis from three normals, then the angle's normal
+            x, y, z, g = rng.standard_normal(4).tolist()
+            n = math.sqrt(x * x + y * y + z * z)
+            while not n > 1e-12:  # a null axis: redraw it as a rejection loop would
+                x, y, z, g = g, *rng.standard_normal(3).tolist()
+                n = math.sqrt(x * x + y * y + z * z)
+            q = _qmul(_axis_angle_q(x / n, y / n, z / n, ch.step_sigma * g), q)
         current = Rotation(*q)
         return RandomWalkChannel(ch.step_sigma, current), current
     raise TypeError(f"unknown channel model {type(ch).__name__}")

@@ -37,10 +37,13 @@ takes the eight cells and does nothing but the draw.
 ``DetectionTally`` is built like ``poincare``'s values: its own
 ``__init__`` validates the counts in one chain of comparisons, names a
 field only when one fails, and fills ``__dict__`` directly.
-``reveal_sample`` at fraction 1 is the identity and draws nothing, so an
-evaluation makes one draw.  ``feedback.feedback_error`` reads E straight
-from the revealed counts; the row-normalized measurement matrix of the
-paper is kept in ``tests/matrix_oracle.py`` as its reference.
+
+Only revealed bits are read.  A sifted cell of probability q, each event
+revealed with probability f, is a cell of probability f q, so ``feedback``
+draws the revealed tally in one batch over the scaled cells (unscaled at
+f = 1); ``tests/per_pulse_oracle.py`` keeps the draw-then-thin reveal as the
+reference.  ``feedback.feedback_error`` reads E from the revealed counts; the
+paper's measurement matrix is its reference in ``tests/matrix_oracle.py``.
 """
 
 from __future__ import annotations
@@ -211,10 +214,10 @@ def simulate_batch(
     """Tally ``n_pulses`` BB84 pulses that fall into the eight sifted ``cells``.
 
     ``cells`` are the per-pulse probabilities in tally order, as
-    ``sifted_cell_probs`` gives them; the rest of the probability is "no
-    sifted detection".  Draws the whole tally at once from its exact
-    multinomial distribution, so the cost does not grow with ``n_pulses``.
-    Deterministic given the generator state.
+    ``sifted_cell_probs`` gives them or scaled by a reveal fraction; the rest
+    of the probability is "no count".  Draws the whole tally at once from its
+    exact multinomial distribution, so the cost does not grow with
+    ``n_pulses``.  Deterministic given the generator state.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be non-negative")
@@ -231,21 +234,3 @@ def qber_from_tally(tally: DetectionTally) -> float:
         raise InsufficientDataError("tally has no sifted events")
     wrong = tally.n_hv + tally.n_vh + tally.n_da + tally.n_ad
     return wrong / total
-
-
-def reveal_sample(
-    tally: DetectionTally, fraction: float, rng: np.random.Generator
-) -> DetectionTally:
-    """Publicly revealed subset: each sifted event kept with prob ``fraction``.
-
-    The remainder is conceptually retained as key material and not modeled
-    further; ``pulses_sent`` is carried over unchanged as provenance.  With
-    ``fraction`` 1 every event is revealed: the tally itself is returned and
-    the generator is not touched.
-    """
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError("fraction must be in (0, 1]")
-    if fraction == 1.0:
-        return tally
-    kept = (int(rng.binomial(getattr(tally, f), fraction)) for f in _COUNT_FIELDS)
-    return DetectionTally(*kept, pulses_sent=tally.pulses_sent)

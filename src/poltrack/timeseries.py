@@ -31,6 +31,8 @@ class TimeSeriesRow:
         self, cycle: int, t_seconds: float, qber_est: float, e_z: float, e_x: float,
         voltages: tuple[float, ...], recenter: int, converged: bool,
     ) -> None:
+        if not isinstance(voltages, tuple):
+            raise TypeError("voltages must be a tuple")
         if len(voltages) != 8:
             raise ValueError("expected 8 voltages (4 per basis arm)")
         self.__dict__.update(

@@ -3,12 +3,20 @@
 This is the object-based EPC composition, axis drift and random-walk channel
 step that the package ran before ``poltrack.optics`` moved them onto plain
 floats, kept as it was apart from reading the EPC's tuples (the channel step
-includes the random axis of numpy scalars it drew).  Every step goes through the public quaternion API
-(``rotation_from_axis_angle``, ``compose``, ``apply_rotation``), which
-``tests/test_poincare.py`` checks against an independent rotation-matrix
-oracle.  The float path in ``poltrack.optics`` performs the same operations
-in the same order, so ``tests/test_optics.py`` requires bitwise equality
-with this module, not closeness.
+includes the random axis of numpy scalars it drew).  Every step goes through
+the public quaternion API (``rotation_from_axis_angle``, ``compose``,
+``apply_rotation``), which ``tests/test_poincare.py`` checks against an
+independent rotation-matrix oracle.  The float EPC rotation and channel step
+in ``poltrack.optics`` perform the same operations in the same order, so
+``tests/test_optics.py`` requires bitwise equality with this module, not
+closeness.
+
+``drift_axes`` here keeps the former draws, a normal and a uniform per axis
+in turn, and tips each axis with a quaternion (``tip``).  The package draws
+one block per call and tips in closed form, so ``tests/test_optics.py``
+requires its tip to equal ``tip`` to rounding, and
+``tests/test_run_distribution.py`` requires runs on the two drifts to agree
+in distribution.
 """
 
 from __future__ import annotations
@@ -103,15 +111,19 @@ def drift_axes(
     for axis, nominal in zip(epc.axes, NOMINAL_AXES):
         angle = rng.normal(0.0, scale)
         psi = rng.uniform(0.0, 2.0 * math.pi)
-        e1, e2 = _tangent_basis(axis)
-        tip_axis = StokesVector.unit(
-            math.cos(psi) * e1.s1 + math.sin(psi) * e2.s1,
-            math.cos(psi) * e1.s2 + math.sin(psi) * e2.s2,
-            math.cos(psi) * e1.s3 + math.sin(psi) * e2.s3,
-        )
-        moved = apply_rotation(rotation_from_axis_angle(tip_axis, angle), axis)
-        axes.append(_clamp_to_cone(moved, nominal, max_wander))
+        axes.append(_clamp_to_cone(tip(axis, angle, psi), nominal, max_wander))
     return replace(epc, axes=tuple(axes))
+
+
+def tip(axis: StokesVector, angle: float, psi: float) -> StokesVector:
+    """``axis`` rotated by ``angle`` about its tangent cos(psi) e1 + sin(psi) e2."""
+    e1, e2 = _tangent_basis(axis)
+    tip_axis = StokesVector.unit(
+        math.cos(psi) * e1.s1 + math.sin(psi) * e2.s1,
+        math.cos(psi) * e1.s2 + math.sin(psi) * e2.s2,
+        math.cos(psi) * e1.s3 + math.sin(psi) * e2.s3,
+    )
+    return apply_rotation(rotation_from_axis_angle(tip_axis, angle), axis)
 
 
 def random_unit_vector(rng: np.random.Generator) -> StokesVector:

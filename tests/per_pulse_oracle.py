@@ -10,9 +10,15 @@ this oracle and the tests use them.  ``sifted_cells`` folds its matched rows
 into the eight sifted-cell probabilities in closed form, and
 ``simulate_batch_per_pulse`` draws every pulse on its own: the combo, one
 uniform per detector, a fair race for double clicks and a coin for the
-misalignment floor.  Comparing the count-level sampler with the per-pulse one
-checks the plant's probability math and the sampler together, in
-distribution.  Memory grows with ``n_pulses``; keep batches small.
+misalignment floor; below a reveal ``fraction`` of 1 it also tosses one coin
+per sifted event for the reveal.  Comparing the count-level sampler with the
+per-pulse one checks the plant's probability math and the sampler together,
+in distribution.  Memory grows with ``n_pulses``; keep batches small.
+
+``reveal_sample`` is the reveal as the package drew it before it folded the
+reveal fraction into the batch's cells: a sifted tally thinned with one
+binomial draw per cell.  It is the reference the folded draw is checked
+against.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 
 import numpy as np
 
-from poltrack.photon_sim import DetectionTally
+from poltrack.photon_sim import _COUNT_FIELDS, DetectionTally
 from poltrack.poincare import StokesVector, apply_rotation
 
 # The four BB84 signal states.
@@ -88,7 +94,7 @@ def sifted_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta) -> np.ndarray:
 
 
 def simulate_batch_per_pulse(
-    n_pulses, channel_rot, epc_rot_z, epc_rot_x, src, eta, rng
+    n_pulses, channel_rot, epc_rot_z, epc_rot_x, src, eta, rng, fraction=1.0
 ) -> DetectionTally:
     p0, p1 = click_prob_table(channel_rot, epc_rot_z, epc_rot_x, src, eta)
     # packed draw: bits are (alice state << 1) | bob basis
@@ -113,5 +119,25 @@ def simulate_batch_per_pulse(
     det = np.where(flip, 1 - det, det)
 
     cell = (sub >> 2) * 4 + ((sub >> 1) & 1) * 2 + det
-    counts = np.bincount(cell[det >= 0], minlength=8)
+    counted = det >= 0
+    if fraction < 1.0:
+        counted &= rng.random(k) < fraction  # each sifted event's reveal coin
+    counts = np.bincount(cell[counted], minlength=8)
     return DetectionTally(*(int(c) for c in counts), pulses_sent=n_pulses)
+
+
+def reveal_sample(
+    tally: DetectionTally, fraction: float, rng: np.random.Generator
+) -> DetectionTally:
+    """Publicly revealed subset: each sifted event kept with prob ``fraction``.
+
+    ``pulses_sent`` is carried over unchanged as provenance.  With
+    ``fraction`` 1 every event is revealed: the tally itself is returned and
+    the generator is not touched.
+    """
+    if not (0.0 < fraction <= 1.0):
+        raise ValueError("fraction must be in (0, 1]")
+    if fraction == 1.0:
+        return tally
+    kept = (int(rng.binomial(getattr(tally, f), fraction)) for f in _COUNT_FIELDS)
+    return DetectionTally(*kept, pulses_sent=tally.pulses_sent)

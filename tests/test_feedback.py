@@ -606,9 +606,9 @@ def full_plant_evaluate(ctx, epc_rot, basis):
     """``MonteCarloContext.evaluate`` drawn from all eight cells computed afresh.
 
     The arm not being measured gets an identity EPC, as it did before the
-    context kept the idle arm.  Below fraction 1 the reveal draws one
-    binomial per cell; at fraction 1 it is the identity and draws nothing.
-    E comes from the paper-form measurement matrix.
+    context kept the idle arm.  Below fraction 1 each cell is scaled by the
+    fraction, so the one draw gives the revealed tally.  E comes from the
+    paper-form measurement matrix.
     """
     rot_z, rot_x = (epc_rot, IDENTITY) if basis == "Z" else (IDENTITY, epc_rot)
     q = cells_before_split(
@@ -617,13 +617,12 @@ def full_plant_evaluate(ctx, epc_rot, basis):
         ctx.source,
         ctx.eta,
     )
-    q.append(1.0 - sum(q))
-    n = ctx.config.batch_pulses
-    counts = ctx.rng.multinomial(n, q)[:8].tolist()
     fraction = ctx.config.sample_fraction
     if fraction < 1.0:
-        counts = [int(ctx.rng.binomial(c, fraction)) for c in counts]
-    revealed = DetectionTally(*counts, pulses_sent=n)
+        q = [fraction * c for c in q]
+    q.append(1.0 - sum(q))
+    n = ctx.config.batch_pulses
+    revealed = DetectionTally(*ctx.rng.multinomial(n, q)[:8].tolist(), pulses_sent=n)
     return paper_e(revealed, basis)
 
 

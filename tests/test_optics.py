@@ -190,9 +190,10 @@ class TestDriftAxes:
 
     @numpy_streams_as_golden
     def test_scaled_draws_equal_normal_and_uniform(self):
-        # drift_axes draws scale * standard_normal() and 2 pi * random(); numpy
-        # computes normal(0, scale) and uniform(0, 2 pi) from the same draws
-        # as 0 + scale * z and 0 + 2 pi * u, so seeded output is unchanged.
+        # drift_axes and the random-walk step scale standard normals by
+        # sigma and uniforms by 2 pi; numpy computes normal(0, scale) and
+        # uniform(0, 2 pi) from the same draws as 0 + scale * z and
+        # 0 + 2 pi * u, so these are the values those calls would give.
         setup = np.random.default_rng(35)
         for _ in range(200):
             seed = int(setup.integers(2**63))
@@ -212,6 +213,22 @@ def _random_epc(rng, wander_steps=0, sigma=0.5):
     for _ in range(wander_steps):
         epc = optics_oracle.drift_axes(epc, 1, rng, sigma=sigma, max_wander=math.pi)
     return epc
+
+
+class FixedNormals:
+    """Generator stand-in that serves fixed standard normals to every normal draw."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self.standard_normal(size)
 
 
 def _hex(r):
@@ -271,38 +288,55 @@ class TestFloatPathMatchesOracle:
         with pytest.raises(ValueError, match="outside"):
             with_voltage(epc, 0, 151.0)
 
-    def test_drift_axes_bitwise(self, monkeypatch):
-        clamped = 0
-        reference_clamp = optics_oracle._clamp_to_cone
-
-        def counting_clamp(axis, nominal, max_wander):
-            nonlocal clamped
-            out = reference_clamp(axis, nominal, max_wander)
-            clamped += out is not axis
-            return out
-
-        monkeypatch.setattr(optics_oracle, "_clamp_to_cone", counting_clamp)
-        polar = 0
+    def test_drift_tip_matches_the_quaternion_tip(self):
+        # for the same (angle, psi), the closed-form tip and clamp against the
+        # oracle's quaternion tip and clamp: equal to rounding, not bit for bit.
+        # Each axis starts inside its wander cone, as drift_axes keeps it.  Cones
+        # up to 1.6 rad reach the |s3| >= 0.9 branch; with steps of at most
+        # about 1 rad no axis nears the antipode of its nominal, where the
+        # clamp's short tangent would magnify any rounding.
         setup = np.random.default_rng(53)
+        worst = 0.0
+        clamped = polar = 0
+        for k in range(20_000):
+            nominal = NOMINAL_AXES[k % 4]
+            max_wander = float(setup.uniform(0.05, 1.6))
+            start = (float(setup.uniform(0.0, max_wander)), float(setup.uniform(0.0, 6.3)))
+            axis = optics_oracle.tip(nominal, *start)
+            angle = float(setup.normal(0.0, setup.uniform(0.001, 0.3)))
+            psi = float(setup.uniform(0.0, 2.0 * math.pi))
+            tipped, tipped_ref = optics._tip(axis, angle, psi), optics_oracle.tip(axis, angle, psi)
+            got = optics._clamp_to_cone(tipped, nominal, math.cos(max_wander), math.sin(max_wander))
+            want = optics_oracle._clamp_to_cone(tipped_ref, nominal, max_wander)
+            for a, b in ((tipped, tipped_ref), (got, want)):
+                worst = max(worst, *(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple())))
+            clamped += got is not tipped
+            polar += abs(axis.s3) >= 0.9
+        assert worst <= 4e-15, worst
+        assert clamped > 1000, "too few steps left the wander cone"
+        assert polar > 100, "too few axes took the |s3| >= 0.9 tangent branch"
+
+    def test_drift_draws_four_normals_then_four_uniforms(self):
+        # one block per call, squeezers in order: the four tip angles
+        # scale * z, then the four tip directions 2 pi * u
+        setup = np.random.default_rng(54)
         for _ in range(300):
-            epc = _random_epc(setup)
+            epc = _random_epc(setup, wander_steps=1)
             sigma = float(setup.uniform(0.001, 2.0))
             max_wander = float(setup.uniform(0.05, 3.0))
-            dt = int(setup.choice([1, 1, 2, 7]))
+            dt = int(setup.choice([1, 2, 7]))
             seed = int(setup.integers(2**32))
-            rng_float = np.random.default_rng(seed)
-            rng_oracle = np.random.default_rng(seed)
-            for _ in range(10):
-                polar += sum(abs(axis.s3) >= 0.9 for axis in epc.axes)
-                got = drift_axes(epc, dt, rng_float, sigma=sigma, max_wander=max_wander)
-                want = optics_oracle.drift_axes(
-                    epc, dt, rng_oracle, sigma=sigma, max_wander=max_wander
-                )
-                assert got == want
-                assert rng_float.bit_generator.state == rng_oracle.bit_generator.state
-                epc = got
-        assert clamped > 0, "no step left the wander cone"
-        assert polar > 0, "no axis reached the |s3| >= 0.9 tangent branch"
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = drift_axes(epc, dt, rng, sigma=sigma, max_wander=max_wander)
+            scale = sigma * math.sqrt(dt)
+            normals, uniforms = ref.standard_normal(4).tolist(), ref.random(4).tolist()
+            cw, sw = math.cos(max_wander), math.sin(max_wander)
+            want = tuple(
+                optics._clamp_to_cone(optics._tip(axis, scale * z, 2.0 * math.pi * u), n, cw, sw)
+                for axis, n, z, u in zip(epc.axes, NOMINAL_AXES, normals, uniforms)
+            )
+            assert got == replace(epc, axes=want)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_random_walk_step_bitwise(self):
         setup = np.random.default_rng(62)
@@ -321,6 +355,17 @@ class TestFloatPathMatchesOracle:
                 assert _hex(got) == _hex(want)
                 assert got_ch.step_sigma == sigma and _hex(got_ch.current) == _hex(got)
                 assert rng_float.bit_generator.state == rng_oracle.bit_generator.state
+
+    def test_random_walk_step_redraws_a_null_axis_as_the_oracle(self):
+        # a null axis is redrawn from the next three normals and the angle
+        # takes the normal after them, as the oracle's rejection loop does
+        normals = [0.0, 0.0, 0.0, 0.3, -0.2, 0.5, 0.7, 1.1]
+        ch = RandomWalkChannel(0.1)
+        got_rng, want_rng = FixedNormals(normals), FixedNormals(normals)
+        _, got = channel_step(ch, 1, got_rng)
+        _, want = optics_oracle.random_walk_step(ch, 1, want_rng)
+        assert _hex(got) == _hex(want)
+        assert got_rng.values == want_rng.values == [1.1]
 
     @pytest.mark.parametrize("nominal", [S1, S2, S3])
     def test_antipodal_clamp_bitwise(self, nominal):

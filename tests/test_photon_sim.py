@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from poltrack.feedback import _revealed_cells
 from poltrack.photon_sim import (
     _COUNT_FIELDS as FIELDS,
     DetectionTally,
@@ -12,7 +13,6 @@ from poltrack.photon_sim import (
     analyzer_element,
     qber_from_tally,
     arm_cell_probs,
-    reveal_sample,
     simulate_batch,
 )
 from poltrack.poincare import (
@@ -32,7 +32,7 @@ from conftest import (
 )
 from controller_oracle import ExactContext, evaluate_rotation
 from matrix_oracle import MeasurementMatrix, measurement_matrix
-from per_pulse_oracle import DIAG, H, sifted_cells, simulate_batch_per_pulse
+from per_pulse_oracle import DIAG, H, reveal_sample, sifted_cells, simulate_batch_per_pulse
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
@@ -210,6 +210,24 @@ EQUIVALENCE_CASES = {
 }
 
 
+def _repeats(sample, seed, n_pulses, n_repeats=400) -> np.ndarray:
+    """Counts of ``n_repeats`` tallies ``sample(n_pulses, rng)``, one row per tally."""
+    rng = rng_for(seed)
+    tallies = [sample(n_pulses, rng) for _ in range(n_repeats)]
+    return np.array([[getattr(t, f) for f in FIELDS] for t in tallies], dtype=float)
+
+
+def _assert_cell_moments_match(counts_a, counts_b) -> None:
+    """Per-cell mean and variance of two samples agree within z = 4."""
+    mean_a, var_a, se2_a, vv_a = _cell_moments(counts_a)
+    mean_b, var_b, se2_b, vv_b = _cell_moments(counts_b)
+    assert np.all(mean_b > 2.0), mean_b  # every cell is populated
+    z_mean = (mean_a - mean_b) / np.sqrt(se2_a + se2_b)
+    z_var = (var_a - var_b) / np.sqrt(vv_a + vv_b)
+    assert np.all(np.abs(z_mean) <= 4.0), z_mean
+    assert np.all(np.abs(z_var) <= 4.0), z_var
+
+
 class TestPerPulseEquivalence:
     """The count-level plant and sampler match the per-pulse oracle in distribution.
 
@@ -221,19 +239,23 @@ class TestPerPulseEquivalence:
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
     def test_cell_mean_and_variance_match(self, case):
         args = EQUIVALENCE_CASES[case]
+        _assert_cell_moments_match(
+            _repeats(lambda n, rng: plant_batch(n, *args, rng), 21, 20_000),
+            _repeats(lambda n, rng: simulate_batch_per_pulse(n, *args, rng), 22, 20_000),
+        )
 
-        def repeats(sample, seed, n_repeats=400, n_pulses=20_000):
-            rng = rng_for(seed)
-            tallies = [sample(n_pulses, *args, rng) for _ in range(n_repeats)]
-            return np.array([[getattr(t, f) for f in FIELDS] for t in tallies], dtype=float)
-
-        mean_a, var_a, se2_a, vv_a = _cell_moments(repeats(plant_batch, 21))
-        mean_b, var_b, se2_b, vv_b = _cell_moments(repeats(simulate_batch_per_pulse, 22))
-        assert np.all(mean_b > 2.0), mean_b  # every cell is populated
-        z_mean = (mean_a - mean_b) / np.sqrt(se2_a + se2_b)
-        z_var = (var_a - var_b) / np.sqrt(vv_a + vv_b)
-        assert np.all(np.abs(z_mean) <= 4.0), z_mean
-        assert np.all(np.abs(z_var) <= 4.0), z_var
+    # the aligned case leaves its wrong cells nearly empty at fraction 0.1
+    @pytest.mark.parametrize("case", ["thirty_degree_channel_with_epcs", "double_clicks_and_floor"])
+    def test_folded_reveal_matches_a_reveal_coin_per_event(self, case):
+        # one batch over the cells scaled by the fraction, as ``feedback``
+        # draws the revealed tally, against per-pulse detection followed by
+        # an independent reveal coin per sifted event
+        args, fraction = EQUIVALENCE_CASES[case], 0.1
+        cells = _revealed_cells(plant_cells(*args), fraction)
+        _assert_cell_moments_match(
+            _repeats(lambda n, rng: simulate_batch(n, cells, rng), 23, 40_000),
+            _repeats(lambda n, rng: simulate_batch_per_pulse(n, *args, rng, fraction), 24, 40_000),
+        )
 
 
 class TestDetectionTally:
@@ -298,6 +320,8 @@ class TestQber:
 
 
 class TestRevealSample:
+    """The tests-side draw-then-thin reveal that the folded draw is checked against."""
+
     def test_full_fraction_is_identity(self):
         # the generator is left as it was, so an evaluation at fraction 1
         # makes one draw, the batch's

@@ -1,13 +1,16 @@
 """Run-level distribution equivalence, checked with the KS kit of ``conftest``.
 
-Each sample is ``RUNS`` seeded runs of ``CYCLES`` cycles of the desk
-``scramble04`` preset, whose saturated controller makes about 28 plant
-evaluations per cycle.  Every comparison uses disjoint seed sets.  The kit
-must pass two seed sets of unchanged code, pass the fraction-1 reveal
-against the former one that drew a double per non-empty cell (same
-distribution, different stream), and flag a misalignment floor of 0.015
-against the preset's 0.012.  At this size the critical KS distance is about
-0.22.
+Each sample is ``RUNS`` seeded runs of ``CYCLES`` cycles of the ``scramble04``
+preset, whose saturated controller makes about 15 plant evaluations per
+cycle.  Every comparison uses disjoint seed sets.  The kit must pass two
+seed sets of unchanged code and flag a misalignment floor of 0.015 against
+the preset's 0.012.  It then shows two changed random streams equal in
+distribution to the streams they replaced: at desk scale, the squeezer axes
+tipped from one block of draws against the former per-axis draws
+(``optics_oracle.drift_axes``); at ``--full``, where a tenth of the sifted
+bits is revealed, the revealed tally drawn in one batch against a sifted
+draw followed by the thinning reference (``per_pulse_oracle.reveal_sample``).
+At this size the critical KS distance is about 0.22.
 """
 
 from __future__ import annotations
@@ -18,15 +21,18 @@ from dataclasses import replace
 
 import pytest
 
+import optics_oracle
 from poltrack import feedback
 from poltrack.harness import preset_config
-from poltrack.photon_sim import reveal_sample
+from poltrack.photon_sim import simulate_batch
 
 from conftest import compare_runs, ks_critical, ks_distance, scenario_run_metrics
+from per_pulse_oracle import reveal_sample
 
 RUNS = 150
 CYCLES = 30
 SCRAMBLE = replace(preset_config("scramble04"), duration=CYCLES)
+SCRAMBLE_FULL = replace(preset_config("scramble04", full=True), duration=CYCLES)
 
 
 def seed_set(k: int) -> range:
@@ -39,12 +45,8 @@ def scramble_run(seed: int) -> dict[str, float]:
     return scenario_run_metrics(replace(SCRAMBLE, seed=seed))
 
 
-def reveal_drawing_k(tally, fraction, rng):
-    """The former reveal: at fraction 1, the tally after one double per non-empty cell."""
-    if fraction == 1.0:
-        rng.random(sum(count > 0 for count in tally.counts("Z") + tally.counts("X")))
-        return tally
-    return reveal_sample(tally, fraction, rng)
+def scramble_full_run(seed: int) -> dict[str, float]:
+    return scenario_run_metrics(replace(SCRAMBLE_FULL, seed=seed))
 
 
 def differing(gaps) -> dict[str, tuple[float, float]]:
@@ -56,13 +58,31 @@ def test_two_seed_sets_of_unchanged_code_agree():
     assert differing(gaps) == {}, gaps
 
 
-def test_identity_reveal_matches_the_former_reveal(monkeypatch):
+def test_block_drift_matches_the_former_drift(monkeypatch):
     def former(seed):
         with monkeypatch.context() as patch:
-            patch.setattr(feedback, "reveal_sample", reveal_drawing_k)
+            patch.setattr(feedback, "drift_axes", optics_oracle.drift_axes)
             return scramble_run.__wrapped__(seed)
 
     gaps = compare_runs(former, scramble_run, seed_set(2), seed_set(0))
+    assert differing(gaps) == {}, gaps
+
+
+def test_folded_reveal_matches_a_sifted_draw_then_thinning(monkeypatch):
+    fraction = SCRAMBLE_FULL.controller.sample_fraction
+    assert fraction < 1.0
+
+    def draw_then_thin(n_pulses, cells, rng):
+        return reveal_sample(simulate_batch(n_pulses, cells, rng), fraction, rng)
+
+    def former(seed):
+        # the sifted cells go unscaled into the draw, and the thinning follows it
+        with monkeypatch.context() as patch:
+            patch.setattr(feedback, "_revealed_cells", lambda cells, fraction: cells)
+            patch.setattr(feedback, "simulate_batch", draw_then_thin)
+            return scramble_full_run(seed)
+
+    gaps = compare_runs(former, scramble_full_run, seed_set(4), seed_set(5))
     assert differing(gaps) == {}, gaps
 
 

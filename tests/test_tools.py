@@ -36,10 +36,9 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "drift_axes",
         "channel_step_drift",
         "simulate_batch",
-        "reveal_sample_full",
-        "reveal_sample_0.1",
         "feedback_error",
         "MonteCarloContext.evaluate",
+        "evaluate_full",
         "adjust_squeezer_mc",
         "adjust_squeezer",
         "control_cycle",

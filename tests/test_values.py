@@ -137,3 +137,27 @@ def test_class_level_post_init_patch_sees_every_construction(cls, monkeypatch):
     # the hook runs on the finished object, once per construction
     assert len(seen) == len(want)
     assert all(s is w for s, w in zip(seen, want))
+
+
+# type -> the fields declared as tuples, checked by type; a list compares
+# unequal to its tuple twin and cannot be hashed
+TUPLE_FIELDS = {EpcState: ("gains", "voltages", "axes"), TimeSeriesRow: ("voltages",)}
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls, names in TUPLE_FIELDS.items() for name in names],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_tuple_fields_reject_a_list(cls, name):
+    values = CASES[cls][0]
+    with pytest.raises(TypeError, match=f"{name} must be a tuple"):
+        cls(**{**values, name: list(values[name])})
+    with pytest.raises(TypeError, match=f"{name} must be a tuple"):
+        dataclasses.replace(cls(**values), **{name: list(values[name])})
+
+
+def test_with_voltages_takes_any_sequence():
+    driven = EPC.with_voltages([75.0, 80.0, 75.0, 75.0])
+    assert driven.voltages == (75.0, 80.0, 75.0, 75.0)
+    assert hash(driven) == hash(EPC.with_voltages((75.0, 80.0, 75.0, 75.0)))

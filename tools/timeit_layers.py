@@ -8,10 +8,10 @@ the construction of a validated ``Rotation`` (``rotation_new``) and of a
 ``EpcState.with_voltages`` and ``drift_axes`` of a jittered-gain EPC; one
 random-walk step of the preset's channel (``channel_step_drift``);
 ``simulate_batch`` of one desk batch (the draw alone, from precomputed
-sifted cells), ``reveal_sample`` of that tally at fraction 1 and of a
-``--full``-sized tally at the ``--full`` fraction 0.1; one
-``feedback_error`` of that desk tally's Z basis; one
-``MonteCarloContext.evaluate``; one ``adjust_squeezer`` step of a
+sifted cells); one ``feedback_error`` of that desk tally's Z basis; one
+``MonteCarloContext.evaluate`` at desk scale and one at the ``--full``
+preset (``evaluate_full``: link, source, batch and reveal fraction 0.1 of
+``--full``); one ``adjust_squeezer`` step of a
 long-lived ``AnalyzerSweep``, on whichever squeezer the sweep is at,
 against a seeded ``MonteCarloContext`` (``adjust_squeezer_mc``: two
 evaluations, at the working voltage and at the probe) and against a
@@ -92,19 +92,15 @@ def main() -> None:
     _, ch_rot = pt.channel_step(world.channel, 1, np.random.default_rng(SEED))
     mc = pt.MonteCarloContext(ch_rot, world.source, world.eta, cfg.controller, rng)
 
-    def cells(source, eta):
-        m_z = pt.analyzer_element(ch_rot, epc_rot, "Z")
-        m_x = pt.analyzer_element(ch_rot, epc_rot, "X")
-        return pt.sifted_cell_probs(m_z, m_x, source, eta)
-
     m_z = pt.analyzer_element(ch_rot, epc_rot, "Z")
-    desk_cells = cells(world.source, world.eta)
+    m_x = pt.analyzer_element(ch_rot, epc_rot, "X")
+    desk_cells = pt.sifted_cell_probs(m_z, m_x, world.source, world.eta)
     desk_tally = pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng)
     tally_fields = astuple(desk_tally)
     full = pt.preset_config("drift24h", full=True)
-    full_ctrl = full.controller
-    full_cells = cells(full.source, pt.transmittance(full.link))
-    full_tally = pt.simulate_batch(full_ctrl.batch_pulses, full_cells, rng)
+    mc_full = pt.MonteCarloContext(
+        ch_rot, full.source, pt.transmittance(full.link), full.controller, rng
+    )
 
     diagonal = pt.StokesVector(0.0, 1.0, 0.0)
     misaligned = NoiselessContext(pt.rotation_from_axis_angle(diagonal, math.radians(30.0)))
@@ -158,12 +154,9 @@ def main() -> None:
         ),
         "channel_step_drift": lambda: pt.channel_step(world.channel, 1, rng),
         "simulate_batch": lambda: pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng),
-        "reveal_sample_full": lambda: pt.reveal_sample(desk_tally, 1.0, rng),
-        f"reveal_sample_{full_ctrl.sample_fraction}": lambda: pt.reveal_sample(
-            full_tally, full_ctrl.sample_fraction, rng
-        ),
         "feedback_error": lambda: pt.feedback_error(desk_tally, "Z"),
         "MonteCarloContext.evaluate": lambda: mc.evaluate(m_z, "Z"),
+        "evaluate_full": lambda: mc_full.evaluate(m_z, "Z"),
         "adjust_squeezer_mc": lambda: pt.adjust_squeezer(sweep_mc, sweep_mc.at, mc, cfg.controller),
         "adjust_squeezer": lambda: pt.adjust_squeezer(
             sweep_exact, sweep_exact.at, misaligned, ctrl
