@@ -128,9 +128,8 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, replicas: int) -> None:
 def _run(cfg: ScenarioConfig, args: argparse.Namespace, default_out: Path) -> None:
     """Check the run flags, apply them to ``cfg`` and execute it.
 
-    ``cfg`` comes checked from ``parse_config`` or ``preset_config``; checking
-    ``--seed`` here makes a bad one a config error rather than a runtime error
-    inside a replica worker.
+    Every ``ScenarioConfig`` is checked when built; checking ``--seed`` here
+    names the flag rather than ``scenario.seed``.
     """
     if args.replicas < 1:
         raise ConfigError("--replicas: must be at least 1")

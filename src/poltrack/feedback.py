@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import Checked
 from .optics import AnalyzerSweep, ChannelModel, EpcState, channel_step, drift_axes, epc_rotation
 from .photon_sim import (
     DetectionTally,
@@ -48,7 +49,7 @@ _ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
 
 
 @dataclass(frozen=True)
-class ControllerConfig:
+class ControllerConfig(Checked):
     """Tuning of the basis controllers; one config drives both bases.
 
     Each basis keeps its own ``ControllerState``, EPC and random stream; only
@@ -71,19 +72,15 @@ class ControllerConfig:
     max_cycles_per_correction: int = 25
     batch_pulses: int = 25_000
 
-    def __post_init__(self) -> None:
-        checks = (
-            ("dither_volts", self.dither_volts > 0.0, "must be positive"),
-            ("tau", self.tau <= 0.0, "must be non-positive (negative to minimize E)"),
-            ("e_threshold", 0.0 < self.e_threshold < 2.0, "must be in (0, 2)"),
-            ("sample_fraction", 0.0 < self.sample_fraction <= 1.0, "must be in (0, 1]"),
-            ("max_cycles_per_correction", self.max_cycles_per_correction >= 1,
-             "must be at least 1"),
-            ("batch_pulses", self.batch_pulses >= 1, "must be at least 1"),
-        )
-        failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
-        if failures:
-            raise ValueError("\n".join(failures))
+    _RANGES = (
+        ("dither_volts", lambda v: v > 0.0, "must be positive"),
+        ("tau", lambda v: v <= 0.0, "must be non-positive (negative to minimize E)"),
+        ("e_threshold", lambda v: 0.0 < v < 2.0, "must be in (0, 2)"),
+        ("sample_fraction", lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+        ("max_cycles_per_correction", lambda v: v >= 1, "must be at least 1"),
+        ("batch_pulses", lambda v: v >= 1, "must be at least 1"),
+        ("batch_pulses", lambda v: v < 2**63, "must be below 2**63"),  # numpy draws C longs
+    )
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ same seed gives byte-identical CSV output.
 
 The config dataclasses are the file format: ``ScenarioConfig``'s scalar
 fields are the ``[scenario]`` keys, each of its dataclass-typed fields is a
-section of the same name, and every field name is its INI key.  Parsing,
-emission and validation messages all use those names.
+section of the same name, and every field name is its INI key.  Each one
+checks its fields when built, in code or by the parser, which only converts
+text; parsing, emission and those checks' messages all use the INI names.
 
 Output layout per run: ``series.csv``, ``summary.txt``, ``config.resolved``.
 """
@@ -20,10 +21,11 @@ import configparser
 import io
 import math
 import typing
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
+from ._checks import Checked, field_errors
 from .feedback import ControllerConfig, ControllerState, World, track
 from .optics import (
     DEFAULT_AXIS_DRIFT_SIGMA,
@@ -60,7 +62,7 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class EpcParams:
+class EpcParams(Checked):
     """Construction parameters of one EPC (both arms use the same)."""
 
     gain_rad_per_volt: float = DEFAULT_GAIN
@@ -70,22 +72,18 @@ class EpcParams:
     axis_drift_sigma_rad: float = DEFAULT_AXIS_DRIFT_SIGMA
     max_axis_wander_rad: float = DEFAULT_MAX_AXIS_WANDER
 
-    def __post_init__(self) -> None:
-        # v_min/v_max is checked as a pair, in validate_config
-        checks = (
-            ("gain_rad_per_volt", self.gain_rad_per_volt > 0.0, "must be positive"),
-            ("gain_jitter", 0.0 <= self.gain_jitter < 1.0, "must be in [0, 1)"),
-            ("axis_drift_sigma_rad", self.axis_drift_sigma_rad >= 0.0, "must be non-negative"),
-            ("max_axis_wander_rad", self.max_axis_wander_rad >= 0.0, "must be non-negative"),
-        )
-        failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
-        if failures:
-            raise ValueError("\n".join(failures))
+    # v_min/v_max is checked as a pair, in ScenarioConfig
+    _RANGES = (
+        ("gain_rad_per_volt", lambda v: v > 0.0, "must be positive"),
+        ("gain_jitter", lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+        ("axis_drift_sigma_rad", lambda v: v >= 0.0, "must be non-negative"),
+        ("max_axis_wander_rad", lambda v: v >= 0.0, "must be non-negative"),
+    )
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Channel-model parameters; ``[scenario] kind`` picks which are read."""
+class ChannelParams(Checked):
+    """Channel-model parameters; ``[scenario] kind`` picks which are read and range-checked."""
 
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     angle_deg: float = 30.0
@@ -94,16 +92,48 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Checked):
     kind: str = "drift"
     duration: int = 7200
     seed: int = 12345
     control_enabled: bool = True
-    link: LinkBudget = field(default_factory=lambda: LinkBudget(0.2, 0.0, 1.0))
-    source: SourceParams = field(default_factory=lambda: SourceParams(mean_photons=0.5))
-    epc: EpcParams = field(default_factory=EpcParams)
-    channel: ChannelParams = field(default_factory=ChannelParams)
-    controller: ControllerConfig = field(default_factory=ControllerConfig)
+    link: LinkBudget = LinkBudget(0.2, 0.0, 1.0)  # sections are frozen: configs share defaults
+    source: SourceParams = SourceParams(mean_photons=0.5)
+    epc: EpcParams = EpcParams()
+    channel: ChannelParams = ChannelParams()
+    controller: ControllerConfig = ControllerConfig()
+
+    _RANGES = (
+        ("kind", lambda v: v in SCENARIO_KINDS, f"must be one of {', '.join(SCENARIO_KINDS)}"),
+        ("duration", lambda v: v >= 1, "must be at least 1"),
+        ("seed", lambda v: v >= 0, "must be non-negative"),
+    )
+
+    def __post_init__(self) -> None:
+        failed = field_errors(self)
+        errors = {f"scenario.{key}": text for key, text in failed.items()}
+        if failed.keys().isdisjoint(_SCHEMA):  # every section is well typed: check across
+            ch, epc = self.channel, self.epc
+            read = () if "kind" in failed else _CHANNEL_KEYS[self.kind]
+            checks = (
+                ("channel.axis",  # squared and summed as StokesVector.unit does
+                 "axis" not in read or 0.0 < math.sqrt(sum(a * a for a in ch.axis)) < math.inf,
+                 "too large or too small to normalize"),
+                ("channel.axis", "axis" not in read or (len(ch.axis) == 3 and any(ch.axis)),
+                 "need a non-zero 3-vector"),
+                ("channel.step_sigma_rad", "step_sigma_rad" not in read or ch.step_sigma_rad >= 0.0,
+                 "must be non-negative"),
+                ("link.length_km", transmittance(self.link) > 0.0,
+                 "the transmittance underflows to 0 at this alpha_db_per_km"),
+                ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
+                # the first probe of a squeezer at its range center goes up by dither
+                ("controller.dither_volts",
+                 0.5 * (epc.v_min + epc.v_max) + self.controller.dither_volts <= epc.v_max,
+                 "must be at most half the epc voltage range"),
+            )
+            errors.update((path, text) for path, ok, text in checks if not ok)  # a later one wins
+        if errors:
+            raise ConfigError("\n".join(f"{path}: {text}" for path, text in errors.items()))
 
 
 @dataclass(frozen=True)
@@ -132,22 +162,12 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
-_PARSERS = {bool: _parse_bool, float: _parse_float}
-
-
 def _converter(tp):
     """Text-to-value conversion for a field's declared type."""
     if typing.get_origin(tp) is tuple:
         item = _converter(typing.get_args(tp)[0])
         return lambda text: tuple(item(x) for x in text.split(","))
-    return _PARSERS.get(tp, tp)  # str and int convert as themselves
+    return _parse_bool if tp is bool else tp  # str, int and float convert as themselves
 
 
 def _schema() -> dict[str, dict]:
@@ -181,7 +201,7 @@ def config_to_ini(cfg: ScenarioConfig) -> str:
     for section, keys in _SCHEMA.items():
         obj = cfg if section == "scenario" else getattr(cfg, section)
         if section == "channel":
-            keys = _CHANNEL_KEYS.get(cfg.kind, keys)
+            keys = _CHANNEL_KEYS[cfg.kind]
         lines = [f"{key} = {_fmt(getattr(obj, key))}" for key in keys]
         blocks.append("\n".join([f"[{section}]", *lines]))
     return "\n\n".join(blocks) + "\n"
@@ -231,44 +251,13 @@ def parse_config(text: str) -> ScenarioConfig:
                 values.pop(line.split(":", 1)[0], None)
             changes[section] = replace(getattr(base, section), **values)
 
-    cfg = replace(base, **changes)
     try:
-        validate_config(cfg)
-    except ConfigError as exc:
+        cfg = replace(base, **changes)
+    except ConfigError as exc:  # the [scenario] keys and the checks across sections
         errors.extend(str(exc).splitlines())
     if errors:
         raise ConfigError("\n".join(errors))
     return cfg
-
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    """The checks no section makes of itself, each message naming ``section.key``.
-
-    These are the ``[scenario]`` keys, the ``[channel]`` keys that
-    ``cfg.kind`` reads, and the checks across fields; every other section
-    checks its own fields when it is built.
-    """
-    ch, epc = cfg.channel, cfg.epc
-    read = _CHANNEL_KEYS.get(cfg.kind, ())
-    checks = (
-        ("scenario.kind", cfg.kind in SCENARIO_KINDS,
-         f"must be one of {', '.join(SCENARIO_KINDS)}"),
-        ("scenario.duration", cfg.duration >= 1, "must be at least 1"),
-        ("scenario.seed", cfg.seed >= 0, "must be non-negative"),
-        ("channel.axis",
-         "axis" not in read or (len(ch.axis) == 3 and any(a != 0.0 for a in ch.axis)),
-         "need a non-zero 3-vector"),
-        ("channel.step_sigma_rad", "step_sigma_rad" not in read or ch.step_sigma_rad >= 0.0,
-         "must be non-negative"),
-        ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
-        # the first probe of a squeezer at its range center goes up by dither
-        ("controller.dither_volts",
-         0.5 * (epc.v_min + epc.v_max) + cfg.controller.dither_volts <= epc.v_max,
-         "must be at most half the epc voltage range"),
-    )
-    errors = [f"{path}: {message}" for path, ok, message in checks if not ok]
-    if errors:
-        raise ConfigError("\n".join(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +320,11 @@ def build_channel(cfg: ScenarioConfig):
         return StaticChannel(rotation_from_axis_angle(axis, math.radians(ch.angle_deg)))
     if cfg.kind == "scramble":
         return ScramblerChannel(axis=StokesVector.unit(*ch.axis), rate=ch.rate_deg_per_cycle)
-    if cfg.kind == "drift":
-        return RandomWalkChannel(step_sigma=ch.step_sigma_rad)
-    raise ConfigError(f"scenario.kind: {cfg.kind} has no channel model")
+    return RandomWalkChannel(step_sigma=ch.step_sigma_rad)  # kind = drift
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
     """Execute a simulation scenario; pure function of the config."""
-    validate_config(cfg)
     ss = np.random.SeedSequence(cfg.seed)
     ss_epc_z, ss_epc_x, ss_track = ss.spawn(3)
 
@@ -426,10 +412,11 @@ def series_from_csv(text: str) -> TimeSeries:
     """Parse a series CSV; emit(parse(text)) reproduces each row byte for byte.
 
     A row that would re-emit as different text, such as ``01`` for a cycle or
-    ``0.0200`` for a float, is rejected.  So are a field that does not parse,
-    a ``recenter`` count below zero and a ``converged`` flag other than 0 or
-    1, the last two with messages of their own: neither would give a true
-    summary.  Every message starts with the line number.
+    ``0.0200`` for a float, is rejected.  So are a field that does not parse
+    and values ``track`` never writes, which give no true summary: a negative
+    ``recenter``, a ``converged`` not 0 or 1, a ``qber_est`` outside [0, 1],
+    an ``e_z``/``e_x`` outside [0, 4] (each may be nan, a starved cycle) and
+    a non-finite time or voltage.  Every message starts with the line number.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -455,6 +442,13 @@ def series_from_csv(text: str) -> TimeSeries:
                 recenter=recenter,
                 converged=parts[14] == "1",
             )
+            for name, top in (("qber_est", 1.0), ("e_z", 4.0), ("e_x", 4.0)):
+                if not (0.0 <= (value := getattr(row, name)) <= top or math.isnan(value)):
+                    raise ValueError(f"{name} must be in [0, {top:g}] or nan, got {value!r}")
+            if not all(map(math.isfinite, (row.t_seconds, *row.voltages))):
+                raise ValueError("t_seconds and the voltages must be finite")
+            if rows and row.cycle <= rows[-1].cycle:
+                raise ValueError(f"cycle must be above the previous row's {rows[-1].cycle}")
             emitted = _row_text(row)
             if emitted != line:
                 raise ValueError(f"does not round-trip; it would be written as {emitted!r}")

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import Checked
 from .poincare import (
     IDENTITY,
     Rotation,
@@ -407,22 +408,18 @@ def channel_step(
 
 
 @dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(Checked):
     """Fiber loss plus receiver detection efficiency."""
 
     alpha_db_per_km: float
     length_km: float
     eta_bob: float  # receiver detection efficiency
 
-    def __post_init__(self) -> None:
-        checks = (
-            ("alpha_db_per_km", self.alpha_db_per_km >= 0.0, "must be non-negative"),
-            ("length_km", self.length_km >= 0.0, "must be non-negative"),
-            ("eta_bob", 0.0 < self.eta_bob <= 1.0, "must be in (0, 1]"),
-        )
-        failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
-        if failures:
-            raise ValueError("\n".join(failures))
+    _RANGES = (
+        ("alpha_db_per_km", lambda v: v >= 0.0, "must be non-negative"),
+        ("length_km", lambda v: v >= 0.0, "must be non-negative"),
+        ("eta_bob", lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    )
 
 
 def transmittance(lb: LinkBudget) -> float:

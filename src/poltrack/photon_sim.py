@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import Checked
 from .poincare import Rotation, _qprod
 
 class InsufficientDataError(RuntimeError):
@@ -69,7 +70,7 @@ class EmptyRowError(InsufficientDataError):
 
 
 @dataclass(frozen=True)
-class SourceParams:
+class SourceParams(Checked):
     """Transmitter and detector imperfection parameters.
 
     ``dark_count_prob`` is per detector per gated pulse.
@@ -82,15 +83,11 @@ class SourceParams:
     dark_count_prob: float = 1.5e-6
     misalignment_floor: float = 0.012
 
-    def __post_init__(self) -> None:
-        checks = (
-            ("mean_photons", self.mean_photons > 0.0, "must be positive"),
-            ("dark_count_prob", 0.0 <= self.dark_count_prob < 1.0, "must be in [0, 1)"),
-            ("misalignment_floor", 0.0 <= self.misalignment_floor < 0.5, "must be in [0, 0.5)"),
-        )
-        failures = [f"{key}: {text}" for key, ok, text in checks if not ok]
-        if failures:
-            raise ValueError("\n".join(failures))
+    _RANGES = (
+        ("mean_photons", lambda v: v > 0.0, "must be positive"),
+        ("dark_count_prob", lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+        ("misalignment_floor", lambda v: 0.0 <= v < 0.5, "must be in [0, 0.5)"),
+    )
 
 
 _COUNT_FIELDS = ("n_hh", "n_hv", "n_vh", "n_vv", "n_dd", "n_da", "n_ad", "n_aa")

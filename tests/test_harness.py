@@ -329,14 +329,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, key, message",
         [
-            ("controller", "tau", "must be non-positive (negative to minimize E)"),
-            ("epc", "axis_drift_sigma_rad", "must be non-negative"),
-            ("link", "alpha_db_per_km", "must be non-negative"),
-            ("link", "length_km", "must be non-negative"),
+            ("controller", "tau", "must be finite"),
+            ("epc", "axis_drift_sigma_rad", "must be finite"),
+            ("link", "alpha_db_per_km", "must be finite"),
+            ("link", "length_km", "must be finite"),
         ],
     )
     def test_nan_fails_the_constructor_check(self, section, key, message):
-        # nan compares False both ways, so each check must fail on it, not pass it
+        # nan compares False both ways; the type check rejects it before any range check
         with pytest.raises(ValueError) as err:
             replace(getattr(ScenarioConfig(), section), **{key: math.nan})
         assert str(err.value) == f"{key}: {message}"
@@ -357,6 +357,67 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             parse_config(f"[scenario]\nkind = static\n[{section}]\n{key} = {value}\n")
         assert str(err.value) == f"{section}.{key}: must be finite"
+
+    @pytest.mark.parametrize(
+        "kind, section, key, value, text, message",
+        [
+            ("static", "scenario", "seed", -1, "-1", "scenario.seed: must be non-negative"),
+            ("static", "controller", "tau", -math.inf, "-inf", "controller.tau: must be finite"),
+            ("static", "source", "mean_photons", math.nan, "nan",
+             "source.mean_photons: must be finite"),
+            ("static", "channel", "angle_deg", math.inf, "inf",
+             "channel.angle_deg: must be finite"),
+            # each of the rest failed inside the model before it was checked by name
+            ("static", "link", "length_km", 1e300, "1e300",
+             "link.length_km: the transmittance underflows to 0 at this alpha_db_per_km"),
+            ("static", "channel", "axis", (1e300,) * 3, "1e300,1e300,1e300",
+             "channel.axis: too large or too small to normalize"),
+            ("scramble", "channel", "axis", (1e300,) * 3, "1e300,1e300,1e300",
+             "channel.axis: too large or too small to normalize"),
+            ("static", "controller", "batch_pulses", 10**30, str(10**30),
+             "controller.batch_pulses: must be below 2**63"),
+        ],
+    )
+    def test_code_and_ini_give_the_same_message(self, kind, section, key, value, text, message):
+        line = f"{key} = {text}\n" if section == "scenario" else f"[{section}]\n{key} = {text}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[scenario]\nkind = {kind}\n" + line)
+        assert str(err.value) == message
+        cfg = replace(ScenarioConfig(), kind=kind)
+        with pytest.raises(ValueError) as err:
+            if section == "scenario":
+                replace(cfg, **{key: value})
+            else:
+                replace(cfg, **{section: replace(getattr(cfg, section), **{key: value})})
+        # a section's own check names its key; ScenarioConfig names section.key
+        assert message in (str(err.value), f"{section}.{err.value}")
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            # each ran or failed mid-run before its type was checked
+            ("scenario", "duration", 2.5, "scenario.duration: must be an integer"),
+            ("scenario", "seed", 1.5, "scenario.seed: must be an integer"),
+            ("scenario", "control_enabled", "no",
+             "scenario.control_enabled: must be true or false"),
+            ("scenario", "kind", 2, "scenario.kind: must be a string"),
+            ("scenario", "link", None, "scenario.link: must be a LinkBudget"),
+            ("controller", "batch_pulses", 2.5, "batch_pulses: must be an integer"),
+            ("controller", "max_cycles_per_correction", True, "max_cycles_per_correction: "
+             "must be an integer"),
+            ("epc", "gain_jitter", False, "gain_jitter: must be a number"),
+            ("channel", "axis", [0.0, 0.0, 1.0], "axis: must be a tuple"),
+            ("channel", "axis", (0.0, "1", 0.0), "axis: must be a number"),
+        ],
+    )
+    def test_wrong_type_built_in_code_rejected(self, section, key, value, message):
+        cfg = ScenarioConfig()
+        with pytest.raises(ValueError) as err:
+            if section == "scenario":
+                replace(cfg, **{key: value})
+            else:
+                replace(getattr(cfg, section), **{key: value})
+        assert str(err.value) == message
 
     def test_dither_wider_than_half_the_epc_range_rejected(self):
         # the first correction would probe the range center plus dither
@@ -570,6 +631,16 @@ class TestSeriesCsv:
             (5, "075", ROUND_TRIP),
             (12, " 75", ROUND_TRIP),
             (13, "+0", ROUND_TRIP),
+            # values track never writes
+            (2, "inf", "line 3: qber_est must be in [0, 1] or nan, got inf"),
+            (2, "-0.5", "line 3: qber_est must be in [0, 1] or nan, got -0.5"),
+            (2, "1.5", "line 3: qber_est must be in [0, 1] or nan, got 1.5"),
+            (3, "4.5", "line 3: e_z must be in [0, 4] or nan, got 4.5"),
+            (4, "-inf", "line 3: e_x must be in [0, 4] or nan, got -inf"),
+            (1, "nan", "line 3: t_seconds and the voltages must be finite"),
+            (7, "nan", "line 3: t_seconds and the voltages must be finite"),
+            (12, "inf", "line 3: t_seconds and the voltages must be finite"),
+            (0, "1", "line 3: cycle must be above the previous row's 1"),
         ],
     )
     def test_rejects_field_that_would_not_round_trip(self, field, value, message):
@@ -581,6 +652,11 @@ class TestSeriesCsv:
         with pytest.raises(ValueError) as err:
             series_from_csv("\n".join(lines) + "\n")
         assert str(err.value) == message.format(emitted=emitted)
+
+    def test_starved_row_round_trips(self):
+        row = TimeSeriesRow(2, 24.0, math.nan, math.nan, math.nan, (75.0,) * 8, 0, False)
+        text = series_to_csv(TimeSeries((make_row(1), row)))
+        assert series_to_csv(series_from_csv(text)) == text
 
     def test_nine_significant_digits(self):
         row = make_row(1, q=0.0123456789123)
