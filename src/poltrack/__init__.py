@@ -10,7 +10,7 @@ and a reproducible scenario harness with a CLI.
 
 from .feedback import (
     ControllerConfig,
-    ControllerState,
+    ControlResult,
     MonteCarloContext,
     World,
     adjust_squeezer,

@@ -13,9 +13,11 @@ Voltages that would leave their drive range reset to the range center, the
 standard endless-control trick.  While E stays below threshold the voltages
 are held.
 
-Each measurement basis has its own controller state and EPC, and one config
+Each measurement basis has its own EPC and random stream, and one config
 tunes both; within one feedback cycle the Z controller runs first, then the
-X controller.  A controller state is owned by a single execution context.
+X controller.  A controller carries nothing from one cycle to the next but
+its EPC: ``control_cycle`` returns that cycle's ``ControlResult``, the EPC it
+leaves, its recenters and whether it converged.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ _ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
 class ControllerConfig(Checked):
     """Tuning of the basis controllers; one config drives both bases.
 
-    Each basis keeps its own ``ControllerState``, EPC and random stream; only
-    the tuning is shared.  ``batch_pulses`` and ``sample_fraction`` also size
+    Each basis keeps its own EPC and random stream; only the tuning is
+    shared.  ``batch_pulses`` and ``sample_fraction`` also size
     ``track``'s per-cycle monitoring batch.
 
     Defaults are sized for desk-scale runs: a 1 V dither is about a 2.4 degree
@@ -84,12 +86,12 @@ class ControllerConfig(Checked):
 
 
 @dataclass(frozen=True)
-class ControllerState:
-    """Loop state of one basis controller driving its EPC."""
+class ControlResult:
+    """What one control cycle of one basis did: the EPC it leaves, its recenters, convergence."""
 
     epc: EpcState
-    recenter_count: int = 0
-    converged: bool = True
+    recenters: int
+    converged: bool
 
 
 def _revealed_cells(cells: list[float], fraction: float) -> list[float]:
@@ -151,62 +153,62 @@ class MonteCarloContext:
         return feedback_error(simulate_batch(self.config.batch_pulses, cells, self.rng), basis)
 
 
-def adjust_squeezer(sweep: AnalyzerSweep, i: int, sim_context, config: ControllerConfig) -> int:
-    """One dither-gradient step on squeezer ``i`` (0-based), the one ``sweep`` is at.
+def adjust_squeezer(sweep: AnalyzerSweep, sim_context, config: ControllerConfig) -> int:
+    """One dither-gradient step on the squeezer ``sweep`` is at.
 
     Measures E at the working voltage, probes at voltage + D, and lands the
     sweep on voltage + tau * (E2 - E1) / D.  Any move that would leave the
     drive range resets the squeezer to its range center instead.  Returns the
     number of such recenters, 0 to 2.
     """
-    if not 0 <= i <= 3:
-        raise ValueError("squeezer index must be 0..3")
     epc = sweep.epc
     recenters = 0
-    v = sweep.voltages[i]
+    v = sweep.voltages[sweep.at]
     if v + config.dither_volts > epc.v_max:
         # no headroom to probe upward; restart this squeezer from the center
         v = epc.center
         recenters += 1
-    e1 = sim_context.evaluate(sweep.element(i, v), sweep.basis)
-    e2 = sim_context.evaluate(sweep.element(i, v + config.dither_volts), sweep.basis)
+    e1 = sim_context.evaluate(sweep.element(v), sweep.basis)
+    e2 = sim_context.evaluate(sweep.element(v + config.dither_volts), sweep.basis)
     v_new = v + config.tau * (e2 - e1) / config.dither_volts
     if not (epc.v_min <= v_new <= epc.v_max):
         v_new = epc.center
         recenters += 1
-    sweep.land(i, v_new)
+    sweep.land(v_new)
     return recenters
 
 
 def control_cycle(
-    state: ControllerState, e: float, basis: str, sim_context, config: ControllerConfig
-) -> ControllerState:
-    """One feedback cycle on the measured feedback signal ``e``.
+    epc: EpcState, e: float, basis: str, sim_context, config: ControllerConfig
+) -> ControlResult:
+    """One feedback cycle of one basis on the measured feedback signal ``e``.
 
-    Holds if ``e`` is below threshold, else corrects: a correction sweeps
-    squeezers 1..4 and re-measures E after each sweep, repeating until
-    E < e_threshold or ``max_cycles_per_correction`` sweeps have run, in which
-    case the state comes back flagged as not converged.  ``e``, like every E
-    the correction measures, is estimated from a revealed sample (about 375
-    sifted events per row at ``--full``, about 1230 at desk scale), so
-    ``e_threshold`` is a soft boundary that noise alone can cross either way.
+    Holds if ``e`` is below threshold, returning ``ControlResult(epc, 0,
+    True)``, else corrects: a correction sweeps squeezers 1..4 and
+    re-measures E after each sweep, repeating until E < e_threshold or
+    ``max_cycles_per_correction`` sweeps have run, in which case the result
+    is flagged as not converged.  The result counts this cycle's recenters
+    only.  ``e``, like every E the correction measures, is estimated from a
+    revealed sample (about 375 sifted events per row at ``--full``, about
+    1230 at desk scale), so ``e_threshold`` is a soft boundary that noise
+    alone can cross either way.
 
     ``sim_context`` is the correction's plant: a frozen ``channel_rot`` and
     ``evaluate(m, basis)``, E for the arm's analyzer element ``m``.  The
     controller decides on E alone; an ``AnalyzerSweep`` gives each ``m``, so
-    a correction builds one EPC and one state, at its end.
+    a correction builds one EPC, at its end.
     """
     if e < config.e_threshold:
-        return state if state.converged else ControllerState(state.epc, state.recenter_count, True)
+        return ControlResult(epc, 0, True)
 
-    sweep = AnalyzerSweep(sim_context.channel_rot, state.epc, basis)
-    recenters = state.recenter_count
+    sweep = AnalyzerSweep(sim_context.channel_rot, epc, basis)
+    recenters = 0
     for _ in range(config.max_cycles_per_correction):
-        for i in range(4):
-            recenters += adjust_squeezer(sweep, i, sim_context, config)
+        for _ in range(4):
+            recenters += adjust_squeezer(sweep, sim_context, config)
         if sim_context.evaluate(sweep.swept, basis) < config.e_threshold:
-            return ControllerState(state.epc.with_voltages(sweep.voltages), recenters, True)
-    return ControllerState(state.epc.with_voltages(sweep.voltages), recenters, False)
+            return ControlResult(epc.with_voltages(sweep.voltages), recenters, True)
+    return ControlResult(epc.with_voltages(sweep.voltages), recenters, False)
 
 
 @dataclass(frozen=True)
@@ -220,9 +222,14 @@ class World:
     max_axis_wander: float = math.radians(10.0)
 
 
+# Keys of ``track``'s seed streams.  Stream k equals the k-th child that
+# ``seed.spawn`` would give, but is built directly: ``spawn`` advances the seed.
+_CHANNEL, _DRIFT, _MONITOR, _CTRL_Z, _CTRL_X = range(5)
+
+
 def track(
-    z_state: ControllerState,
-    x_state: ControllerState,
+    z_epc: EpcState,
+    x_epc: EpcState,
     config: ControllerConfig,
     world: World,
     duration: int,
@@ -235,43 +242,45 @@ def track(
     Per cycle: advance the channel and squeezer-axis drift, draw the revealed
     tally of one monitoring batch, estimate the error rate and per-basis
     feedback signals from it, then (when control is enabled) run one control
-    cycle per basis, Z first.  ``config`` tunes both controllers and sizes
-    the monitoring batch.  Uses separate seed streams for the channel, the
-    axis drift, the monitoring batches, and each controller, so paired-seed
-    runs with control on and off see the same channel trajectory.
+    cycle per basis, Z first; the row holds that cycle's recenters and
+    convergence.  ``config`` tunes both controllers and sizes the monitoring
+    batch.  Uses separate keyed seed streams for the channel, the axis drift,
+    the monitoring batches, and each controller, so paired-seed runs with
+    control on and off see the same channel trajectory, and the same seed,
+    an int or a ``SeedSequence``, gives the same series every time.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng_channel, rng_drift, rng_monitor, rng_ctrl_z, rng_ctrl_x = (
-        np.random.Generator(np.random.Philox(kid)) for kid in ss.spawn(5)
+        np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, key))))
+        for key in (_CHANNEL, _DRIFT, _MONITOR, _CTRL_Z, _CTRL_X)
     )
 
-    def drifted(state: ControllerState) -> ControllerState:
-        epc = drift_axes(
-            state.epc, 1, rng_drift,
-            sigma=world.axis_drift_sigma, max_wander=world.max_axis_wander,
+    def drifted(epc: EpcState) -> EpcState:
+        return drift_axes(
+            epc, rng_drift, sigma=world.axis_drift_sigma, max_wander=world.max_axis_wander
         )
-        return ControllerState(epc, state.recenter_count, state.converged)
 
-    def controlled(state, e, basis, rng, ch_rot) -> ControllerState:
+    def controlled(epc, e, basis, rng, ch_rot) -> ControlResult:
         # A hold (e below threshold) makes no evaluation, so only a
         # correction gets a context.
         ctx = None
         if not e < config.e_threshold:
             ctx = MonteCarloContext(ch_rot, world.source, world.eta, config, rng)
-        return control_cycle(state, e, basis, ctx, config)
+        return control_cycle(epc, e, basis, ctx, config)
 
     channel = world.channel
     rows = []
     for cycle in range(1, duration + 1):
-        channel, ch_rot = channel_step(channel, 1, rng_channel)
-        z_state = drifted(z_state)
-        x_state = drifted(x_state)
+        channel, ch_rot = channel_step(channel, rng_channel)
+        z_epc = drifted(z_epc)
+        x_epc = drifted(x_epc)
 
         cells = sifted_cell_probs(
-            analyzer_element(ch_rot, epc_rotation(z_state.epc), "Z"),
-            analyzer_element(ch_rot, epc_rotation(x_state.epc), "X"),
+            analyzer_element(ch_rot, epc_rotation(z_epc), "Z"),
+            analyzer_element(ch_rot, epc_rotation(x_epc), "X"),
             world.source,
             world.eta,
         )
@@ -279,7 +288,6 @@ def track(
             config.batch_pulses, _revealed_cells(cells, config.sample_fraction), rng_monitor
         )
 
-        recenters_before = z_state.recenter_count + x_state.recenter_count
         data_ok = True
         try:
             qber_est = qber_from_tally(revealed)
@@ -289,23 +297,19 @@ def track(
             qber_est = e_z = e_x = math.nan
             data_ok = False
 
+        recenters, converged = 0, data_ok
         if control_enabled and data_ok:
             try:
-                z_state = controlled(z_state, e_z, "Z", rng_ctrl_z, ch_rot)
-                x_state = controlled(x_state, e_x, "X", rng_ctrl_x, ch_rot)
-            except InsufficientDataError:
-                data_ok = False
+                z = controlled(z_epc, e_z, "Z", rng_ctrl_z, ch_rot)
+                z_epc, recenters = z.epc, z.recenters
+                x = controlled(x_epc, e_x, "X", rng_ctrl_x, ch_rot)
+                x_epc, recenters = x.epc, recenters + x.recenters
+                converged = z.converged and x.converged
+            except InsufficientDataError:  # a starved X correction keeps what Z did
+                converged = False
 
-        rows.append(
-            TimeSeriesRow(
-                cycle,
-                cycle * CYCLE_SECONDS,
-                qber_est,
-                e_z,
-                e_x,
-                z_state.epc.voltages + x_state.epc.voltages,
-                z_state.recenter_count + x_state.recenter_count - recenters_before,
-                data_ok and z_state.converged and x_state.converged,
-            )
-        )
+        rows.append(TimeSeriesRow(
+            cycle, cycle * CYCLE_SECONDS, qber_est, e_z, e_x,
+            z_epc.voltages + x_epc.voltages, recenters, converged,
+        ))
     return TimeSeries(tuple(rows))

@@ -21,12 +21,12 @@ import configparser
 import io
 import math
 import typing
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from ._checks import Checked, field_errors
-from .feedback import ControllerConfig, ControllerState, World, track
+from .feedback import ControllerConfig, World, track
 from .optics import (
     DEFAULT_AXIS_DRIFT_SIGMA,
     DEFAULT_GAIN,
@@ -126,6 +126,10 @@ class ScenarioConfig(Checked):
                 ("link.length_km", transmittance(self.link) > 0.0,
                  "the transmittance underflows to 0 at this alpha_db_per_km"),
                 ("epc.v_min/v_max", epc.v_min < epc.v_max, "empty voltage range"),
+                ("epc.gain_rad_per_volt",  # the largest angle a drawn gain reaches in range
+                 math.isfinite(epc.gain_rad_per_volt * (1.0 + epc.gain_jitter)
+                               * max(abs(epc.v_min), abs(epc.v_max))),
+                 "the rotation angle gain * (1 + gain_jitter) * max(|v_min|, |v_max|) overflows"),
                 # the first probe of a squeezer at its range center goes up by dither
                 ("controller.dither_volts",
                  0.5 * (epc.v_min + epc.v_max) + self.controller.dither_volts <= epc.v_max,
@@ -323,14 +327,18 @@ def build_channel(cfg: ScenarioConfig):
     return RandomWalkChannel(step_sigma=ch.step_sigma_rad)  # kind = drift
 
 
+# Keys of ``run_scenario``'s seed streams: stream k is ``SeedSequence(seed).spawn``'s child k.
+_EPC_Z, _EPC_X, _TRACK = range(3)
+
+
 def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
     """Execute a simulation scenario; pure function of the config."""
-    ss = np.random.SeedSequence(cfg.seed)
-    ss_epc_z, ss_epc_x, ss_track = ss.spawn(3)
+    def child(key: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(cfg.seed, spawn_key=(key,))
 
-    def make_epc(child: np.random.SeedSequence):
+    def make_epc(key: int):
         return default_epc(
-            np.random.Generator(np.random.Philox(child)),
+            np.random.Generator(np.random.Philox(child(key))),
             gain=cfg.epc.gain_rad_per_volt,
             gain_jitter=cfg.epc.gain_jitter,
             v_min=cfg.epc.v_min,
@@ -345,13 +353,13 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
         max_axis_wander=cfg.epc.max_axis_wander_rad,
     )
     series = track(
-        ControllerState(epc=make_epc(ss_epc_z)),
-        ControllerState(epc=make_epc(ss_epc_x)),
+        make_epc(_EPC_Z),
+        make_epc(_EPC_X),
         cfg.controller,
         world,
         cfg.duration,
         control_enabled=cfg.control_enabled,
-        seed=ss_track,
+        seed=child(_TRACK),
     )
     return series, summarize(series)
 
@@ -374,14 +382,11 @@ def summarize(series: TimeSeries) -> Summary:
 
 
 def summary_to_text(summary: Summary) -> str:
-    return (
-        f"cycles = {summary.cycles}\n"
-        f"mean_qber = {summary.mean_qber:.9g}\n"
-        f"std_qber = {summary.std_qber:.9g}\n"
-        f"max_qber = {summary.max_qber:.9g}\n"
-        f"recenter_events = {summary.recenter_events}\n"
-        f"nonconverged_cycles = {summary.nonconverged_cycles}\n"
-        f"starved_cycles = {summary.starved_cycles}\n"
+    """A ``name = value`` line per ``Summary`` field in order; floats to 9 significant digits."""
+    return "".join(  # by value type: typing.get_type_hints re-evaluates annotations per call
+        f"{f.name} = {v:.9g}\n" if isinstance(v := getattr(summary, f.name), float)
+        else f"{f.name} = {v}\n"
+        for f in fields(summary)
     )
 
 

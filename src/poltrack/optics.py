@@ -13,6 +13,8 @@ at a constant rate.
 
 States are immutable values evolved by pure step functions taking explicit
 random generators; independent simulation instances may run concurrently.
+Every step advances one feedback cycle: ``channel_step`` moves the channel
+and ``drift_axes`` the squeezer axes by one cycle's change.
 
 ``epc_rotation`` and the random-walk step of ``channel_step`` compose
 quaternions on plain floats and validate only the objects they return.  They
@@ -23,7 +25,7 @@ overflows can be built and fails the "rotation angle must be finite" check
 when rotated.  ``drift_axes`` tips each axis in closed form (``_tip``), which
 agrees with the oracle's quaternion tip to rounding.
 
-Each random stream is drawn once per call, as one numpy block: four normals
+Each random stream is drawn once per step, as one numpy block: four normals
 for a random-walk step (``normal(size=3)`` then ``normal(0, sigma)`` give the
 same values), four normals then four uniforms for ``drift_axes``.  Blocks
 enter the package as Python floats (``.tolist()``).  The IEEE values are the
@@ -181,11 +183,12 @@ class AnalyzerSweep:
 
         m(theta) = (u.a)(a.w) + cos(theta) [u.w - (u.a)(a.w)] + sin(theta) u.(a x w).
 
-    Sweeps visit squeezers 0..3 in order, as the controller does.  A sweep
-    begins by pulling the ``u``'s back through the current stages;
-    ``element(i, v)`` reads squeezer i's sinusoid, and ``land(i, v)`` drives
-    squeezer i at ``v`` and turns ``w`` on through it.  The fourth landing
-    sets ``swept``, ``w`` on ``e_b``, and begins the next sweep.  The channel
+    Sweeps visit squeezers 0..3 in order, as the controller does, and the
+    sweep owns its position ``at``.  A sweep begins by pulling the ``u``'s
+    back through the current stages; ``element(v)`` reads the sinusoid of the
+    squeezer the sweep is at, and ``land(v)`` drives that squeezer at ``v``,
+    turns ``w`` on through it and moves to the next.  The fourth landing sets
+    ``swept``, ``w`` on ``e_b``, and begins the next sweep.  The channel
     is frozen and the sweep owns its arm's ``voltages`` for one correction.
     Each voltage read is range-checked as ``EpcState`` checks its voltages,
     and a drive range that could overflow the angle is refused up front.
@@ -228,21 +231,18 @@ class AnalyzerSweep:
             u1 * (a2 * w3 - a3 * w2) + u2 * (a3 * w1 - a1 * w3) + u3 * (a1 * w2 - a2 * w1),
         )
 
-    def element(self, i: int, voltage: float) -> float:
-        """Analyzer element with squeezer ``i``, the one the sweep is at, at ``voltage``."""
-        if i != self.at:
-            raise ValueError(f"the sweep is at squeezer {self.at}, not {i}")
+    def element(self, voltage: float) -> float:
+        """Analyzer element with the squeezer the sweep is at driven at ``voltage``."""
         epc = self.epc
         if not (epc.v_min <= voltage <= epc.v_max):
             raise _out_of_range(voltage, epc.v_min, epc.v_max)
         fixed, cos_part, sin_part = self._line
-        theta = epc.gains[i] * voltage
+        theta = epc.gains[self.at] * voltage
         return fixed + cos_part * math.cos(theta) + sin_part * math.sin(theta)
 
-    def land(self, i: int, voltage: float) -> None:
-        """Drive squeezer ``i`` at ``voltage`` and move the sweep on to the next."""
-        if i != self.at:
-            raise ValueError(f"the sweep is at squeezer {self.at}, not {i}")
+    def land(self, voltage: float) -> None:
+        """Drive the current squeezer at ``voltage`` and move the sweep on to the next."""
+        i = self.at
         self.voltages[i] = voltage
         theta = self.epc.gains[i] * voltage
         self._w = _turn(self._axes[i], math.cos(theta), math.sin(theta), self._w)
@@ -313,30 +313,26 @@ def _tip(axis: StokesVector, angle: float, psi: float) -> StokesVector:
 
 def drift_axes(
     epc: EpcState,
-    dt: float,
     rng: np.random.Generator,
     *,
     sigma: float = DEFAULT_AXIS_DRIFT_SIGMA,
     max_wander: float = DEFAULT_MAX_AXIS_WANDER,
 ) -> EpcState:
-    """Random mechanical wander of the squeezer axes over ``dt`` feedback cycles.
+    """Random mechanical wander of the squeezer axes over one feedback cycle.
 
     Each axis is tipped in a uniformly random tangent direction by an angle
-    drawn from N(0, sigma*sqrt(dt)), then clamped to stay within
-    ``max_wander`` of its nominal orientation.  One call draws one block:
-    four standard normals (the angles, squeezers in order), then four
-    uniforms (the directions).  Deterministic given the rng.
+    drawn from N(0, sigma), then clamped to stay within ``max_wander`` of its
+    nominal orientation.  One call draws one block: four standard normals
+    (the angles, squeezers in order), then four uniforms (the directions).
+    Deterministic given the rng.
     """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    if dt == 0 or sigma == 0.0:
+    if sigma == 0.0:
         return epc
-    scale = sigma * math.sqrt(dt)
     cw, sw = math.cos(max_wander), math.sin(max_wander)
     normals = rng.standard_normal(4).tolist()
     uniforms = rng.random(4).tolist()
     axes = tuple([
-        _clamp_to_cone(_tip(axis, scale * z, _TWO_PI * u), nominal, cw, sw)
+        _clamp_to_cone(_tip(axis, sigma * z, _TWO_PI * u), nominal, cw, sw)
         for axis, nominal, z, u in zip(epc.axes, NOMINAL_AXES, normals, uniforms)
     ])
     return EpcState(epc.gains, epc.voltages, axes, epc.v_min, epc.v_max)
@@ -373,35 +369,26 @@ class RandomWalkChannel:
 ChannelModel = StaticChannel | ScramblerChannel | RandomWalkChannel
 
 
-def channel_step(
-    ch: ChannelModel, dt: float, rng: np.random.Generator
-) -> tuple[ChannelModel, Rotation]:
-    """Advance the channel by ``dt`` feedback cycles.
+def channel_step(ch: ChannelModel, rng: np.random.Generator) -> tuple[ChannelModel, Rotation]:
+    """Advance the channel by one feedback cycle.
 
     Returns the updated model and the rotation the channel currently applies.
     """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
     if isinstance(ch, StaticChannel):
         return ch, ch.rotation
     if isinstance(ch, ScramblerChannel):
-        accumulated = (ch.accumulated + ch.rate * dt) % 360.0
+        accumulated = (ch.accumulated + ch.rate) % 360.0
         rot = rotation_from_axis_angle(ch.axis, math.radians(accumulated))
         return ScramblerChannel(ch.axis, ch.rate, accumulated), rot
     if isinstance(ch, RandomWalkChannel):
-        steps = int(dt)
-        if steps != dt:
-            raise ValueError("random-walk channel advances by whole cycles")
-        c = ch.current
-        q = (c.w, c.x, c.y, c.z)
-        for _ in range(steps):
-            # an isotropic axis from three normals, then the angle's normal
-            x, y, z, g = rng.standard_normal(4).tolist()
+        # an isotropic axis from three normals, then the angle's normal
+        x, y, z, g = rng.standard_normal(4).tolist()
+        n = math.sqrt(x * x + y * y + z * z)
+        while not n > 1e-12:  # a null axis: redraw it as a rejection loop would
+            x, y, z, g = g, *rng.standard_normal(3).tolist()
             n = math.sqrt(x * x + y * y + z * z)
-            while not n > 1e-12:  # a null axis: redraw it as a rejection loop would
-                x, y, z, g = g, *rng.standard_normal(3).tolist()
-                n = math.sqrt(x * x + y * y + z * z)
-            q = _qmul(_axis_angle_q(x / n, y / n, z / n, ch.step_sigma * g), q)
+        c = ch.current
+        q = _qmul(_axis_angle_q(x / n, y / n, z / n, ch.step_sigma * g), (c.w, c.x, c.y, c.z))
         current = Rotation(*q)
         return RandomWalkChannel(ch.step_sigma, current), current
     raise TypeError(f"unknown channel model {type(ch).__name__}")

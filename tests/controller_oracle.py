@@ -4,7 +4,7 @@
 as the package ran it before ``feedback`` moved each correction onto
 ``optics.AnalyzerSweep``: every evaluation composes the EPC's rotation with
 ``epc_rotation`` and reads its analyzer element with ``analyzer_element``,
-and every step builds its ``EpcState`` and ``ControllerState``.  The dither
+and every step builds its ``EpcState``.  The dither
 probe rotates the EPC with squeezer i at v + D, which the package's former
 ``probe_rotation`` matched bit for bit.  The decisions are the package's:
 hold, dither, step, recenter and the sweep cap, on E alone.
@@ -19,8 +19,8 @@ the controller is checked against, not the mean of the noisy plant.
 
 from __future__ import annotations
 
-from poltrack.feedback import ControllerConfig, ControllerState
-from poltrack.optics import epc_rotation
+from poltrack.feedback import ControllerConfig, ControlResult
+from poltrack.optics import EpcState, epc_rotation
 from poltrack.photon_sim import analyzer_element
 from poltrack.poincare import Rotation
 
@@ -44,12 +44,11 @@ def evaluate_rotation(ctx, epc_rot: Rotation, basis: str) -> float:
 
 
 def adjust_squeezer(
-    state: ControllerState, i: int, basis: str, sim_context, config: ControllerConfig
-) -> ControllerState:
-    """One dither-gradient step on squeezer ``i`` (0-based)."""
+    epc: EpcState, i: int, basis: str, sim_context, config: ControllerConfig
+) -> tuple[EpcState, int]:
+    """One dither-gradient step on squeezer ``i`` (0-based): the EPC it leaves, its recenters."""
     if not 0 <= i <= 3:
         raise ValueError("squeezer index must be 0..3")
-    epc = state.epc
     recenters = 0
     v = epc.voltages[i]
     if v + config.dither_volts > epc.v_max:
@@ -63,20 +62,20 @@ def adjust_squeezer(
     if not (epc.v_min <= v_new <= epc.v_max):
         v_new = epc.center
         recenters += 1
-    return ControllerState(
-        with_voltage(epc, i, v_new), state.recenter_count + recenters, state.converged
-    )
+    return with_voltage(epc, i, v_new), recenters
 
 
 def control_cycle(
-    state: ControllerState, e: float, basis: str, sim_context, config: ControllerConfig
-) -> ControllerState:
+    epc: EpcState, e: float, basis: str, sim_context, config: ControllerConfig
+) -> ControlResult:
     """Hold below threshold, else sweep squeezers 1..4 until E < threshold or the cap."""
     if e < config.e_threshold:
-        return ControllerState(state.epc, state.recenter_count, converged=True)
+        return ControlResult(epc, 0, converged=True)
+    recenters = 0
     for _ in range(config.max_cycles_per_correction):
         for i in range(4):
-            state = adjust_squeezer(state, i, basis, sim_context, config)
-        if evaluate_rotation(sim_context, epc_rotation(state.epc), basis) < config.e_threshold:
-            return ControllerState(state.epc, state.recenter_count, converged=True)
-    return ControllerState(state.epc, state.recenter_count, converged=False)
+            epc, step_recenters = adjust_squeezer(epc, i, basis, sim_context, config)
+            recenters += step_recenters
+        if evaluate_rotation(sim_context, epc_rotation(epc), basis) < config.e_threshold:
+            return ControlResult(epc, recenters, converged=True)
+    return ControlResult(epc, recenters, converged=False)

@@ -19,7 +19,6 @@ import pytest
 from controller_oracle import ExactContext, evaluate_rotation
 from poltrack.feedback import (
     ControllerConfig,
-    ControllerState,
     MonteCarloContext,
     control_cycle,
 )
@@ -172,10 +171,10 @@ def test_criterion_4_convergence():
         axis, _ = random_axis_angle(rng)
         angle = float(rng.uniform(0.0, math.pi / 2))
         ctx = ExactContext(rotation_from_axis_angle(StokesVector(*axis), angle))
-        state = ControllerState(epc=default_epc(rng, gain_jitter=0.1))
-        e = evaluate_rotation(ctx, epc_rotation(state.epc), "Z")
-        state = control_cycle(state, e, "Z", ctx, cfg)
-        if state.converged and evaluate_rotation(ctx, epc_rotation(state.epc), "Z") < e_thr:
+        epc = default_epc(rng, gain_jitter=0.1)
+        e = evaluate_rotation(ctx, epc_rotation(epc), "Z")
+        out = control_cycle(epc, e, "Z", ctx, cfg)
+        if out.converged and evaluate_rotation(ctx, epc_rotation(out.epc), "Z") < e_thr:
             ok += 1
     assert ok >= 48, f"noiseless convergence {ok}/50"
 
@@ -200,10 +199,10 @@ def test_criterion_4_convergence():
         ctx = MonteCarloContext(
             channel, src, 1.0, mc_cfg, np.random.Generator(np.random.Philox(9000 + case))
         )
-        state = ControllerState(epc=default_epc(rng, gain_jitter=0.1))
-        e = evaluate_rotation(ctx, epc_rotation(state.epc), "Z")
-        state = control_cycle(state, e, "Z", ctx, mc_cfg)
-        e_true = evaluate_rotation(ExactContext(channel), epc_rotation(state.epc), "Z")
+        epc = default_epc(rng, gain_jitter=0.1)
+        e = evaluate_rotation(ctx, epc_rotation(epc), "Z")
+        out = control_cycle(epc, e, "Z", ctx, mc_cfg)
+        e_true = evaluate_rotation(ExactContext(channel), epc_rotation(out.epc), "Z")
         if e_true < e_thr + slack:
             ok_mc += 1
     assert ok_mc >= 45, f"noisy convergence {ok_mc}/50"

@@ -75,6 +75,14 @@ class TestRun:
         assert "controller.dither_volts: " in capsys.readouterr().err
         assert not list(tmp_path.rglob("series.csv"))
 
+    def test_epc_angle_that_overflows_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "huge.ini"
+        cfg_path.write_text("[scenario]\nkind = static\nduration = 3\n"
+                            "[epc]\ngain_rad_per_volt = 1e300\nv_max = 1e10\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "epc.gain_rad_per_volt: " in capsys.readouterr().err
+        assert not list(tmp_path.rglob("series.csv"))
+
     def test_unread_channel_key_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "drift.ini"
         cfg_path.write_text("[scenario]\nkind = drift\nduration = 3\n[channel]\nangle_deg = 45\n")

@@ -11,7 +11,7 @@ from matrix_oracle import feedback_error as matrix_e
 from controller_oracle import ExactContext, evaluate_rotation
 from poltrack.feedback import (
     ControllerConfig,
-    ControllerState,
+    ControlResult,
     MonteCarloContext,
     World,
     adjust_squeezer,
@@ -22,6 +22,7 @@ from poltrack.feedback import (
 from poltrack.harness import preset_config, run_scenario
 from poltrack.optics import (
     AnalyzerSweep,
+    RandomWalkChannel,
     ScramblerChannel,
     StaticChannel,
     default_epc,
@@ -65,24 +66,22 @@ def mc_context(channel_rot, seed, batch=16_000, source=NOISELESS, eta=1.0):
     return MonteCarloContext(channel_rot, source, eta, cfg, rng_for(seed)), cfg
 
 
-def measure_e(state, basis, ctx):
-    """One fresh evaluation of E at the state's current voltages."""
-    return evaluate_rotation(ctx, epc_rotation(state.epc), basis)
+def measure_e(epc, basis, ctx):
+    """One fresh evaluation of E at the EPC's current voltages."""
+    return evaluate_rotation(ctx, epc_rotation(epc), basis)
 
 
-def adjust_one(state, i, basis, ctx, cfg):
-    """``adjust_squeezer`` on squeezer ``i`` of a sweep started from ``state``.
+def adjust_one(epc, i, basis, ctx, cfg):
+    """``adjust_squeezer`` on squeezer ``i`` of a sweep started from ``epc``.
 
     The sweep lands the squeezers before ``i`` where they are, so the step
-    sees the state's EPC; the result is the state the step leaves.
+    sees ``epc``; returns the EPC the step leaves and its recenters.
     """
-    sweep = AnalyzerSweep(ctx.channel_rot, state.epc, basis)
+    sweep = AnalyzerSweep(ctx.channel_rot, epc, basis)
     for k in range(i):
-        sweep.land(k, sweep.voltages[k])
-    recenters = adjust_squeezer(sweep, i, ctx, cfg)
-    return ControllerState(
-        state.epc.with_voltages(sweep.voltages), state.recenter_count + recenters, state.converged
-    )
+        sweep.land(sweep.voltages[k])
+    recenters = adjust_squeezer(sweep, ctx, cfg)
+    return epc.with_voltages(sweep.voltages), recenters
 
 
 class CountingContext(ExactContext):
@@ -202,16 +201,15 @@ class TestBasisAlignmentFixedPoint:
 class TestMeasureE:
     def test_aligned_noiseless_plant_is_exact_zero(self):
         ctx, _ = mc_context(IDENTITY, 1)
-        state = ControllerState(epc=default_epc())
-        assert measure_e(state, "Z", ctx) == 0.0
+        assert measure_e(default_epc(), "Z", ctx) == 0.0
 
     def test_sample_mean_converges_to_analytic_value(self):
         channel = rotation_from_axis_angle(S2, math.radians(60.0))
         src = SourceParams(mean_photons=0.1, dark_count_prob=0.0, misalignment_floor=0.0)
         ctx, _ = mc_context(channel, 2, batch=40_000, source=src)
-        state = ControllerState(epc=default_epc())
-        values = [measure_e(state, "Z", ctx) for _ in range(100)]
-        analytic = evaluate_rotation(ExactContext(channel), epc_rotation(state.epc), "Z")
+        epc = default_epc()
+        values = [measure_e(epc, "Z", ctx) for _ in range(100)]
+        analytic = evaluate_rotation(ExactContext(channel), epc_rotation(epc), "Z")
         assert analytic == pytest.approx(0.25, abs=1e-12)
         se = float(np.std(values)) / math.sqrt(len(values))
         assert abs(float(np.mean(values)) - analytic) <= 3 * se
@@ -219,26 +217,24 @@ class TestMeasureE:
     def test_consumes_generator_state(self):
         channel = rotation_from_axis_angle(S2, 0.4)
         ctx, _ = mc_context(channel, 3)
-        state = ControllerState(epc=default_epc())
-        assert measure_e(state, "Z", ctx) != measure_e(state, "Z", ctx)
+        epc = default_epc()
+        assert measure_e(epc, "Z", ctx) != measure_e(epc, "Z", ctx)
 
     def test_starved_batch_raises_insufficient_data(self):
         # one pulse through a nearly opaque link leaves the tally empty
         ctx, _ = mc_context(IDENTITY, 4, batch=1, eta=1e-9)
-        state = ControllerState(epc=default_epc())
         with pytest.raises(InsufficientDataError):
-            measure_e(state, "Z", ctx)
+            measure_e(default_epc(), "Z", ctx)
 
 
 class TestAdjustSqueezer:
     def test_flat_response_leaves_voltage(self):
         # aligned plant: E is exactly zero on both sides of the dither
         ctx = ExactContext(IDENTITY)
-        state = ControllerState(epc=default_epc())
-        voltages = state.epc.voltages
-        out = adjust_one(state, 0, "Z", ctx, ControllerConfig())
-        assert out.epc.voltages == voltages
-        assert out.recenter_count == 0
+        epc = default_epc()
+        out, recenters = adjust_one(epc, 0, "Z", ctx, ControllerConfig())
+        assert out.voltages == epc.voltages
+        assert recenters == 0
 
     def test_update_direction_opposes_gradient(self):
         rng = np.random.default_rng(53)
@@ -249,18 +245,18 @@ class TestAdjustSqueezer:
             v /= np.linalg.norm(v)
             channel = rotation_from_axis_angle(StokesVector(*v), rng.uniform(0.1, 1.2))
             ctx = ExactContext(channel)
-            state = ControllerState(epc=default_epc(rng, gain_jitter=0.1))
+            epc = default_epc(rng, gain_jitter=0.1)
             i = int(rng.integers(0, 4))
-            v = state.epc.voltages[i]
+            v = epc.voltages[i]
             # independent central-difference slope with step D/10
             h = cfg.dither_volts / 10.0
-            e_plus = evaluate_rotation(ctx, epc_rotation(with_voltage(state.epc, i, v + h)), "Z")
-            e_minus = evaluate_rotation(ctx, epc_rotation(with_voltage(state.epc, i, v - h)), "Z")
+            e_plus = evaluate_rotation(ctx, epc_rotation(with_voltage(epc, i, v + h)), "Z")
+            e_minus = evaluate_rotation(ctx, epc_rotation(with_voltage(epc, i, v - h)), "Z")
             slope = (e_plus - e_minus) / (2.0 * h)
             if abs(slope) < 1e-4:
                 continue
-            out = adjust_one(state, i, "Z", ctx, cfg)
-            dv = out.epc.voltages[i] - v
+            out, _ = adjust_one(epc, i, "Z", ctx, cfg)
+            dv = out.voltages[i] - v
             assert math.copysign(1.0, dv) == -math.copysign(1.0, slope)
             checked += 1
         assert checked >= 20
@@ -271,18 +267,16 @@ class TestAdjustSqueezer:
         channel = rotation_from_axis_angle(S3, 0.8)
         ctx = ExactContext(channel)
         cfg = ControllerConfig(tau=-1e9)
-        state = ControllerState(epc=default_epc())
-        out = adjust_one(state, 1, "Z", ctx, cfg)
-        assert out.epc.voltages[1] == out.epc.center
-        assert out.recenter_count == 1
+        out, recenters = adjust_one(default_epc(), 1, "Z", ctx, cfg)
+        assert out.voltages[1] == out.center
+        assert recenters == 1
 
     def test_no_probe_headroom_recenters_first(self):
         ctx = ExactContext(IDENTITY)
         cfg = ControllerConfig()
-        state = ControllerState(epc=with_voltage(default_epc(), 2, 149.5))
-        out = adjust_one(state, 2, "Z", ctx, cfg)
-        assert out.recenter_count == 1
-        assert out.epc.voltages[2] == out.epc.center
+        out, recenters = adjust_one(with_voltage(default_epc(), 2, 149.5), 2, "Z", ctx, cfg)
+        assert recenters == 1
+        assert out.voltages[2] == out.center
 
     def test_gradient_error_shrinks_linearly_with_dither(self):
         # forward-difference slope error is first order in the dither size
@@ -305,67 +299,59 @@ class TestAdjustSqueezer:
         err_half = abs(fd_slope(0.5) - truth)
         assert err_half <= 0.6 * err_d + 1e-12
 
-    def test_index_validation(self):
-        ctx = ExactContext(IDENTITY)
-        sweep = AnalyzerSweep(IDENTITY, default_epc(), "Z")
-        with pytest.raises(ValueError):
-            adjust_squeezer(sweep, 4, ctx, ControllerConfig())
-
 
 class TestControlCycle:
     def test_below_threshold_holds_voltages(self):
         ctx = ExactContext(IDENTITY)
-        state = ControllerState(epc=default_epc())
-        out = control_cycle(state, 0.0001, "Z", ctx, ControllerConfig())
-        assert out is state  # a converged hold builds no new state
-        stuck = ControllerState(state.epc, 2, converged=False)
-        out = control_cycle(stuck, 0.0001, "Z", ctx, ControllerConfig())
-        assert out == ControllerState(state.epc, 2, converged=True)
+        epc = default_epc()
+        out = control_cycle(epc, 0.0001, "Z", ctx, ControllerConfig())
+        assert out == ControlResult(epc, 0, True)
+        assert out.epc is epc  # a hold builds no new EPC
 
     def test_hold_persists_across_cycles(self):
         ctx = ExactContext(IDENTITY)
-        state = ControllerState(epc=default_epc())
+        epc = default_epc()
         cfg = ControllerConfig()
         for _ in range(5):
-            state = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
-        assert state.epc.voltages == default_epc().voltages
-        assert state.converged
+            out = control_cycle(epc, measure_e(epc, "Z", ctx), "Z", ctx, cfg)
+            epc = out.epc
+            assert out.converged
+        assert epc.voltages == default_epc().voltages
 
     def test_converges_from_thirty_degree_misalignment(self):
         channel = rotation_from_axis_angle(S2, math.radians(30.0))
         ctx = ExactContext(channel)
         cfg = ControllerConfig(max_cycles_per_correction=200)
-        state = ControllerState(epc=default_epc())
-        state = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
-        assert state.converged
-        assert measure_e(state, "Z", ctx) < cfg.e_threshold
+        epc = default_epc()
+        out = control_cycle(epc, measure_e(epc, "Z", ctx), "Z", ctx, cfg)
+        assert out.converged
+        assert measure_e(out.epc, "Z", ctx) < cfg.e_threshold
         # wrong-port rate is bounded by sqrt(E/2) via Cauchy-Schwarz
-        qber_b = 0.5 * (1.0 - analyzer_element(channel, epc_rotation(state.epc), "Z"))
+        qber_b = 0.5 * (1.0 - analyzer_element(channel, epc_rotation(out.epc), "Z"))
         assert qber_b < math.sqrt(cfg.e_threshold / 2.0)
 
     def test_degenerate_zero_tau_never_moves(self):
         channel = rotation_from_axis_angle(S2, math.radians(30.0))
         ctx = ExactContext(channel)
         cfg = ControllerConfig(tau=-0.0, max_cycles_per_correction=3)
-        state = ControllerState(epc=default_epc())
-        out = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
-        assert out.epc.voltages == state.epc.voltages
+        epc = default_epc()
+        out = control_cycle(epc, measure_e(epc, "Z", ctx), "Z", ctx, cfg)
+        assert out.epc.voltages == epc.voltages
         assert not out.converged
 
     def test_hold_makes_no_evaluation(self):
         # the cycle decides on the E it is given, even on a misaligned plant
         ctx = CountingContext(rotation_from_axis_angle(S2, math.radians(30.0)))
-        state = ControllerState(epc=default_epc())
-        out = control_cycle(state, 0.0, "Z", ctx, ControllerConfig())
+        epc = default_epc()
+        out = control_cycle(epc, 0.0, "Z", ctx, ControllerConfig())
         assert ctx.calls == 0
-        assert out.epc == state.epc
-        assert out.converged
+        assert out == ControlResult(epc, 0, True)
 
     def test_correction_costs_nine_evaluations_per_sweep(self):
         # each sweep is four two-point probes plus one re-measurement
         channel = rotation_from_axis_angle(S2, math.radians(30.0))
-        start = ControllerState(epc=default_epc())
-        e0 = evaluate_rotation(ExactContext(channel), epc_rotation(start.epc), "Z")
+        start = default_epc()
+        e0 = evaluate_rotation(ExactContext(channel), epc_rotation(start), "Z")
 
         def run(cap):
             ctx = CountingContext(channel)
@@ -386,10 +372,10 @@ class TestControlCycle:
         # recenters before probing; zero tau keeps the correction capped
         ctx = CountingContext(rotation_from_axis_angle(S2, math.radians(30.0)))
         cfg = ControllerConfig(tau=-0.0, max_cycles_per_correction=3)
-        state = ControllerState(epc=with_voltage(default_epc(), 2, 149.5))
-        out = control_cycle(state, measure_e(state, "Z", ctx), "Z", ctx, cfg)
+        epc = with_voltage(default_epc(), 2, 149.5)
+        out = control_cycle(epc, measure_e(epc, "Z", ctx), "Z", ctx, cfg)
         assert not out.converged
-        assert out.recenter_count == 1
+        assert out.recenters == 1
         assert ctx.calls == 1 + 9 * 3  # the first is this test's own reading
 
     def test_positive_tau_rejected(self):
@@ -406,10 +392,10 @@ def random_correction_start(rng):
     epc = default_epc(rng, gain_jitter=0.1)
     for i in range(4):
         epc = with_voltage(epc, i, float(rng.uniform(0.0, 150.0)))
-    epc = drift_axes(epc, 1, rng, sigma=0.05, max_wander=math.radians(10.0))
+    epc = drift_axes(epc, rng, sigma=0.05, max_wander=math.radians(10.0))
     axis = StokesVector(*random_unit(rng))
     channel = rotation_from_axis_angle(axis, float(rng.uniform(0.0, math.pi / 2)))
-    return ControllerState(epc), channel
+    return epc, channel
 
 
 class TestMatchesOracleController:
@@ -436,10 +422,10 @@ class TestMatchesOracleController:
             out = control_cycle(start, 1.0, basis, ctx, cfg)
             want = oracle.control_cycle(start, 1.0, basis, ref, cfg)
             assert out.epc.voltages == want.epc.voltages, k
-            assert out.recenter_count == want.recenter_count, k
+            assert out.recenters == want.recenters, k
             assert out.converged == want.converged, k
             assert ctx.rng.random(4).tolist() == ref.rng.random(4).tolist(), k  # same stream
-            outcomes.add((out.converged, out.recenter_count > 0))
+            outcomes.add((out.converged, out.recenters > 0))
         # converged and capped corrections, with and without recenters, all occur
         assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
 
@@ -456,7 +442,7 @@ class TestMatchesOracleController:
             same_decisions = (
                 ctx.calls == ref.calls
                 and out.converged == want.converged
-                and out.recenter_count == want.recenter_count
+                and out.recenters == want.recenters
             )
             if not same_decisions:
                 diverged += 1
@@ -473,8 +459,8 @@ class TestTrack:
     def test_zero_duration_gives_empty_series(self):
         world = World(channel=StaticChannel(IDENTITY), source=NOISELESS, eta=1.0)
         series = track(
-            ControllerState(epc=default_epc()),
-            ControllerState(epc=default_epc()),
+            default_epc(),
+            default_epc(),
             ControllerConfig(),
             world,
             0,
@@ -488,8 +474,8 @@ class TestTrack:
         world = World(channel=StaticChannel(IDENTITY), source=src, eta=1.0)
         cfg = ControllerConfig()
         series = track(
-            ControllerState(epc=default_epc()),
-            ControllerState(epc=default_epc()),
+            default_epc(),
+            default_epc(),
             cfg,
             world,
             60,
@@ -504,8 +490,8 @@ class TestTrack:
         world = World(channel=StaticChannel(IDENTITY), source=NOISELESS, eta=1.0)
         cfg = ControllerConfig()
         series = track(
-            ControllerState(epc=default_epc()),
-            ControllerState(epc=default_epc()),
+            default_epc(),
+            default_epc(),
             cfg,
             world,
             3,
@@ -525,8 +511,8 @@ class TestTrack:
                 channel=ScramblerChannel(axis=S3, rate=0.4), source=src, eta=1.0
             )
             series = track(
-                ControllerState(epc=default_epc()),
-                ControllerState(epc=default_epc()),
+                default_epc(),
+                default_epc(),
                 cfg,
                 world,
                 400,
@@ -545,8 +531,8 @@ class TestTrack:
 
         def run():
             return track(
-                ControllerState(epc=default_epc()),
-                ControllerState(epc=default_epc()),
+                default_epc(),
+                default_epc(),
                 cfg,
                 World(channel=ScramblerChannel(axis=S3, rate=0.4), source=src, eta=1.0),
                 30,
@@ -554,6 +540,80 @@ class TestTrack:
             )
 
         assert run() == run()
+
+    def test_one_seed_sequence_gives_the_same_series_twice(self):
+        # each stream is a keyed child of the sequence, which spawning would advance
+        src = SourceParams(mean_photons=0.5)
+        cfg = ControllerConfig(batch_pulses=10_000)
+        world = World(channel=RandomWalkChannel(0.05), source=src, eta=1.0, axis_drift_sigma=0.01)
+        ss = np.random.SeedSequence(7)
+
+        def run(seed):
+            return track(default_epc(), default_epc(), cfg, world, 20, seed=seed)
+
+        first = run(ss)
+        assert run(ss) == first
+        assert run(7) == first
+
+    def test_control_on_and_off_see_the_same_channel_rotations(self, monkeypatch):
+        step, rotations = feedback.channel_step, []
+
+        def recorded(ch, rng):
+            ch, rot = step(ch, rng)
+            rotations[-1].append(rot)
+            return ch, rot
+
+        monkeypatch.setattr(feedback, "channel_step", recorded)
+        src = SourceParams(mean_photons=0.5, dark_count_prob=0.0, misalignment_floor=0.01)
+        world = World(channel=RandomWalkChannel(0.05), source=src, eta=1.0, axis_drift_sigma=0.01)
+        cfg = ControllerConfig(batch_pulses=10_000, max_cycles_per_correction=3)
+        runs = {}
+        for control in (True, False):
+            rotations.append([])
+            runs[control] = track(
+                default_epc(), default_epc(), cfg, world, 40, control_enabled=control, seed=8
+            )
+        assert len(rotations[0]) == 40
+        assert rotations[0] == rotations[1]
+        # the channel stream is its key's alone, so a new consumer cannot move it
+        key = np.random.SeedSequence(8, spawn_key=(feedback._CHANNEL,))
+        rng, ch = np.random.Generator(np.random.Philox(key)), world.channel
+        for want in rotations[0]:
+            ch, rot = step(ch, rng)
+            assert rot == want
+        assert runs[True].column("voltages") != runs[False].column("voltages")  # control acted
+
+    def test_a_starved_x_correction_keeps_what_z_did(self, monkeypatch):
+        # Z corrects, then X's first evaluation is starved: the row holds Z's
+        # new voltages and recenters, X's old voltages, and no convergence
+        starved = []
+
+        class StarvedX(MonteCarloContext):
+            def evaluate(self, m, basis):
+                if basis == "X":
+                    starved.append(basis)
+                    raise InsufficientDataError("no revealed bits")
+                return super().evaluate(m, basis)
+
+        results, cycle = [], feedback.control_cycle
+
+        def recorded(*args):
+            results.append(cycle(*args))
+            return results[-1]
+
+        monkeypatch.setattr(feedback, "MonteCarloContext", StarvedX)
+        monkeypatch.setattr(feedback, "control_cycle", recorded)
+        channel = StaticChannel(rotation_from_axis_angle(StokesVector.unit(1.0, 1.0, 1.0), 1.0))
+        world = World(channel=channel, source=NOISELESS, eta=1.0)
+        cfg = ControllerConfig(tau=-1e9, max_cycles_per_correction=1)  # every move recenters
+        start = default_epc().with_voltages((10.0, 20.0, 30.0, 40.0))
+        (row,) = track(start, start, cfg, world, 1, seed=9)
+        (z,) = results
+        assert starved == ["X"] and min(row.e_z, row.e_x) >= cfg.e_threshold
+        assert z.epc.voltages != start.voltages and z.recenters > 0
+        assert row.voltages == z.epc.voltages + start.voltages
+        assert row.recenter == z.recenters
+        assert not row.converged
 
 
 class TestSimulateBatchHook:

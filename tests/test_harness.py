@@ -488,6 +488,20 @@ class TestConfigValidation:
             "controller.dither_volts: must be at most half the epc voltage range",
         ]
 
+    @pytest.mark.parametrize("kind", ["static", "drift"])
+    def test_epc_angle_that_overflows_rejected(self, kind):
+        # gain * v_max is 1e310: a squeezer could not be rotated
+        cfg = ScenarioConfig(kind=kind, duration=3)
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, epc=replace(cfg.epc, gain_rad_per_volt=1e300, v_max=1e10))
+        assert str(err.value) == (
+            "epc.gain_rad_per_volt: the rotation angle"
+            " gain * (1 + gain_jitter) * max(|v_min|, |v_max|) overflows"
+        )
+        # the huge gain alone keeps every angle finite, and runs
+        series, _ = run_scenario(replace(cfg, epc=replace(cfg.epc, gain_rad_per_volt=1e300)))
+        assert len(series) == 3
+
     def test_unread_channel_field_is_not_checked(self):
         # a config built in code may hold any value in a field its kind never reads
         zero_axis = replace(ChannelParams(), axis=(0.0, 0.0, 0.0))
@@ -589,6 +603,14 @@ class TestSummarize:
         s = summarize(TimeSeries((make_row(1, q=math.nan, conv=False),)))
         assert math.isnan(s.mean_qber) and math.isnan(s.std_qber) and math.isnan(s.max_qber)
         assert (s.cycles, s.nonconverged_cycles, s.starved_cycles) == (1, 1, 1)
+
+    def test_summary_text_writes_each_field_in_order(self):
+        s = Summary(cycles=3, mean_qber=0.0123456789012, std_qber=math.nan, max_qber=1.0,
+                    recenter_events=4, nonconverged_cycles=1, starved_cycles=0)
+        assert summary_to_text(s) == (
+            "cycles = 3\nmean_qber = 0.0123456789\nstd_qber = nan\nmax_qber = 1\n"
+            "recenter_events = 4\nnonconverged_cycles = 1\nstarved_cycles = 0\n"
+        )
 
     def test_summary_text_shape(self):
         text = summary_to_text(summarize(TimeSeries((make_row(1),))))

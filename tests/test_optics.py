@@ -151,12 +151,7 @@ class TestDriftAxes:
     def test_zero_sigma_keeps_axes(self):
         rng = np.random.default_rng(31)
         epc = default_epc()
-        assert drift_axes(epc, 1, rng, sigma=0.0) is epc
-
-    def test_zero_dt_keeps_axes(self):
-        rng = np.random.default_rng(32)
-        epc = default_epc()
-        assert drift_axes(epc, 0, rng) is epc
+        assert drift_axes(epc, rng, sigma=0.0) is epc
 
     def test_step_displacement_statistics(self):
         # per-step angular displacement is |N(0, sigma)|, so its rms is sigma
@@ -165,7 +160,7 @@ class TestDriftAxes:
         sigma = 0.01
         sq_disp = []
         for _ in range(10_000):
-            moved = drift_axes(epc, 1, rng, sigma=sigma, max_wander=math.pi)
+            moved = drift_axes(epc, rng, sigma=sigma, max_wander=math.pi)
             for a, b in zip(epc.axes, moved.axes):
                 d = max(-1.0, min(1.0, a.dot(b)))
                 sq_disp.append(math.acos(d) ** 2)
@@ -178,15 +173,18 @@ class TestDriftAxes:
         epc = default_epc()
         cap = math.radians(10.0)
         for _ in range(2000):
-            epc = drift_axes(epc, 1, rng, sigma=0.05, max_wander=cap)
+            epc = drift_axes(epc, rng, sigma=0.05, max_wander=cap)
             for axis, nominal in zip(epc.axes, NOMINAL_AXES):
                 assert axis.dot(nominal) >= math.cos(cap) - 1e-12
 
     def test_deterministic_given_seed(self):
-        epc = default_epc()
-        a = drift_axes(epc, 3, np.random.default_rng(99), sigma=0.01)
-        b = drift_axes(epc, 3, np.random.default_rng(99), sigma=0.01)
-        assert a == b
+        def drifted(rng):
+            epc = default_epc()
+            for _ in range(3):
+                epc = drift_axes(epc, rng, sigma=0.01)
+            return epc
+
+        assert drifted(np.random.default_rng(99)) == drifted(np.random.default_rng(99))
 
     @numpy_streams_as_golden
     def test_scaled_draws_equal_normal_and_uniform(self):
@@ -261,9 +259,9 @@ class TestFloatPathMatchesOracle:
     def test_probe_voltage_range_checked(self, v):
         epc = _random_epc(np.random.default_rng(56))
         sweep = AnalyzerSweep(IDENTITY, epc, "Z")
-        sweep.land(0, epc.voltages[0])
+        sweep.land(epc.voltages[0])
         with pytest.raises(ValueError, match="outside"):
-            sweep.element(1, v)
+            sweep.element(v)
         with pytest.raises(ValueError, match="outside"):
             with_voltage(epc, 1, v)
 
@@ -324,15 +322,13 @@ class TestFloatPathMatchesOracle:
             epc = _random_epc(setup, wander_steps=1)
             sigma = float(setup.uniform(0.001, 2.0))
             max_wander = float(setup.uniform(0.05, 3.0))
-            dt = int(setup.choice([1, 2, 7]))
             seed = int(setup.integers(2**32))
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = drift_axes(epc, dt, rng, sigma=sigma, max_wander=max_wander)
-            scale = sigma * math.sqrt(dt)
+            got = drift_axes(epc, rng, sigma=sigma, max_wander=max_wander)
             normals, uniforms = ref.standard_normal(4).tolist(), ref.random(4).tolist()
             cw, sw = math.cos(max_wander), math.sin(max_wander)
             want = tuple(
-                optics._clamp_to_cone(optics._tip(axis, scale * z, 2.0 * math.pi * u), n, cw, sw)
+                optics._clamp_to_cone(optics._tip(axis, sigma * z, 2.0 * math.pi * u), n, cw, sw)
                 for axis, n, z, u in zip(epc.axes, NOMINAL_AXES, normals, uniforms)
             )
             assert got == replace(epc, axes=want)
@@ -342,7 +338,6 @@ class TestFloatPathMatchesOracle:
         setup = np.random.default_rng(62)
         for _ in range(200):
             sigma = float(setup.uniform(0.0, 2.0))
-            dt = int(setup.choice([0, 1, 1, 3, 7]))
             seed = int(setup.integers(2**32))
             rng_float, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
             axis = StokesVector(*random_unit(setup))
@@ -350,8 +345,8 @@ class TestFloatPathMatchesOracle:
                 sigma, rotation_from_axis_angle(axis, setup.uniform(0.0, 6.3))
             )
             for _ in range(10):
-                got_ch, got = channel_step(got_ch, dt, rng_float)
-                want_ch, want = optics_oracle.random_walk_step(want_ch, dt, rng_oracle)
+                got_ch, got = channel_step(got_ch, rng_float)
+                want_ch, want = optics_oracle.random_walk_step(want_ch, 1, rng_oracle)
                 assert _hex(got) == _hex(want)
                 assert got_ch.step_sigma == sigma and _hex(got_ch.current) == _hex(got)
                 assert rng_float.bit_generator.state == rng_oracle.bit_generator.state
@@ -362,7 +357,7 @@ class TestFloatPathMatchesOracle:
         normals = [0.0, 0.0, 0.0, 0.3, -0.2, 0.5, 0.7, 1.1]
         ch = RandomWalkChannel(0.1)
         got_rng, want_rng = FixedNormals(normals), FixedNormals(normals)
-        _, got = channel_step(ch, 1, got_rng)
+        _, got = channel_step(ch, got_rng)
         _, want = optics_oracle.random_walk_step(ch, 1, want_rng)
         assert _hex(got) == _hex(want)
         assert got_rng.values == want_rng.values == [1.1]
@@ -388,14 +383,15 @@ class TestAnalyzerSweep:
                 landed = epc
                 for _ in range(2):  # the second sweep starts from the first's landings
                     for i in range(4):
+                        assert sweep.at == i
                         lo, hi = epc.v_min, epc.v_max
                         for v in (lo, hi, *rng.uniform(lo, hi, size=3)):
                             want = analyzer_element(
                                 channel, epc_rotation(with_voltage(landed, i, float(v))), basis
                             )
-                            worst = max(worst, abs(sweep.element(i, float(v)) - want))
+                            worst = max(worst, abs(sweep.element(float(v)) - want))
                         v_land = float(rng.uniform(lo, hi))
-                        sweep.land(i, v_land)
+                        sweep.land(v_land)
                         landed = with_voltage(landed, i, v_land)
                     assert sweep.voltages == list(landed.voltages)
                     want = analyzer_element(channel, epc_rotation(landed), basis)
@@ -405,16 +401,11 @@ class TestAnalyzerSweep:
     def test_squeezers_are_visited_in_order(self):
         sweep = AnalyzerSweep(IDENTITY, default_epc(), "Z")
         assert sweep.swept is None
-        with pytest.raises(ValueError, match="at squeezer 0, not 1"):
-            sweep.element(1, 75.0)
-        with pytest.raises(ValueError, match="at squeezer 0, not 2"):
-            sweep.land(2, 75.0)
         for i in range(4):
-            sweep.land(i, 75.0)
+            assert sweep.at == i
+            sweep.land(75.0)
         assert sweep.swept == pytest.approx(1.0, abs=1e-15)
         assert sweep.at == 0  # the next sweep has begun
-        with pytest.raises(ValueError, match="at squeezer 0, not 4"):
-            sweep.element(4, 75.0)
 
     def test_unknown_basis(self):
         with pytest.raises(ValueError, match="unknown basis"):
@@ -435,20 +426,27 @@ class TestAnalyzerSweep:
             epc.with_voltages([75.0, 75.0, 151.0, 75.0])
 
 
+def walk(ch, cycles, rng):
+    """``ch`` after ``cycles`` one-cycle steps, and the rotation it then applies."""
+    for _ in range(cycles):
+        ch, rot = channel_step(ch, rng)
+    return ch, rot
+
+
 class TestChannels:
     def test_static_returns_same_rotation(self):
         rng = np.random.default_rng(41)
         rot = rotation_from_axis_angle(S2, 0.3)
         ch = StaticChannel(rot)
         for _ in range(5):
-            ch, out = channel_step(ch, 1, rng)
+            ch, out = channel_step(ch, rng)
             assert out is rot
 
     def test_scrambler_accumulates(self):
         rng = np.random.default_rng(42)
         ch = ScramblerChannel(axis=S3, rate=0.2)
         for _ in range(900):
-            ch, rot = channel_step(ch, 1, rng)
+            ch, rot = channel_step(ch, rng)
         assert ch.accumulated == pytest.approx(180.0, abs=1e-9)
         assert rot.angle == pytest.approx(math.pi, abs=1e-9)
 
@@ -462,7 +460,7 @@ class TestChannels:
         rng = np.random.default_rng(43)
         ch = ScramblerChannel(axis=S3, rate=0.2)
         for _ in range(1800):
-            ch, _ = channel_step(ch, 1, rng)
+            ch, _ = channel_step(ch, rng)
         circular = min(ch.accumulated, 360.0 - ch.accumulated)
         assert circular <= 1e-9
 
@@ -470,23 +468,22 @@ class TestChannels:
         rng = np.random.default_rng(44)
         ch = ScramblerChannel(axis=S3, rate=100.0)
         for _ in range(10):
-            ch, _ = channel_step(ch, 1, rng)
+            ch, _ = channel_step(ch, rng)
             assert 0.0 <= ch.accumulated < 360.0
 
     def test_random_walk_step_scale(self):
         rng = np.random.default_rng(45)
-        ch = RandomWalkChannel(step_sigma=0.0)
-        ch, rot = channel_step(ch, 10, rng)
+        ch, rot = walk(RandomWalkChannel(step_sigma=0.0), 10, rng)
         assert rot.angle == pytest.approx(0.0, abs=1e-12)
 
     def test_random_walk_deterministic(self):
         ch = RandomWalkChannel(step_sigma=0.01)
-        a_ch, a_rot = channel_step(ch, 50, np.random.default_rng(7))
-        b_ch, b_rot = channel_step(ch, 50, np.random.default_rng(7))
+        a_ch, a_rot = walk(ch, 50, np.random.default_rng(7))
+        b_ch, b_rot = walk(ch, 50, np.random.default_rng(7))
         assert a_rot == b_rot
         assert a_ch == b_ch
 
-    @pytest.mark.parametrize("dt", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize(
         "model",
         [
@@ -496,32 +493,31 @@ class TestChannels:
         ],
         ids=["static", "scramble", "random_walk"],
     )
-    def test_rotations_hold_python_floats(self, model, dt):
+    def test_rotations_hold_python_floats(self, model, steps):
         # numpy scalar arithmetic is several times slower than float arithmetic
         rng = np.random.default_rng(47)
         ch = model
         for _ in range(5):
-            ch, rot = channel_step(ch, dt, rng)
+            ch, rot = walk(ch, steps, rng)
             held = [rot, ch.current] if isinstance(ch, RandomWalkChannel) else [rot]
             for r in held:
                 assert [type(v) for v in (r.w, r.x, r.y, r.z)] == [float] * 4
 
     def test_random_walk_analyzer_elements_are_python_floats(self):
         rng = np.random.default_rng(48)
-        _, ch_rot = channel_step(RandomWalkChannel(step_sigma=0.012), 1, rng)
+        _, ch_rot = channel_step(RandomWalkChannel(step_sigma=0.012), rng)
         epc = _random_epc(rng)
         for basis in ("Z", "X"):
             assert type(analyzer_element(ch_rot, epc_rotation(epc), basis)) is float
             sweep = AnalyzerSweep(ch_rot, epc, basis)
-            for i in range(4):
-                assert type(sweep.element(i, 75.0)) is float
-                sweep.land(i, 75.0)
+            for _ in range(4):
+                assert type(sweep.element(75.0)) is float
+                sweep.land(75.0)
             assert type(sweep.swept) is float
 
     def test_random_walk_diffuses(self):
         rng = np.random.default_rng(46)
-        ch = RandomWalkChannel(step_sigma=0.02)
-        ch, rot = channel_step(ch, 400, rng)
+        ch, rot = walk(RandomWalkChannel(step_sigma=0.02), 400, rng)
         assert rot.angle > 0.0
 
 

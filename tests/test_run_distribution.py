@@ -61,7 +61,10 @@ def test_two_seed_sets_of_unchanged_code_agree():
 def test_block_drift_matches_the_former_drift(monkeypatch):
     def former(seed):
         with monkeypatch.context() as patch:
-            patch.setattr(feedback, "drift_axes", optics_oracle.drift_axes)
+            patch.setattr(
+                feedback, "drift_axes",
+                lambda epc, rng, **kw: optics_oracle.drift_axes(epc, 1, rng, **kw),
+            )
             return scramble_run.__wrapped__(seed)
 
     gaps = compare_runs(former, scramble_run, seed_set(2), seed_set(0))

@@ -2,7 +2,7 @@
 
 ``Rotation``, ``StokesVector``, ``DetectionTally`` and ``TimeSeriesRow``
 write their own ``__init__``; each must still behave as the frozen dataclass
-it is declared as.  ``EpcState``, ``ControllerState`` and the tests-side
+it is declared as.  ``EpcState``, ``ControlResult`` and the tests-side
 ``MeasurementMatrix`` reference are plain frozen dataclasses, held to the
 same semantics.
 """
@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from poltrack.feedback import ControllerState
+from poltrack.feedback import ControlResult
 from poltrack.optics import NOMINAL_AXES, EpcState, default_epc, epc_rotation
 from poltrack.photon_sim import _TALLY_FIELDS, DetectionTally
 from poltrack.poincare import (
@@ -48,9 +48,7 @@ CASES = {
         dict(voltages=(75.0, 75.0, 151.0, 75.0)),
         "outside",
     ),
-    ControllerState: (
-        dict(epc=EPC, recenter_count=3, converged=False), dict(recenter_count=4), None, None
-    ),
+    ControlResult: (dict(epc=EPC, recenters=3, converged=False), dict(recenters=4), None, None),
     TimeSeriesRow: (
         dict(
             cycle=3, t_seconds=36.0, qber_est=0.02, e_z=0.001, e_x=0.002,

@@ -89,7 +89,7 @@ def main() -> None:
         axis_drift_sigma=cfg.epc.axis_drift_sigma_rad,
         max_axis_wander=cfg.epc.max_axis_wander_rad,
     )
-    _, ch_rot = pt.channel_step(world.channel, 1, np.random.default_rng(SEED))
+    _, ch_rot = pt.channel_step(world.channel, np.random.default_rng(SEED))
     mc = pt.MonteCarloContext(ch_rot, world.source, world.eta, cfg.controller, rng)
 
     m_z = pt.analyzer_element(ch_rot, epc_rot, "Z")
@@ -105,9 +105,9 @@ def main() -> None:
     diagonal = pt.StokesVector(0.0, 1.0, 0.0)
     misaligned = NoiselessContext(pt.rotation_from_axis_angle(diagonal, math.radians(30.0)))
     ctrl = pt.ControllerConfig(max_cycles_per_correction=200)
-    state = pt.ControllerState(epc=pt.default_epc())
+    centered = pt.default_epc()
     e_misaligned = misaligned.evaluate(
-        pt.analyzer_element(misaligned.channel_rot, pt.epc_rotation(state.epc), "Z"), "Z"
+        pt.analyzer_element(misaligned.channel_rot, pt.epc_rotation(centered), "Z"), "Z"
     )
 
     # long-lived sweeps; each step adjusts whichever squeezer its sweep is at
@@ -126,14 +126,14 @@ def main() -> None:
         for seed in MC_SEEDS:
             rng_mc = np.random.Generator(np.random.Philox(seed))
             ctx = context(misaligned.channel_rot, world.source, world.eta, ctrl, rng_mc)
-            pt.control_cycle(state, e_misaligned, "Z", ctx, ctrl)
+            pt.control_cycle(centered, e_misaligned, "Z", ctx, ctrl)
 
     correct_mc(CountingContext)  # the seeds fix how many evaluations the corrections make
 
     def track():
         return pt.track(
-            pt.ControllerState(epc=start_z),
-            pt.ControllerState(epc=start_x),
+            start_z,
+            start_x,
             cfg.controller,
             world,
             TRACK_CYCLES,
@@ -149,19 +149,16 @@ def main() -> None:
         "epc_rotation": lambda: pt.epc_rotation(epc),
         "with_voltages": lambda: epc.with_voltages((75.0, 75.0, 80.0, 75.0)),
         "drift_axes": lambda: pt.drift_axes(
-            epc, 1, rng,
-            sigma=cfg.epc.axis_drift_sigma_rad, max_wander=cfg.epc.max_axis_wander_rad,
+            epc, rng, sigma=cfg.epc.axis_drift_sigma_rad, max_wander=cfg.epc.max_axis_wander_rad
         ),
-        "channel_step_drift": lambda: pt.channel_step(world.channel, 1, rng),
+        "channel_step_drift": lambda: pt.channel_step(world.channel, rng),
         "simulate_batch": lambda: pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng),
         "feedback_error": lambda: pt.feedback_error(desk_tally, "Z"),
         "MonteCarloContext.evaluate": lambda: mc.evaluate(m_z, "Z"),
         "evaluate_full": lambda: mc_full.evaluate(m_z, "Z"),
-        "adjust_squeezer_mc": lambda: pt.adjust_squeezer(sweep_mc, sweep_mc.at, mc, cfg.controller),
-        "adjust_squeezer": lambda: pt.adjust_squeezer(
-            sweep_exact, sweep_exact.at, misaligned, ctrl
-        ),
-        "control_cycle": lambda: pt.control_cycle(state, e_misaligned, "Z", misaligned, ctrl),
+        "adjust_squeezer_mc": lambda: pt.adjust_squeezer(sweep_mc, mc, cfg.controller),
+        "adjust_squeezer": lambda: pt.adjust_squeezer(sweep_exact, misaligned, ctrl),
+        "control_cycle": lambda: pt.control_cycle(centered, e_misaligned, "Z", misaligned, ctrl),
         "control_cycle_mc_per_eval": correct_mc,
         "track_cycle": track,
         "series_to_csv_50": lambda: pt.series_to_csv(series),
