@@ -247,28 +247,36 @@ def track(
     batch.  Uses separate keyed seed streams for the channel, the axis drift,
     the monitoring batches, and each controller, so paired-seed runs with
     control on and off see the same channel trajectory, and the same seed,
-    an int or a ``SeedSequence``, gives the same series every time.
+    an int or a ``SeedSequence``, gives the same series every time.  The
+    channel, drift and monitor streams are built up front; a controller's
+    stream is built at its basis's first correction and kept for the rest of
+    the run, so a run that never corrects never builds it.  Its key fixes
+    its draws, so when it is built changes no output.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng_channel, rng_drift, rng_monitor, rng_ctrl_z, rng_ctrl_x = (
-        np.random.Generator(np.random.Philox(
+
+    def stream(key: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(
             np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, key))))
-        for key in (_CHANNEL, _DRIFT, _MONITOR, _CTRL_Z, _CTRL_X)
-    )
+
+    rng_channel, rng_drift, rng_monitor = (stream(key) for key in (_CHANNEL, _DRIFT, _MONITOR))
+    rng_ctrl = {}  # basis -> its controller's stream, built at that basis's first correction
 
     def drifted(epc: EpcState) -> EpcState:
         return drift_axes(
             epc, rng_drift, sigma=world.axis_drift_sigma, max_wander=world.max_axis_wander
         )
 
-    def controlled(epc, e, basis, rng, ch_rot) -> ControlResult:
+    def controlled(epc, e, basis, ch_rot) -> ControlResult:
         # A hold (e below threshold) makes no evaluation, so only a
-        # correction gets a context.
+        # correction gets a context, and only a correction needs a stream.
         ctx = None
         if not e < config.e_threshold:
-            ctx = MonteCarloContext(ch_rot, world.source, world.eta, config, rng)
+            if basis not in rng_ctrl:
+                rng_ctrl[basis] = stream(_CTRL_Z if basis == "Z" else _CTRL_X)
+            ctx = MonteCarloContext(ch_rot, world.source, world.eta, config, rng_ctrl[basis])
         return control_cycle(epc, e, basis, ctx, config)
 
     channel = world.channel
@@ -300,9 +308,9 @@ def track(
         recenters, converged = 0, data_ok
         if control_enabled and data_ok:
             try:
-                z = controlled(z_epc, e_z, "Z", rng_ctrl_z, ch_rot)
+                z = controlled(z_epc, e_z, "Z", ch_rot)
                 z_epc, recenters = z.epc, z.recenters
-                x = controlled(x_epc, e_x, "X", rng_ctrl_x, ch_rot)
+                x = controlled(x_epc, e_x, "X", ch_rot)
                 x_epc, recenters = x.epc, recenters + x.recenters
                 converged = z.converged and x.converged
             except InsufficientDataError:  # a starved X correction keeps what Z did

@@ -332,15 +332,23 @@ _EPC_Z, _EPC_X, _TRACK = range(3)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
-    """Execute a simulation scenario; pure function of the config."""
+    """Execute a simulation scenario; pure function of the config.
+
+    Each EPC's gain stream is built only when ``cfg.epc.gain_jitter > 0``,
+    the one case that draws from it, as ``track`` builds each controller's
+    stream only at that basis's first correction.  Every stream keeps its
+    key, so a stream left unbuilt moves no draw of the others and the output
+    is the same either way.
+    """
     def child(key: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(cfg.seed, spawn_key=(key,))
 
     def make_epc(key: int):
+        jitter = cfg.epc.gain_jitter
         return default_epc(
-            np.random.Generator(np.random.Philox(child(key))),
+            np.random.Generator(np.random.Philox(child(key))) if jitter > 0.0 else None,
             gain=cfg.epc.gain_rad_per_volt,
-            gain_jitter=cfg.epc.gain_jitter,
+            gain_jitter=jitter,
             v_min=cfg.epc.v_min,
             v_max=cfg.epc.v_max,
         )

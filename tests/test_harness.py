@@ -6,8 +6,10 @@ import statistics
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from poltrack import feedback
 from poltrack.harness import (
     CSV_HEADER,
     PRESET_NAMES,
@@ -29,6 +31,7 @@ from poltrack.harness import (
     summary_to_text,
     table_to_csv,
 )
+from poltrack.harness import _EPC_X, _EPC_Z, _TRACK
 from poltrack.optics import RandomWalkChannel, ScramblerChannel, StaticChannel
 from poltrack.stats import delta_table
 from poltrack.timeseries import TimeSeries, TimeSeriesRow
@@ -546,6 +549,105 @@ class TestRunScenario:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("drift48h")
+
+
+class TestStreamsBuilt:
+    """A run builds only the random streams it draws from, each under its key."""
+
+    EAGER = [(_TRACK, feedback._CHANNEL), (_TRACK, feedback._DRIFT), (_TRACK, feedback._MONITOR)]
+
+    @staticmethod
+    def run(monkeypatch, cfg):
+        """The spawn key of each Philox stream ``run_scenario(cfg)`` builds, in
+        order, and each correcting basis's contexts, in order of first correction."""
+        philox, control_cycle = np.random.Philox, feedback.control_cycle
+        keys, contexts = [], {}
+
+        def counting(seed):
+            keys.append(seed.spawn_key)
+            return philox(seed)
+
+        def recorded(epc, e, basis, ctx, config):
+            if ctx is not None:
+                contexts.setdefault(basis, []).append(ctx)
+            return control_cycle(epc, e, basis, ctx, config)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(feedback, "control_cycle", recorded)
+        run_scenario(cfg)
+        return keys, contexts
+
+    def test_a_monitoring_run_builds_channel_drift_and_monitor(self, monkeypatch):
+        # the drift_full benchmark's shape: --full drift24h, control off, no jitter
+        cfg = preset_config("drift24h", full=True)
+        cfg = replace(cfg, duration=2, control_enabled=False, epc=replace(cfg.epc, gain_jitter=0.0))
+        assert self.run(monkeypatch, cfg)[0] == self.EAGER
+
+    def test_gain_jitter_adds_the_two_epc_streams(self, monkeypatch):
+        cfg = replace(preset_config("drift24h", full=True), duration=2, control_enabled=False)
+        assert cfg.epc.gain_jitter > 0.0
+        assert self.run(monkeypatch, cfg)[0] == [(_EPC_Z,), (_EPC_X,), *self.EAGER]
+
+    @pytest.mark.parametrize(
+        "name, jitter, seed, bases",
+        [
+            ("scramble04", 0.1, 2, "ZX"),  # both bases correct 5 or more times
+            ("scramble04", 0.1, 3, "Z"),  # Z corrects 9 times, X never
+            ("static", 0.0, 2, "ZX"),  # Z corrects from cycle 1, X first in cycle 6
+        ],
+    )
+    def test_a_controller_stream_is_built_once_at_its_first_correction(
+        self, monkeypatch, name, jitter, seed, bases
+    ):
+        cfg = preset_config(name)
+        cfg = replace(
+            cfg, duration=10, seed=seed, epc=replace(cfg.epc, gain_jitter=jitter),
+            controller=replace(cfg.controller, batch_pulses=10_000),
+        )
+        keys, contexts = self.run(monkeypatch, cfg)
+        assert "".join(contexts) == bases
+        assert max(len(c) for c in contexts.values()) > 1
+        ctrl = {"Z": feedback._CTRL_Z, "X": feedback._CTRL_X}
+        epcs = [(_EPC_Z,), (_EPC_X,)] if jitter > 0.0 else []
+        assert keys == [*epcs, *self.EAGER, *((_TRACK, ctrl[b]) for b in bases)]
+        # every correction of a basis draws on the one stream that basis built
+        streams = [{id(ctx.rng) for ctx in c} for c in contexts.values()]
+        assert all(len(ids) == 1 for ids in streams)
+        assert len(set.union(*streams)) == len(bases)
+
+    def test_a_run_that_never_corrects_builds_no_controller_stream(self, monkeypatch):
+        # an aligned EPC under a still channel holds every cycle
+        cfg = preset_config("static")
+        cfg = replace(
+            cfg, duration=10, channel=replace(cfg.channel, angle_deg=0.0),
+            epc=replace(cfg.epc, gain_jitter=0.0),
+        )
+        assert self.run(monkeypatch, cfg) == (self.EAGER, {})
+
+    def test_a_late_controller_stream_starts_at_its_key(self, monkeypatch):
+        # an aligned start under slow drift: each basis first corrects many
+        # cycles in, after the other streams have drawn all along
+        cfg = preset_config("drift24h")
+        cfg = replace(
+            cfg, duration=40, seed=3, epc=replace(cfg.epc, gain_jitter=0.0),
+            channel=replace(cfg.channel, step_sigma_rad=0.04),
+        )
+        control_cycle, calls, first = feedback.control_cycle, [], {}
+
+        def recorded(epc, e, basis, ctx, config):
+            calls.append(basis)
+            if ctx is not None and basis not in first:
+                first[basis] = (calls.count("Z"), ctx.rng.bit_generator.state)
+            return control_cycle(epc, e, basis, ctx, config)
+
+        monkeypatch.setattr(feedback, "control_cycle", recorded)
+        run_scenario(cfg)
+        assert set(first) == {"Z", "X"}
+        for basis, key in (("Z", feedback._CTRL_Z), ("X", feedback._CTRL_X)):
+            cycle, state = first[basis]
+            assert cycle > 10
+            fresh = np.random.Philox(np.random.SeedSequence(3, spawn_key=(_TRACK, key)))
+            np.testing.assert_equal(state, fresh.state)
 
 
 class TestBuildChannel:

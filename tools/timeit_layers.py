@@ -22,8 +22,12 @@ and, per evaluation, against a ``MonteCarloContext``
 correction for each seed of ``MC_SEEDS``, timed together and divided by the
 evaluations they make, since how many a correction makes depends on its
 random stream); one ``track`` cycle, averaged over a 50-cycle run from the
-preset's starting EPCs; and ``series_to_csv`` of that 50-cycle
-series.  The noiseless context is defined here: E = 4 ((1 - m) / 2)^2 of
+preset's starting EPCs; ``series_to_csv`` of that 50-cycle series; the
+construction of one keyed random stream, ``Generator(Philox(SeedSequence(seed,
+spawn_key=...)))`` (``stream_new``); and one whole ``run_scenario`` of the
+``drift_full`` benchmark's config (``run_scenario_drift_full``: the ``--full``
+``drift24h`` preset for 2 cycles, control off, no gain jitter), the per-run
+layer that set-up costs such as ``stream_new`` land in.  The noiseless context is defined here: E = 4 ((1 - m) / 2)^2 of
 the arm's analyzer element ``m``.
 Each figure is the fastest of ``REPEAT`` timeit repeats, with the loop count
 per repeat chosen by ``Timer.autorange``.  Prints one JSON object.  Uses the
@@ -141,6 +145,9 @@ def main() -> None:
         )
 
     series = track()
+    full_run = replace(
+        full, duration=2, seed=SEED, control_enabled=False, epc=replace(full.epc, gain_jitter=0.0)
+    )
 
     timings = {
         "rotation_new": lambda: pt.Rotation(r1.w, r1.x, r1.y, r1.z),
@@ -162,6 +169,10 @@ def main() -> None:
         "control_cycle_mc_per_eval": correct_mc,
         "track_cycle": track,
         "series_to_csv_50": lambda: pt.series_to_csv(series),
+        "stream_new": lambda: np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(SEED, spawn_key=(2, 0)))
+        ),
+        "run_scenario_drift_full": lambda: pt.run_scenario(full_run),
     }
     per_call = {"track_cycle": TRACK_CYCLES, "control_cycle_mc_per_eval": evaluations}
     result = {name: best_us(stmt, per_call.get(name, 1)) for name, stmt in timings.items()}
