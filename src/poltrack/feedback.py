@@ -236,6 +236,7 @@ def track(
     *,
     control_enabled: bool = True,
     seed: int | np.random.SeedSequence = 0,
+    spawn_key: tuple[int, ...] = (),
 ) -> TimeSeries:
     """Run ``duration`` feedback cycles against an evolving world.
 
@@ -246,20 +247,26 @@ def track(
     convergence.  ``config`` tunes both controllers and sizes the monitoring
     batch.  Uses separate keyed seed streams for the channel, the axis drift,
     the monitoring batches, and each controller, so paired-seed runs with
-    control on and off see the same channel trajectory, and the same seed,
-    an int or a ``SeedSequence``, gives the same series every time.  The
-    channel, drift and monitor streams are built up front; a controller's
-    stream is built at its basis's first correction and kept for the rest of
-    the run, so a run that never corrects never builds it.  Its key fixes
-    its draws, so when it is built changes no output.
+    control on and off see the same channel trajectory, and the same seed
+    gives the same series every time.  ``seed`` is an int entropy, or a
+    ``SeedSequence`` whose entropy and spawn key are read and nothing else;
+    ``spawn_key`` extends that key.  Stream k is
+    ``SeedSequence(entropy, spawn_key=(*key, k))``, so ``seed=s,
+    spawn_key=key`` and ``seed=SeedSequence(s, spawn_key=key)`` give the
+    same series.  The channel, drift and monitor streams are built up front;
+    a controller's stream is built at its basis's first correction and kept
+    for the rest of the run, so a run that never corrects never builds it.
+    Its key fixes its draws, so when it is built changes no output.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    entropy = seed
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, spawn_key = seed.entropy, (*seed.spawn_key, *spawn_key)
 
     def stream(key: int) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, key))))
+            np.random.SeedSequence(entropy, spawn_key=(*spawn_key, key))))
 
     rng_channel, rng_drift, rng_monitor = (stream(key) for key in (_CHANNEL, _DRIFT, _MONITOR))
     rng_ctrl = {}  # basis -> its controller's stream, built at that basis's first correction

@@ -18,7 +18,6 @@ Output layout per run: ``series.csv``, ``summary.txt``, ``config.resolved``.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -338,15 +337,17 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
     the one case that draws from it, as ``track`` builds each controller's
     stream only at that basis's first correction.  Every stream keeps its
     key, so a stream left unbuilt moves no draw of the others and the output
-    is the same either way.
+    is the same either way.  ``track`` gets the seed and its key, not a
+    ``SeedSequence`` of them, whose hashed pool nothing would read.
     """
-    def child(key: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(cfg.seed, spawn_key=(key,))
-
     def make_epc(key: int):
         jitter = cfg.epc.gain_jitter
+        rng = None
+        if jitter > 0.0:
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(cfg.seed, spawn_key=(key,))))
         return default_epc(
-            np.random.Generator(np.random.Philox(child(key))) if jitter > 0.0 else None,
+            rng,
             gain=cfg.epc.gain_rad_per_volt,
             gain_jitter=jitter,
             v_min=cfg.epc.v_min,
@@ -367,34 +368,58 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
         world,
         cfg.duration,
         control_enabled=cfg.control_enabled,
-        seed=child(_TRACK),
+        seed=cfg.seed,
+        spawn_key=(_TRACK,),
     )
     return series, summarize(series)
 
 
 def summarize(series: TimeSeries) -> Summary:
-    """Mean, population standard deviation, and flag counts of a series."""
+    """QBER statistics and flag counts of a series, in one pass over its rows.
+
+    The statistics are numpy's population mean, population standard
+    deviation and max over the finite estimates, computed with the
+    reductions ``np.mean`` and ``np.std`` use (``np.add.reduce`` of the
+    values, then of the squared deviations from their mean, each over n), so
+    they equal those functions' results bit for bit.  Data-starved (NaN)
+    cycles are skipped and counted; if every cycle starved the statistics
+    are NaN.
+    """
     if len(series) == 0:
         raise ValueError("cannot summarize an empty series")
-    q = np.array(series.column("qber_est"))
-    q = q[np.isfinite(q)]  # skip data-starved cycles, and count them; NaN stats if all starved
+    finite, recenters, nonconverged = [], 0, 0
+    for r in series:
+        if math.isfinite(r.qber_est):
+            finite.append(r.qber_est)
+        recenters += r.recenter
+        nonconverged += not r.converged
+    mean = std = peak = math.nan
+    if n := len(finite):
+        q = np.array(finite)
+        mean = float(np.add.reduce(q) / n)
+        d = q - mean
+        std = math.sqrt(np.add.reduce(d * d) / n)
+        peak = max(finite)
     return Summary(
         cycles=len(series),
-        mean_qber=float(np.mean(q)) if q.size else math.nan,
-        std_qber=float(np.std(q)) if q.size else math.nan,
-        max_qber=float(np.max(q)) if q.size else math.nan,
-        recenter_events=int(sum(series.column("recenter"))),
-        nonconverged_cycles=sum(1 for c in series.column("converged") if not c),
-        starved_cycles=len(series) - q.size,
+        mean_qber=mean,
+        std_qber=std,
+        max_qber=peak,
+        recenter_events=recenters,
+        nonconverged_cycles=nonconverged,
+        starved_cycles=len(series) - n,
     )
+
+
+_SUMMARY_FIELDS = tuple(f.name for f in fields(Summary))
 
 
 def summary_to_text(summary: Summary) -> str:
     """A ``name = value`` line per ``Summary`` field in order; floats to 9 significant digits."""
     return "".join(  # by value type: typing.get_type_hints re-evaluates annotations per call
-        f"{f.name} = {v:.9g}\n" if isinstance(v := getattr(summary, f.name), float)
-        else f"{f.name} = {v}\n"
-        for f in fields(summary)
+        f"{name} = {v:.9g}\n" if isinstance(v := getattr(summary, name), float)
+        else f"{name} = {v}\n"
+        for name in _SUMMARY_FIELDS
     )
 
 
@@ -414,11 +439,7 @@ def _row_text(r: TimeSeriesRow) -> str:
 
 def series_to_csv(series: TimeSeries) -> str:
     """Render a series with the fixed header and 9-significant-digit floats."""
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for r in series:
-        out.write(_row_text(r) + "\n")
-    return out.getvalue()
+    return "\n".join([CSV_HEADER, *map(_row_text, series)]) + "\n"
 
 
 def series_from_csv(text: str) -> TimeSeries:

@@ -555,6 +555,21 @@ class TestTrack:
         assert run(ss) == first
         assert run(7) == first
 
+    def test_a_seed_and_key_give_the_series_of_their_seed_sequence(self):
+        # run_scenario hands track its seed and key; the streams are keyed the same
+        src = SourceParams(mean_photons=0.5)
+        cfg = ControllerConfig(batch_pulses=10_000)
+        world = World(channel=RandomWalkChannel(0.05), source=src, eta=1.0, axis_drift_sigma=0.01)
+
+        def run(seed, spawn_key=()):
+            return track(default_epc(), default_epc(), cfg, world, 20, seed=seed,
+                         spawn_key=spawn_key)
+
+        keyed = run(np.random.SeedSequence(7, spawn_key=(2, 5)))
+        assert run(7, (2, 5)) == keyed
+        assert run(np.random.SeedSequence(7, spawn_key=(2,)), (5,)) == keyed  # the key extends
+        assert run(7, (2,)) != keyed
+
     def test_control_on_and_off_see_the_same_channel_rotations(self, monkeypatch):
         step, rotations = feedback.channel_step, []
 

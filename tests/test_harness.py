@@ -3,6 +3,7 @@ import io
 import math
 import re
 import statistics
+import struct
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from poltrack.optics import RandomWalkChannel, ScramblerChannel, StaticChannel
 from poltrack.stats import delta_table
 from poltrack.timeseries import TimeSeries, TimeSeriesRow
 
+import summary_oracle
 from conftest import table_from_csv
 
 
@@ -559,9 +561,18 @@ class TestStreamsBuilt:
     @staticmethod
     def run(monkeypatch, cfg):
         """The spawn key of each Philox stream ``run_scenario(cfg)`` builds, in
-        order, and each correcting basis's contexts, in order of first correction."""
+        order, and each correcting basis's contexts, in order of first correction.
+
+        Also checks that the ``SeedSequence``s the run builds are exactly those
+        streams' seeds: none is hashed that no stream draws from.
+        """
         philox, control_cycle = np.random.Philox, feedback.control_cycle
-        keys, contexts = [], {}
+        keys, contexts, seeds = [], {}, []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seeds.append(self.spawn_key)
 
         def counting(seed):
             keys.append(seed.spawn_key)
@@ -572,13 +583,16 @@ class TestStreamsBuilt:
                 contexts.setdefault(basis, []).append(ctx)
             return control_cycle(epc, e, basis, ctx, config)
 
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
         monkeypatch.setattr(np.random, "Philox", counting)
         monkeypatch.setattr(feedback, "control_cycle", recorded)
         run_scenario(cfg)
+        assert seeds == keys, "a SeedSequence was built that seeds no stream"
         return keys, contexts
 
     def test_a_monitoring_run_builds_channel_drift_and_monitor(self, monkeypatch):
-        # the drift_full benchmark's shape: --full drift24h, control off, no jitter
+        # the drift_full benchmark's shape: --full drift24h, control off, no jitter;
+        # run() also checks that no (_TRACK,) root SeedSequence is hashed for track
         cfg = preset_config("drift24h", full=True)
         cfg = replace(cfg, duration=2, control_enabled=False, epc=replace(cfg.epc, gain_jitter=0.0))
         assert self.run(monkeypatch, cfg)[0] == self.EAGER
@@ -663,6 +677,19 @@ class TestBuildChannel:
             build_channel(replace(short_cfg(), kind="sample-size-table"))
 
 
+def assert_same_summary(got: Summary, want: Summary) -> None:
+    """Field by field: equal ints, and floats with the same bits or both NaN."""
+    for f in fields(Summary):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert type(g) is type(w), f.name
+        if not isinstance(w, float):
+            assert g == w, (f.name, g, w)
+        elif math.isnan(w):
+            assert math.isnan(g), (f.name, g)
+        else:
+            assert struct.pack("<d", g) == struct.pack("<d", w), (f.name, g, w)
+
+
 class TestSummarize:
     def test_constant_column(self):
         s = summarize(TimeSeries(tuple(make_row(i) for i in range(1, 6))))
@@ -705,6 +732,29 @@ class TestSummarize:
         s = summarize(TimeSeries((make_row(1, q=math.nan, conv=False),)))
         assert math.isnan(s.mean_qber) and math.isnan(s.std_qber) and math.isnan(s.max_qber)
         assert (s.cycles, s.nonconverged_cycles, s.starved_cycles) == (1, 1, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 3000])
+    @pytest.mark.parametrize("starved", [0.0, 0.1, 0.5])
+    def test_equals_the_numpy_oracle_bit_for_bit(self, n, starved):
+        # lengths on and beside numpy's pairwise-sum block edges (8 and 128)
+        rng = np.random.default_rng([n, int(starved * 10)])
+        for scale in (0.03, 0.5):
+            q = rng.uniform(0.0, scale, n)
+            q[rng.random(n) < starved] = math.nan
+            rows = tuple(
+                TimeSeriesRow(i + 1, 12.0 * (i + 1), float(q[i]), 0.001, 0.002, (75.0,) * 8,
+                              int(rng.integers(0, 4)), bool(rng.random() < 0.7))
+                for i in range(n)
+            )
+            series = TimeSeries(rows)
+            assert_same_summary(summarize(series), summary_oracle.summarize(series))
+
+    @pytest.mark.parametrize("n", [1, 9, 129])
+    def test_an_all_starved_series_matches_the_oracle(self, n):
+        rows = tuple(make_row(i, q=math.nan, conv=i % 2 == 0) for i in range(1, n + 1))
+        got = summarize(TimeSeries(rows))
+        assert_same_summary(got, summary_oracle.summarize(TimeSeries(rows)))
+        assert math.isnan(got.mean_qber) and got.starved_cycles == n
 
     def test_summary_text_writes_each_field_in_order(self):
         s = Summary(cycles=3, mean_qber=0.0123456789012, std_qber=math.nan, max_qber=1.0,

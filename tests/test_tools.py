@@ -47,5 +47,7 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "series_to_csv_50",
         "stream_new",
         "run_scenario_drift_full",
+        "summarize_drift_full",
+        "emit_drift_full",
     }
     assert all(us > 0.0 for us in result.values()), result

@@ -27,8 +27,13 @@ construction of one keyed random stream, ``Generator(Philox(SeedSequence(seed,
 spawn_key=...)))`` (``stream_new``); and one whole ``run_scenario`` of the
 ``drift_full`` benchmark's config (``run_scenario_drift_full``: the ``--full``
 ``drift24h`` preset for 2 cycles, control off, no gain jitter), the per-run
-layer that set-up costs such as ``stream_new`` land in.  The noiseless context is defined here: E = 4 ((1 - m) / 2)^2 of
-the arm's analyzer element ``m``.
+layer that set-up costs such as ``stream_new`` land in.  Two keys time that
+run's once-per-run output work on its own: ``summarize`` of its series
+(``summarize_drift_full``, a part of ``run_scenario_drift_full``), and
+``series_to_csv``, ``summary_to_text`` and ``config_to_ini`` together
+(``emit_drift_full``), the text of its three output files.  The noiseless
+context is defined here: E = 4 ((1 - m) / 2)^2 of the arm's analyzer
+element ``m``.
 Each figure is the fastest of ``REPEAT`` timeit repeats, with the loop count
 per repeat chosen by ``Timer.autorange``.  Prints one JSON object.  Uses the
 standard library and poltrack (with numpy, its one dependency) only, so the
@@ -47,7 +52,7 @@ from dataclasses import astuple, replace
 import numpy as np
 
 import poltrack as pt
-from poltrack.harness import build_channel
+from poltrack.harness import build_channel, summary_to_text
 
 SEED = 12345
 TRACK_CYCLES = 50
@@ -148,6 +153,14 @@ def main() -> None:
     full_run = replace(
         full, duration=2, seed=SEED, control_enabled=False, epc=replace(full.epc, gain_jitter=0.0)
     )
+    full_series, full_summary = pt.run_scenario(full_run)
+
+    def emit_full():
+        return (
+            pt.series_to_csv(full_series),
+            summary_to_text(full_summary),
+            pt.config_to_ini(full_run),
+        )
 
     timings = {
         "rotation_new": lambda: pt.Rotation(r1.w, r1.x, r1.y, r1.z),
@@ -173,6 +186,8 @@ def main() -> None:
             np.random.Philox(np.random.SeedSequence(SEED, spawn_key=(2, 0)))
         ),
         "run_scenario_drift_full": lambda: pt.run_scenario(full_run),
+        "summarize_drift_full": lambda: pt.summarize(full_series),
+        "emit_drift_full": emit_full,
     }
     per_call = {"track_cycle": TRACK_CYCLES, "control_cycle_mc_per_eval": evaluations}
     result = {name: best_us(stmt, per_call.get(name, 1)) for name, stmt in timings.items()}
