@@ -39,10 +39,10 @@ from .optics import (
     RandomWalkChannel,
     ScramblerChannel,
     StaticChannel,
+    analyzer_element,
     channel_step,
     default_epc,
     drift_axes,
-    epc_rotation,
     transmittance,
 )
 from .photon_sim import (
@@ -50,7 +50,6 @@ from .photon_sim import (
     EmptyRowError,
     InsufficientDataError,
     SourceParams,
-    analyzer_element,
     arm_cell_probs,
     qber_from_tally,
     sifted_cell_probs,

@@ -28,19 +28,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import Checked
-from .optics import AnalyzerSweep, ChannelModel, EpcState, channel_step, drift_axes, epc_rotation
+from .optics import (
+    DEFAULT_MAX_AXIS_WANDER,
+    AnalyzerSweep,
+    ChannelModel,
+    EpcState,
+    analyzer_element,
+    channel_step,
+    drift_axes,
+)
 from .photon_sim import (
     DetectionTally,
     EmptyRowError,
     InsufficientDataError,
     SourceParams,
-    analyzer_element,
     arm_cell_probs,
     qber_from_tally,
     sifted_cell_probs,
     simulate_batch,
 )
-from .poincare import IDENTITY, Rotation
+from .poincare import Rotation
 from .timeseries import TimeSeries, TimeSeriesRow
 
 # Wall time of one feedback cycle, one hardware-scale pulse train; it only
@@ -127,11 +134,12 @@ class MonteCarloContext:
     the controller's assumption that the plant is constant within one
     correction.  ``evaluate(m, basis)`` gives E of one batch whose measured
     arm has analyzer element ``m``.  The two receiver arms are independent,
-    so the arm not being measured is simulated with an identity EPC; its four
-    revealed cells are constant too and are computed once, on first use.  Each
-    evaluation computes only the measured arm's revealed cells and draws the
-    revealed tally in one batch, so repeated calls scatter around the
-    underlying value; E is read straight from the revealed counts.
+    so the arm not being measured is simulated behind no EPC, through the
+    channel alone; its four revealed cells are constant too and are computed
+    once, on first use.  Each evaluation computes only the measured arm's
+    revealed cells and draws the revealed tally in one batch, so repeated
+    calls scatter around the underlying value; E is read straight from the
+    revealed counts.
     """
 
     channel_rot: Rotation
@@ -146,7 +154,7 @@ class MonteCarloContext:
         arm = _revealed_cells(arm_cell_probs(m, self.source, self.eta), fraction)
         idle = self._idle.get(basis)
         if idle is None:
-            m_idle = analyzer_element(self.channel_rot, IDENTITY, "X" if basis == "Z" else "Z")
+            m_idle = analyzer_element(self.channel_rot, None, "X" if basis == "Z" else "Z")
             idle = arm_cell_probs(m_idle, self.source, self.eta)
             idle = self._idle[basis] = _revealed_cells(idle, fraction)
         cells = arm + idle if basis == "Z" else idle + arm
@@ -219,7 +227,7 @@ class World:
     source: SourceParams
     eta: float
     axis_drift_sigma: float = 0.0
-    max_axis_wander: float = math.radians(10.0)
+    max_axis_wander: float = DEFAULT_MAX_AXIS_WANDER
 
 
 # Keys of ``track``'s seed streams.  Stream k equals the k-th child that
@@ -294,8 +302,8 @@ def track(
         x_epc = drifted(x_epc)
 
         cells = sifted_cell_probs(
-            analyzer_element(ch_rot, epc_rotation(z_epc), "Z"),
-            analyzer_element(ch_rot, epc_rotation(x_epc), "X"),
+            analyzer_element(ch_rot, z_epc, "Z"),
+            analyzer_element(ch_rot, x_epc, "X"),
             world.source,
             world.eta,
         )

@@ -266,7 +266,15 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # presets
 
-PRESET_NAMES = ("static", "drift24h", "scramble02", "scramble04", "scramble06")
+# Preset -> its scenario kind, duration and channel; the name order is the CLI's.
+_PRESETS = {
+    "static": ("static", 300, ChannelParams(axis=(0.0, 1.0, 0.0), angle_deg=30.0)),
+    "drift24h": ("drift", 7200, ChannelParams(step_sigma_rad=0.012)),
+    "scramble02": ("scramble", 3000, ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=0.2)),
+    "scramble04": ("scramble", 3000, ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=0.4)),
+    "scramble06": ("scramble", 3000, ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=0.6)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 # Hardware-scale settings: 50 km of fiber at 0.2 dB/km into 10% detectors,
 # 0.1 photons per pulse, and one full 12 s pulse train per evaluation with
@@ -277,39 +285,25 @@ _FULL_CONTROLLER = ControllerConfig(sample_fraction=0.1, batch_pulses=30_000_000
 
 
 def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
-    """Named experiment presets reproducing the reference scenarios at desk scale."""
-    base = ScenarioConfig()
+    """Named experiment presets reproducing the reference scenarios at desk scale.
+
+    Each call builds and checks one ``ScenarioConfig``, and a scrambler
+    preset one ``ControllerConfig``.
+    """
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    kind, duration, channel = _PRESETS[name]
+    sections = {}
     if full:
-        base = replace(base, link=_FULL_LINK, source=_FULL_SOURCE, controller=_FULL_CONTROLLER)
-    if name == "static":
-        return replace(
-            base,
-            kind="static",
-            duration=300,
-            channel=ChannelParams(axis=(0.0, 1.0, 0.0), angle_deg=30.0),
-        )
-    if name == "drift24h":
-        return replace(
-            base,
-            kind="drift",
-            duration=7200,
-            channel=ChannelParams(step_sigma_rad=0.012),
-        )
-    if name.startswith("scramble") and name in PRESET_NAMES:
-        rate = {"scramble02": 0.2, "scramble04": 0.4, "scramble06": 0.6}[name]
+        sections = dict(link=_FULL_LINK, source=_FULL_SOURCE, controller=_FULL_CONTROLLER)
+    if kind == "scramble":
         # scrambling keeps the controller busy nearly every cycle; a sweep cap
         # bounds each correction, and desk runs also take a smaller batch
-        ctrl = replace(base.controller, max_cycles_per_correction=3)
-        if not full:
-            ctrl = replace(ctrl, batch_pulses=15_000)
-        return replace(
-            base,
-            kind="scramble",
-            duration=3000,
-            channel=ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=rate),
-            controller=ctrl,
+        sections["controller"] = (
+            replace(_FULL_CONTROLLER, max_cycles_per_correction=3) if full
+            else ControllerConfig(max_cycles_per_correction=3, batch_pulses=15_000)
         )
-    raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return ScenarioConfig(kind=kind, duration=duration, channel=channel, **sections)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,12 @@ random generators; independent simulation instances may run concurrently.
 Every step advances one feedback cycle: ``channel_step`` moves the channel
 and ``drift_axes`` the squeezer axes by one cycle's change.
 
-``epc_rotation`` and the random-walk step of ``channel_step`` compose
-quaternions on plain floats and validate only the objects they return.  They
-call the float kernels that the public ``poincare`` quaternion API wraps, so
-they agree with that checked reference bit for bit; ``tests/optics_oracle.py``
-keeps the object-based form.  A squeezer whose angle gain * voltage
-overflows can be built and fails the "rotation angle must be finite" check
-when rotated.  ``drift_axes`` tips each axis in closed form (``_tip``), which
-agrees with the oracle's quaternion tip to rounding.
+The random-walk step of ``channel_step`` composes quaternions on plain
+floats and validates only the rotation it returns.  It calls the float
+kernels that the public ``poincare`` quaternion API wraps, so it agrees with
+that checked reference bit for bit; ``tests/optics_oracle.py`` keeps the
+object-based form.  ``drift_axes`` tips each axis in closed form (``_tip``),
+which agrees with the oracle's quaternion tip to rounding.
 
 Each random stream is drawn once per step, as one numpy block: four normals
 for a random-walk step (``normal(size=3)`` then ``normal(0, sigma)`` give the
@@ -32,9 +30,15 @@ enter the package as Python floats (``.tolist()``).  The IEEE values are the
 same, but arithmetic on ``numpy.float64`` scalars is several times slower,
 and every value computed from one inherits its type.
 
-A controller correction rotates no EPC at all: along one squeezer's voltage
-the analyzer element of an arm is a sinusoid, which ``AnalyzerSweep``
-evaluates in closed form, building no rotation or EPC.
+Each receiver arm's plant is one number, its analyzer element ``m = e_b .
+R e_b`` (``e_b`` the arm's analyzer axis, R the channel then the arm's EPC),
+computed one way, by turning vectors: ``analyzer_element`` pushes ``e_b``
+through the channel, then turns it through the squeezers in light-path
+order.  Along one squeezer's voltage it is a sinusoid, which a correction
+reads in closed form from ``AnalyzerSweep``.  ``tests/optics_oracle.py``
+keeps the quaternion element of the composed rotation as the reference.  A
+squeezer whose angle gain * voltage overflows can be built; reading its
+element raises ``ValueError``, and a sweep refuses it up front.
 
 ``EpcState`` holds its squeezers as 4-tuples of gains, voltages and current
 axes with one drive range; the nominal axes are the constant
@@ -143,22 +147,25 @@ def default_epc(
     return EpcState(gains, (center,) * 4, NOMINAL_AXES, v_min, v_max)
 
 
-def epc_rotation(epc: EpcState) -> Rotation:
-    """Composite rotation of the whole EPC; light traverses squeezer 1 first.
-
-    Each stage, the quaternion of angle gain * voltage about the squeezer's
-    axis, is multiplied on the left of the running product by ``compose``'s
-    kernel, which renormalizes after every product.
-    """
-    (a, b, c, d), (ga, gb, gc, gd), (va, vb, vc, vd) = epc.axes, epc.gains, epc.voltages
-    q = _axis_angle_q(a.s1, a.s2, a.s3, ga * va)
-    q = _qmul(_axis_angle_q(b.s1, b.s2, b.s3, gb * vb), q)
-    q = _qmul(_axis_angle_q(c.s1, c.s2, c.s3, gc * vc), q)
-    q = _qmul(_axis_angle_q(d.s1, d.s2, d.s3, gd * vd), q)
-    return Rotation(*q)
-
-
 _ANALYZER_INDEX = {"Z": 0, "X": 1}  # arm -> its analyzer axis: s1 (H) or s2 (diagonal)
+_ANALYZER_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+def _sent_through(channel_rot: Rotation, basis: str) -> tuple[int, tuple[float, float, float]]:
+    """The arm's analyzer index b, and its sent state ``e_b`` after the channel."""
+    if basis not in _ANALYZER_INDEX:
+        raise ValueError(f"unknown basis {basis!r}")
+    b, q = _ANALYZER_INDEX[basis], channel_rot
+    return b, _rotate((q.w, q.x, q.y, q.z), _ANALYZER_AXES[b])
+
+
+def _unit_axes(epc: EpcState) -> list[tuple[float, float, float]]:
+    """The squeezer axes as float triples, each divided by its norm."""
+    axes = []
+    for a in epc.axes:
+        n = math.sqrt(a.dot(a))
+        axes.append((a.s1 / n, a.s2 / n, a.s3 / n))
+    return axes
 
 
 def _turn(a, c: float, s: float, v) -> tuple[float, float, float]:
@@ -176,7 +183,7 @@ def _turn(a, c: float, s: float, v) -> tuple[float, float, float]:
 class AnalyzerSweep:
     """One arm's analyzer element along each squeezer of its EPC, in closed form.
 
-    The element is ``photon_sim.analyzer_element``'s ``m = e_b . R e_b``.  Let
+    The element is ``analyzer_element``'s ``m = e_b . R e_b``.  Let
     ``a`` be squeezer i's unit axis and theta = gain * v its angle, ``w`` the
     analyzer axis ``e_b`` pushed forward through the channel and the stages
     before i, and ``u`` the axis ``e_b`` pulled back through the stages after i:
@@ -195,20 +202,13 @@ class AnalyzerSweep:
     """
 
     def __init__(self, channel_rot: Rotation, epc: EpcState, basis: str):
-        if basis not in _ANALYZER_INDEX:
-            raise ValueError(f"unknown basis {basis!r}")
+        self._b, self._w0 = _sent_through(channel_rot, basis)
         self.basis, self.epc, self.voltages = basis, epc, list(epc.voltages)
-        self._b = _ANALYZER_INDEX[basis]
-        self._e = tuple(float(k == self._b) for k in range(3))
-        q = channel_rot
-        self._w0 = _rotate((q.w, q.x, q.y, q.z), self._e)  # the sent state e_b after the channel
+        self._e = _ANALYZER_AXES[self._b]
         reach = max(abs(epc.v_min), abs(epc.v_max))
         if not all(math.isfinite(gain * reach) for gain in epc.gains):
             raise ValueError("rotation angle must be finite")
-        self._axes = []
-        for a in epc.axes:
-            n = math.sqrt(a.dot(a))
-            self._axes.append((a.s1 / n, a.s2 / n, a.s3 / n))
+        self._axes = _unit_axes(epc)
         self.swept = None  # the element after the last complete sweep
         self._begin()
 
@@ -251,6 +251,21 @@ class AnalyzerSweep:
         else:
             self.swept = self._w[self._b]
             self._begin()
+
+
+def analyzer_element(channel_rot: Rotation, epc: EpcState | None, basis: str) -> float:
+    """The analyzer element ``m = e_b . R e_b`` of one arm, R the channel then ``epc``.
+
+    ``e_b`` is turned through the squeezers as ``AnalyzerSweep`` lands them,
+    each about its axis divided by its norm; ``m`` is component b of the
+    result.  ``epc=None`` reads the arm behind no EPC, the channel alone.
+    """
+    b, w = _sent_through(channel_rot, basis)
+    if epc is not None:
+        for a, gain, voltage in zip(_unit_axes(epc), epc.gains, epc.voltages):
+            theta = gain * voltage
+            w = _turn(a, math.cos(theta), math.sin(theta), w)
+    return w[b]
 
 
 def _tangent_basis(

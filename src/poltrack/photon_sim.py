@@ -10,15 +10,15 @@ Double clicks are squashed to a uniformly random outcome, and a
 misalignment floor sends a detection to the wrong detector.  Only pulses
 where the bases matched and a detection occurred enter the tally.
 
-The plant reduces to two numbers.  Let M be the rotation matrix of the
-composed channel-then-EPC rotation of one arm, and ``m = M[b, b]`` its
-diagonal element on that arm's analyzer axis ``e_b`` (``b`` = 0 for Z, 1 for
-X).  Alice's states of that basis are ``+e_b`` and ``-e_b``, so the fraction
-of light reaching the detector of the state she sent is ``(1 + m) / 2`` and
-the wrong detector gets ``(1 - m) / 2``.  ``analyzer_element`` computes ``m``
-from one quaternion product, ``arm_cell_probs`` turns one element into the
-probabilities of its arm's four sifted cells, and ``sifted_cell_probs``
-joins the two arms into the eight cells of a batch.
+The plant reduces to two numbers, one analyzer element ``m = e_b . R e_b``
+per arm (``e_b`` the arm's analyzer axis, R the channel then the arm's EPC),
+which this module takes as input: it is computed one way, in ``optics``, the
+one home of the plant geometry.  Alice's states of that basis are ``+e_b``
+and ``-e_b``, so the fraction of light reaching the detector of the state
+she sent is ``(1 + m) / 2`` and the wrong detector gets ``(1 - m) / 2``.
+``arm_cell_probs`` turns one element into the probabilities of its arm's
+four sifted cells, and ``sifted_cell_probs`` joins the two arms into the
+eight cells of a batch.
 
 Within one batch every pulse sees the same rotations, so every pulse falls
 independently into one of eight sifted cells (sent state, detected state)
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import Checked
-from .poincare import Rotation, _qprod
+
 
 class InsufficientDataError(RuntimeError):
     """A tally holds too few counts for the requested statistic."""
@@ -152,29 +152,11 @@ class DetectionTally:
         raise ValueError(f"unknown basis {basis!r}")
 
 
-def analyzer_element(channel_rot: Rotation, epc_rot: Rotation, basis: str) -> float:
-    """Diagonal element M[b, b] of the channel-then-EPC rotation on basis ``b``.
-
-    ``b`` is the analyzer axis of the arm: H (s1) for Z, diagonal (s2) for X.
-    For the composed quaternion ``w + x i + y j + z k`` it is
-    ``1 - 2 (y^2 + z^2)`` in Z and ``1 - 2 (x^2 + z^2)`` in X, normalized by
-    the product's norm as ``poincare.compose`` does.
-    """
-    a, c = epc_rot, channel_rot
-    w, x, y, z = _qprod((a.w, a.x, a.y, a.z), (c.w, c.x, c.y, c.z))
-    n2 = w * w + x * x + y * y + z * z
-    if basis == "Z":
-        return 1.0 - 2.0 * (y * y + z * z) / n2
-    if basis == "X":
-        return 1.0 - 2.0 * (x * x + z * z) / n2
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 def arm_cell_probs(m: float, src: SourceParams, eta: float) -> list[float]:
     """Per-pulse probabilities of one arm's four sifted cells, in tally order.
 
-    ``m`` is the arm's ``analyzer_element``.  Each (sent state, arm) combo
-    has probability 1/8; within a matched combo the sent state's own
+    ``m`` is the arm's analyzer element.  Each (sent state, arm) combo has
+    probability 1/8; within a matched combo the sent state's own
     detector gets the light fraction ``(1 + m) / 2``, the other one the
     rest.  A double click lands on either detector with probability 1/2,
     and the misalignment floor then moves a detection to the other detector.
@@ -199,8 +181,8 @@ def arm_cell_probs(m: float, src: SourceParams, eta: float) -> list[float]:
 def sifted_cell_probs(m_z: float, m_x: float, src: SourceParams, eta: float) -> list[float]:
     """Per-pulse probabilities of the eight sifted cells, in tally order.
 
-    ``m_z`` and ``m_x`` are the arms' ``analyzer_element`` values; the Z
-    arm's four cells come first, then the X arm's (``arm_cell_probs``).
+    ``m_z`` and ``m_x`` are the arms' analyzer elements; the Z arm's four
+    cells come first, then the X arm's (``arm_cell_probs``).
     """
     return arm_cell_probs(m_z, src, eta) + arm_cell_probs(m_x, src, eta)
 

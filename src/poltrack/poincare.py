@@ -35,11 +35,10 @@ The arithmetic of ``rotation_from_axis_angle``, ``compose`` and
 ``apply_rotation`` lives in private kernels on plain float tuples
 (``_axis_angle_q``, ``_qmul``, ``_rotate``); the public functions wrap them,
 and ``optics`` calls them directly on its hot path.  ``_qmul`` renormalizes
-the unnormalized product ``_qprod``, which ``photon_sim.analyzer_element``
-reads directly, so the whole package shares one product convention,
-operation order and renormalization.  The acceptance suite checks these
-kernels, not only the public functions, against rotation matrices built
-from Rodrigues' formula.
+the unnormalized product ``_qprod``, so the whole package shares one product
+convention, operation order and renormalization.  The acceptance suite
+checks these kernels, not only the public functions, against rotation
+matrices built from Rodrigues' formula.
 """
 
 from __future__ import annotations

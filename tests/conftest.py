@@ -6,11 +6,9 @@ via Rodrigues' formula, never from the quaternion code under test.
 only writes.  ``qber_true`` and ``monte_carlo_sigma`` are the binomial
 oracle for the closed-form estimator bound in ``poltrack.stats``.
 ``squeezer_rotation`` is one EPC stage as a ``Rotation``, which the package
-itself only composes on floats, and ``with_voltage`` drives one stage of an
-EPC, which the package only ever drives all at once.  ``plant_cells`` and ``plant_batch`` give the
-eight sifted cells, and one batch drawn from them, of a channel and two arm
-EPC rotations, in the per-pulse oracle's argument order.  ``numpy_streams_as_golden`` skips a test
-that pins a ``Generator`` stream under another numpy release.
+itself never builds, and ``with_voltage`` drives one stage of an EPC, which
+the package only ever drives all at once.  ``numpy_streams_as_golden`` skips
+a test that pins a ``Generator`` stream under another numpy release.
 
 The run-level distribution kit tells whether two ways of running a scenario
 are equal in distribution, where a changed random stream rules out a
@@ -34,7 +32,6 @@ import pytest
 from poltrack import feedback
 from poltrack.harness import ScenarioConfig, run_scenario
 from poltrack.optics import EpcState
-from poltrack.photon_sim import analyzer_element, sifted_cell_probs, simulate_batch
 from poltrack.poincare import Rotation, StokesVector, rotation_from_axis_angle
 from poltrack.stats import EstimatorScenario
 
@@ -106,21 +103,6 @@ def squeezer_rotation(epc: EpcState, i: int) -> Rotation:
 def with_voltage(epc: EpcState, i: int, voltage: float) -> EpcState:
     """Copy of ``epc`` with squeezer ``i`` driven at ``voltage``."""
     return epc.with_voltages(epc.voltages[:i] + (voltage,) + epc.voltages[i + 1:])
-
-
-def plant_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta) -> list[float]:
-    """The eight sifted-cell probabilities of the whole plant, in tally order."""
-    return sifted_cell_probs(
-        analyzer_element(channel_rot, epc_rot_z, "Z"),
-        analyzer_element(channel_rot, epc_rot_x, "X"),
-        src,
-        eta,
-    )
-
-
-def plant_batch(n_pulses, channel_rot, epc_rot_z, epc_rot_x, src, eta, rng):
-    """``simulate_batch`` of ``n_pulses`` through the whole plant."""
-    return simulate_batch(n_pulses, plant_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta), rng)
 
 
 def random_unit(rng: np.random.Generator) -> tuple[float, float, float]:

@@ -3,8 +3,9 @@
 ``adjust_squeezer`` and ``control_cycle`` are the dither-gradient controller
 as the package ran it before ``feedback`` moved each correction onto
 ``optics.AnalyzerSweep``: every evaluation composes the EPC's rotation with
-``epc_rotation`` and reads its analyzer element with ``analyzer_element``,
-and every step builds its ``EpcState``.  The dither
+``optics_oracle.epc_rotation`` and reads its analyzer element with
+``optics_oracle.analyzer_element_of_rotation``, and every step builds its
+``EpcState``.  The dither
 probe rotates the EPC with squeezer i at v + D, which the package's former
 ``probe_rotation`` matched bit for bit.  The decisions are the package's:
 hold, dither, step, recenter and the sweep cap, on E alone.
@@ -20,11 +21,11 @@ the controller is checked against, not the mean of the noisy plant.
 from __future__ import annotations
 
 from poltrack.feedback import ControllerConfig, ControlResult
-from poltrack.optics import EpcState, epc_rotation
-from poltrack.photon_sim import analyzer_element
+from poltrack.optics import EpcState
 from poltrack.poincare import Rotation
 
 from conftest import with_voltage
+from optics_oracle import analyzer_element_of_rotation, epc_rotation
 
 
 class ExactContext:
@@ -40,7 +41,7 @@ class ExactContext:
 
 def evaluate_rotation(ctx, epc_rot: Rotation, basis: str) -> float:
     """E of the context's plant with the measured arm's EPC rotated by ``epc_rot``."""
-    return ctx.evaluate(analyzer_element(ctx.channel_rot, epc_rot, basis), basis)
+    return ctx.evaluate(analyzer_element_of_rotation(ctx.channel_rot, epc_rot, basis), basis)
 
 
 def adjust_squeezer(

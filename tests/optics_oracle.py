@@ -6,10 +6,20 @@ floats, kept as it was apart from reading the EPC's tuples (the channel step
 includes the random axis of numpy scalars it drew).  Every step goes through
 the public quaternion API (``rotation_from_axis_angle``, ``compose``,
 ``apply_rotation``), which ``tests/test_poincare.py`` checks against an
-independent rotation-matrix oracle.  The float EPC rotation and channel step
-in ``poltrack.optics`` perform the same operations in the same order, so
+independent rotation-matrix oracle.  The float channel step in
+``poltrack.optics`` performs the same operations in the same order, so
 ``tests/test_optics.py`` requires bitwise equality with this module, not
-closeness.
+closeness.  The package's own float EPC rotation equalled ``epc_rotation``
+here bit for bit until it left the package.
+
+``analyzer_element_of_rotation`` is the quaternion analyzer element the
+package read before ``optics.analyzer_element`` turned vectors instead: the
+diagonal element on the arm's analyzer axis of the composed channel-then-EPC
+rotation, read from one quaternion product.  ``tests/test_optics.py``
+requires the package's element to stay within 4e-15 of it.
+``plant_cells`` and ``plant_batch`` give the eight sifted cells, and one
+batch drawn from them, of a channel and two arm EPC rotations, in the
+per-pulse oracle's argument order.
 
 ``drift_axes`` here keeps the former draws, a normal and a uniform per axis
 in turn, and tips each axis with a quaternion (``tip``).  The package draws
@@ -33,9 +43,11 @@ from poltrack.optics import (
     EpcState,
     RandomWalkChannel,
 )
+from poltrack.photon_sim import sifted_cell_probs, simulate_batch
 from poltrack.poincare import (
     Rotation,
     StokesVector,
+    _qprod,
     apply_rotation,
     compose,
     rotation_from_axis_angle,
@@ -50,6 +62,39 @@ def epc_rotation(epc: EpcState) -> Rotation:
     for i in (1, 2, 3):
         r = compose(squeezer_rotation(epc, i), r)
     return r
+
+
+def analyzer_element_of_rotation(channel_rot: Rotation, epc_rot: Rotation, basis: str) -> float:
+    """Diagonal element M[b, b] of the channel-then-EPC rotation on basis ``b``.
+
+    ``b`` is the analyzer axis of the arm: H (s1) for Z, diagonal (s2) for X.
+    For the composed quaternion ``w + x i + y j + z k`` it is
+    ``1 - 2 (y^2 + z^2)`` in Z and ``1 - 2 (x^2 + z^2)`` in X, normalized by
+    the product's norm as ``poincare.compose`` does.
+    """
+    a, c = epc_rot, channel_rot
+    w, x, y, z = _qprod((a.w, a.x, a.y, a.z), (c.w, c.x, c.y, c.z))
+    n2 = w * w + x * x + y * y + z * z
+    if basis == "Z":
+        return 1.0 - 2.0 * (y * y + z * z) / n2
+    if basis == "X":
+        return 1.0 - 2.0 * (x * x + z * z) / n2
+    raise ValueError(f"unknown basis {basis!r}")
+
+
+def plant_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta) -> list[float]:
+    """The eight sifted-cell probabilities of the whole plant, in tally order."""
+    return sifted_cell_probs(
+        analyzer_element_of_rotation(channel_rot, epc_rot_z, "Z"),
+        analyzer_element_of_rotation(channel_rot, epc_rot_x, "X"),
+        src,
+        eta,
+    )
+
+
+def plant_batch(n_pulses, channel_rot, epc_rot_z, epc_rot_x, src, eta, rng):
+    """``simulate_batch`` of ``n_pulses`` through the whole plant."""
+    return simulate_batch(n_pulses, plant_cells(channel_rot, epc_rot_z, epc_rot_x, src, eta), rng)
 
 
 def _tangent_basis(v: StokesVector) -> tuple[StokesVector, StokesVector]:

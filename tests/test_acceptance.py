@@ -28,10 +28,9 @@ from poltrack.harness import (
     series_from_csv,
     series_to_csv,
 )
-from poltrack.optics import default_epc, epc_rotation
-from poltrack.photon_sim import SourceParams
+from poltrack.optics import analyzer_element, default_epc
+from poltrack.photon_sim import SourceParams, sifted_cell_probs, simulate_batch
 from poltrack.poincare import (
-    IDENTITY,
     StokesVector,
     _axis_angle_q,
     _qmul,
@@ -46,11 +45,11 @@ from poltrack.stats import delta_qber, scenario_for_qber
 
 from conftest import (
     monte_carlo_sigma,
-    plant_batch,
     random_axis_angle,
     random_unit,
     rodrigues_matrix,
 )
+from optics_oracle import epc_rotation
 
 
 def report(n, name, elapsed, detail=""):
@@ -98,8 +97,8 @@ def test_criterion_1_sphere_math_oracle():
         lhs = apply_rotation(compose(rb, ra), sv)
         rhs = apply_rotation(rb, apply_rotation(ra, sv))
         assert np.allclose(lhs.as_tuple(), rhs.as_tuple(), atol=1e-9)
-        # the float kernels that optics and photon_sim run directly; _qprod
-        # is the unnormalized product, whose norm stays 1 for unit factors
+        # the float kernels that optics runs directly; _qprod is the
+        # unnormalized product, whose norm stays 1 for unit factors
         qa, qb = _axis_angle_q(*ax_a, ang_a), _axis_angle_q(*ax_b, ang_b)
         assert np.allclose(_rotate(qa, s), ma @ np.array(s), atol=1e-9)
         assert np.allclose(_rotate(_qmul(qb, qa), s), mb @ ma @ np.array(s), atol=1e-9)
@@ -124,9 +123,11 @@ def test_criterion_2_analytic_qber_equivalence():
         axis, angle = random_axis_angle(rng)
         channel = rotation_from_axis_angle(StokesVector(*axis), angle)
         m = rodrigues_matrix(axis, angle)
-        tally = plant_batch(
-            n_pulses, channel, IDENTITY, IDENTITY, src, 1.0,
-            np.random.Generator(np.random.Philox(5000 + case)),
+        cells = sifted_cell_probs(
+            analyzer_element(channel, None, "Z"), analyzer_element(channel, None, "X"), src, 1.0
+        )
+        tally = simulate_batch(
+            n_pulses, cells, np.random.Generator(np.random.Philox(5000 + case))
         )
         assert tally.sifted_total >= 100_000
         for basis, a in axes.items():

@@ -25,22 +25,22 @@ from poltrack.optics import (
     RandomWalkChannel,
     ScramblerChannel,
     StaticChannel,
+    analyzer_element,
     default_epc,
     drift_axes,
-    epc_rotation,
 )
 from poltrack.photon_sim import (
     DetectionTally,
     EmptyRowError,
     InsufficientDataError,
     SourceParams,
-    analyzer_element,
     arm_cell_probs,
     sifted_cell_probs,
 )
 from poltrack.poincare import IDENTITY, StokesVector, rotation_from_axis_angle
 
 from conftest import numpy_streams_as_golden, random_rotation, random_unit, with_voltage
+from optics_oracle import analyzer_element_of_rotation, epc_rotation
 
 S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
@@ -194,8 +194,8 @@ class TestBasisAlignmentFixedPoint:
         assert evaluate_rotation(ctx, IDENTITY, "Z") == 0.0
         assert evaluate_rotation(ctx, IDENTITY, "X") == 0.0
         # wrong-port rate (1 - m) / 2 of each arm
-        assert analyzer_element(IDENTITY, IDENTITY, "Z") == 1.0
-        assert analyzer_element(IDENTITY, IDENTITY, "X") == 1.0
+        assert analyzer_element(IDENTITY, default_epc(), "Z") == 1.0
+        assert analyzer_element(IDENTITY, default_epc(), "X") == 1.0
 
 
 class TestMeasureE:
@@ -327,7 +327,7 @@ class TestControlCycle:
         assert out.converged
         assert measure_e(out.epc, "Z", ctx) < cfg.e_threshold
         # wrong-port rate is bounded by sqrt(E/2) via Cauchy-Schwarz
-        qber_b = 0.5 * (1.0 - analyzer_element(channel, epc_rotation(out.epc), "Z"))
+        qber_b = 0.5 * (1.0 - analyzer_element(channel, out.epc, "Z"))
         assert qber_b < math.sqrt(cfg.e_threshold / 2.0)
 
     def test_degenerate_zero_tau_never_moves(self):
@@ -403,7 +403,7 @@ class TestMatchesOracleController:
 
     Both decide on E alone; the package reads each analyzer element from
     ``AnalyzerSweep``'s closed form, the oracle from ``epc_rotation`` and
-    ``analyzer_element``.
+    ``analyzer_element_of_rotation``.
     """
 
     @numpy_streams_as_golden
@@ -677,21 +677,23 @@ def cells_before_split(m_z, m_x, src, eta):
     return q
 
 
-def full_plant_evaluate(ctx, epc_rot, basis):
+def idle_elements(channel_rot, m, basis):
+    """``(m_z, m_x)`` with the measured arm at ``m`` and the other arm behind no EPC."""
+    if basis == "Z":
+        return m, analyzer_element(channel_rot, None, "X")
+    return analyzer_element(channel_rot, None, "Z"), m
+
+
+def full_plant_evaluate(ctx, m, basis):
     """``MonteCarloContext.evaluate`` drawn from all eight cells computed afresh.
 
-    The arm not being measured gets an identity EPC, as it did before the
+    The arm not being measured is read behind no EPC, as the context reads
+    it, but its cells are recomputed on every call, as they were before the
     context kept the idle arm.  Below fraction 1 each cell is scaled by the
     fraction, so the one draw gives the revealed tally.  E comes from the
     paper-form measurement matrix.
     """
-    rot_z, rot_x = (epc_rot, IDENTITY) if basis == "Z" else (IDENTITY, epc_rot)
-    q = cells_before_split(
-        analyzer_element(ctx.channel_rot, rot_z, "Z"),
-        analyzer_element(ctx.channel_rot, rot_x, "X"),
-        ctx.source,
-        ctx.eta,
-    )
+    q = cells_before_split(*idle_elements(ctx.channel_rot, m, basis), ctx.source, ctx.eta)
     fraction = ctx.config.sample_fraction
     if fraction < 1.0:
         q = [fraction * c for c in q]
@@ -719,10 +721,9 @@ class TestIdleArm:
             src, eta = sources[case % 3], float(rng.uniform(0.01, 1.0))
             ctx = MonteCarloContext(channel, src, eta, ControllerConfig(), rng)
             for basis in ("Z", "X"):
-                ctx.evaluate(analyzer_element(channel, epc_rot, basis), basis)
-                rot_z, rot_x = (epc_rot, IDENTITY) if basis == "Z" else (IDENTITY, epc_rot)
-                m_z = analyzer_element(channel, rot_z, "Z")
-                m_x = analyzer_element(channel, rot_x, "X")
+                m = analyzer_element_of_rotation(channel, epc_rot, basis)
+                ctx.evaluate(m, basis)
+                m_z, m_x = idle_elements(channel, m, basis)
                 got = [c.hex() for c in drawn.pop()]
                 assert got == [c.hex() for c in sifted_cell_probs(m_z, m_x, src, eta)]
                 assert got == [c.hex() for c in cells_before_split(m_z, m_x, src, eta)]
@@ -742,7 +743,7 @@ class TestIdleArm:
         assert calls == []
         for n in range(1, 6):
             epc_rot = random_rotation(np.random.default_rng(n))
-            ctx.evaluate(analyzer_element(channel, epc_rot, "X"), "X")
+            ctx.evaluate(analyzer_element_of_rotation(channel, epc_rot, "X"), "X")
             assert len(calls) == n + 1
 
     @numpy_streams_as_golden
@@ -756,7 +757,7 @@ class TestIdleArm:
         setup = np.random.default_rng(73)
         for k in range(300):
             epc_rot, basis = random_rotation(setup), "ZX"[k % 2]
-            m = analyzer_element(channel, epc_rot, basis)
-            assert ctx.evaluate(m, basis) == full_plant_evaluate(ref, epc_rot, basis), k
+            m = analyzer_element_of_rotation(channel, epc_rot, basis)
+            assert ctx.evaluate(m, basis) == full_plant_evaluate(ref, m, basis), k
         # the generators end in the same state
         assert ctx.rng.random(4).tolist() == ref.rng.random(4).tolist()

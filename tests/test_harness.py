@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from poltrack import feedback
+from poltrack.feedback import ControllerConfig
 from poltrack.harness import (
     CSV_HEADER,
     PRESET_NAMES,
@@ -37,6 +38,7 @@ from poltrack.optics import RandomWalkChannel, ScramblerChannel, StaticChannel
 from poltrack.stats import delta_table
 from poltrack.timeseries import TimeSeries, TimeSeriesRow
 
+import preset_oracle
 import summary_oracle
 from conftest import table_from_csv
 
@@ -549,8 +551,37 @@ class TestRunScenario:
         assert str(err.value) == "scenario.kind: must be one of static, drift, scramble"
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            preset_config("drift48h")
+        messages = []
+        for build in (preset_config, preset_oracle.preset_config):
+            with pytest.raises(ConfigError) as err:
+                build("drift48h")
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+class TestPresets:
+    """Each preset is one checked construction and equals the reference presets."""
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_equals_the_reference(self, name, full):
+        assert preset_config(name, full=full) == preset_oracle.preset_config(name, full=full)
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_one_scenario_config_per_call(self, name, full, monkeypatch):
+        built = {ScenarioConfig: 0, ControllerConfig: 0}
+        for cls in built:
+            check = cls.__post_init__
+
+            def counted(obj, cls=cls, check=check):
+                built[cls] += 1
+                check(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        preset_config(name, full=full)
+        assert built[ScenarioConfig] == 1
+        assert built[ControllerConfig] <= 1
 
 
 class TestStreamsBuilt:

@@ -14,13 +14,12 @@ from poltrack.optics import (
     RandomWalkChannel,
     ScramblerChannel,
     StaticChannel,
+    analyzer_element,
     channel_step,
     default_epc,
     drift_axes,
-    epc_rotation,
     transmittance,
 )
-from poltrack.photon_sim import analyzer_element
 from poltrack.poincare import (
     IDENTITY,
     StokesVector,
@@ -32,11 +31,13 @@ from poltrack.poincare import (
 
 from conftest import (
     numpy_streams_as_golden,
+    random_rotation,
     random_unit,
     rodrigues_matrix,
     squeezer_rotation,
     with_voltage,
 )
+from optics_oracle import analyzer_element_of_rotation, epc_rotation
 
 S1 = StokesVector(1.0, 0.0, 0.0)
 S2 = StokesVector(0.0, 1.0, 0.0)
@@ -53,6 +54,7 @@ class TestSqueezer:
         epc = one_stage(voltage=0.0, gain=0.1)
         assert squeezer_rotation(epc, 0).angle == 0.0
         assert epc_rotation(epc).angle == 0.0
+        assert analyzer_element(IDENTITY, epc, "Z") == analyzer_element(IDENTITY, epc, "X") == 1.0
 
     def test_linear_voltage_map(self):
         epc = one_stage(voltage=5.0, gain=math.pi / 10, v_max=10.0)
@@ -99,6 +101,7 @@ class TestEpc:
     def test_all_zero_voltages_is_identity(self):
         epc = default_epc(v_min=-10.0, v_max=10.0).with_voltages((0.0,) * 4)
         assert epc_rotation(epc).angle == 0.0
+        assert analyzer_element(IDENTITY, epc, "Z") == analyzer_element(IDENTITY, epc, "X") == 1.0
 
     def test_single_energized_stage(self):
         base = default_epc(v_min=-10.0, v_max=10.0).with_voltages((0.0,) * 4)
@@ -119,6 +122,8 @@ class TestEpc:
             s = StokesVector(*random_unit(rng))
             got = apply_rotation(epc_rotation(epc), s)
             assert np.allclose(got.as_tuple(), m @ np.array(s.as_tuple()), atol=1e-9)
+            for b, basis in enumerate("ZX"):
+                assert analyzer_element(IDENTITY, epc, basis) == pytest.approx(m[b, b], abs=1e-9)
 
     def test_always_a_proper_rotation(self):
         rng = np.random.default_rng(22)
@@ -235,13 +240,7 @@ def _hex(r):
 
 
 class TestFloatPathMatchesOracle:
-    """The float EPC path equals the object-based reference bit for bit."""
-
-    def test_epc_rotation_bitwise(self):
-        rng = np.random.default_rng(51)
-        for k in range(400):
-            epc = _random_epc(rng, wander_steps=k % 3)
-            assert epc_rotation(epc) == optics_oracle.epc_rotation(epc)
+    """The float optics paths match the object-based reference."""
 
     def test_keeps_rotation_from_axis_angle_checks(self):
         with pytest.raises(ValueError, match="unit length"):
@@ -251,9 +250,11 @@ class TestFloatPathMatchesOracle:
         # a finite gain can still overflow the angle gain * voltage
         epc = with_voltage(default_epc(), 2, 150.0)
         huge = replace(epc, gains=epc.gains[:2] + (1e308,) + epc.gains[3:])
-        for path in (epc_rotation, optics_oracle.epc_rotation):
-            with pytest.raises(ValueError, match="finite"):
-                path(huge)
+        for basis in ("Z", "X"):
+            with pytest.raises(ValueError):  # math.cos of an infinite angle
+                analyzer_element(IDENTITY, huge, basis)
+        with pytest.raises(ValueError, match="finite"):
+            epc_rotation(huge)
 
     @pytest.mark.parametrize("v", [-0.5, 150.5, math.nan])
     def test_probe_voltage_range_checked(self, v):
@@ -386,7 +387,7 @@ class TestAnalyzerSweep:
                         assert sweep.at == i
                         lo, hi = epc.v_min, epc.v_max
                         for v in (lo, hi, *rng.uniform(lo, hi, size=3)):
-                            want = analyzer_element(
+                            want = analyzer_element_of_rotation(
                                 channel, epc_rotation(with_voltage(landed, i, float(v))), basis
                             )
                             worst = max(worst, abs(sweep.element(float(v)) - want))
@@ -394,7 +395,7 @@ class TestAnalyzerSweep:
                         sweep.land(v_land)
                         landed = with_voltage(landed, i, v_land)
                     assert sweep.voltages == list(landed.voltages)
-                    want = analyzer_element(channel, epc_rotation(landed), basis)
+                    want = analyzer_element_of_rotation(channel, epc_rotation(landed), basis)
                     worst = max(worst, abs(sweep.swept - want))
         assert worst <= 1e-12, worst
 
@@ -424,6 +425,56 @@ class TestAnalyzerSweep:
             assert driven == replace(epc, voltages=tuple(volts))
         with pytest.raises(ValueError, match="outside"):
             epc.with_voltages([75.0, 75.0, 151.0, 75.0])
+
+
+def _off_unit(epc, rng):
+    """``epc`` with each axis scaled off unit length, within ``StokesVector``'s tolerance."""
+    axes = []
+    for a in epc.axes:
+        k = 1.0 + float(rng.uniform(-5e-10, 5e-10))
+        axes.append(StokesVector(k * a.s1, k * a.s2, k * a.s3))
+    return replace(epc, axes=tuple(axes))
+
+
+class TestAnalyzerElement:
+    """``analyzer_element`` is the sweep's element, and the quaternion element to rounding."""
+
+    def test_equals_a_sweep_landed_at_the_current_voltages(self):
+        rng = np.random.default_rng(61)
+        for k in range(2000):
+            epc = _random_epc(rng, wander_steps=k % 3)
+            if k % 2:
+                epc = _off_unit(epc, rng)
+            channel = random_rotation(rng)
+            for basis in ("Z", "X"):
+                sweep = AnalyzerSweep(channel, epc, basis)
+                for v in epc.voltages:
+                    sweep.land(v)
+                assert sweep.swept.hex() == analyzer_element(channel, epc, basis).hex(), k
+
+    def test_within_rounding_of_the_quaternion_element(self):
+        rng = np.random.default_rng(62)
+        worst = worst_idle = 0.0
+        for k in range(20_000):
+            epc = _random_epc(rng, wander_steps=k % 3)
+            if k % 2:
+                epc = _off_unit(epc, rng)
+            channel = random_rotation(rng)
+            rot = epc_rotation(epc)
+            for basis in ("Z", "X"):
+                got = analyzer_element(channel, epc, basis)
+                worst = max(worst, abs(got - analyzer_element_of_rotation(channel, rot, basis)))
+                idle = analyzer_element(channel, None, basis)
+                want = analyzer_element_of_rotation(channel, IDENTITY, basis)
+                worst_idle = max(worst_idle, abs(idle - want))
+        assert worst <= 4e-15, worst
+        assert worst_idle <= 4e-15, worst_idle
+
+    def test_unknown_basis(self):
+        with pytest.raises(ValueError, match="unknown basis"):
+            analyzer_element(IDENTITY, default_epc(), "Y")
+        with pytest.raises(ValueError, match="unknown basis"):
+            analyzer_element(IDENTITY, None, "Y")
 
 
 def walk(ch, cycles, rng):
@@ -508,7 +559,8 @@ class TestChannels:
         _, ch_rot = channel_step(RandomWalkChannel(step_sigma=0.012), rng)
         epc = _random_epc(rng)
         for basis in ("Z", "X"):
-            assert type(analyzer_element(ch_rot, epc_rotation(epc), basis)) is float
+            assert type(analyzer_element(ch_rot, epc, basis)) is float
+            assert type(analyzer_element(ch_rot, None, basis)) is float
             sweep = AnalyzerSweep(ch_rot, epc, basis)
             for _ in range(4):
                 assert type(sweep.element(75.0)) is float

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from poltrack.feedback import _revealed_cells
+from poltrack.optics import analyzer_element, default_epc
 from poltrack.photon_sim import (
     _COUNT_FIELDS as FIELDS,
     DetectionTally,
     EmptyRowError,
     InsufficientDataError,
     SourceParams,
-    analyzer_element,
     qber_from_tally,
     arm_cell_probs,
+    sifted_cell_probs,
     simulate_batch,
 )
 from poltrack.poincare import (
@@ -24,14 +25,13 @@ from poltrack.poincare import (
 )
 
 from conftest import (
-    plant_batch,
-    plant_cells,
     random_axis_angle,
     random_rotation,
     rodrigues_matrix,
 )
 from controller_oracle import ExactContext, evaluate_rotation
 from matrix_oracle import MeasurementMatrix, measurement_matrix
+from optics_oracle import analyzer_element_of_rotation, epc_rotation, plant_batch, plant_cells
 from per_pulse_oracle import DIAG, H, reveal_sample, sifted_cells, simulate_batch_per_pulse
 
 S2 = StokesVector(0.0, 1.0, 0.0)
@@ -148,14 +148,32 @@ class TestPlant:
             want = sifted_cells(*rots, src, eta)
             assert np.max(np.abs(got - want)) <= 1e-12, (case, got, want)
 
+    def test_package_elements_match_click_table_for_random_epcs(self):
+        # the package's elements of real EPCs, against the click table of
+        # their composed rotations
+        rng = np.random.default_rng(33)
+        for case in range(120):
+            channel = random_rotation(rng)
+            epcs = []
+            for _ in range(2):
+                epc = default_epc(rng, gain_jitter=0.1)
+                epcs.append(epc.with_voltages(rng.uniform(epc.v_min, epc.v_max, 4).tolist()))
+            src = PLANT_SOURCES[case % len(PLANT_SOURCES)]
+            eta = float(rng.uniform(0.01, 1.0))
+            m_z, m_x = (analyzer_element(channel, e, b) for e, b in zip(epcs, "ZX"))
+            got = np.array(sifted_cell_probs(m_z, m_x, src, eta))
+            want = sifted_cells(channel, *map(epc_rotation, epcs), src, eta)
+            assert np.max(np.abs(got - want)) <= 1e-12, (case, got, want)
+
     @pytest.mark.parametrize("src", PLANT_SOURCES)
     def test_clamp_edges_match_click_table(self, src):
         # identity: each state lands on its own detector, a0 = 1 exactly;
         # a half turn about s3 sends H to V and D to A, a0 = 0 exactly
         half_turn = rotation_from_axis_angle(S3, math.pi)
         for channel, m in ((IDENTITY, 1.0), (half_turn, -1.0)):
-            assert analyzer_element(channel, IDENTITY, "Z") == m
-            assert analyzer_element(channel, IDENTITY, "X") == m
+            for basis in ("Z", "X"):
+                assert analyzer_element(channel, None, basis) == m
+                assert analyzer_element_of_rotation(channel, IDENTITY, basis) == m
             got = np.array(plant_cells(channel, IDENTITY, IDENTITY, src, 1.0))
             want = sifted_cells(channel, IDENTITY, IDENTITY, src, 1.0)
             assert np.max(np.abs(got - want)) <= 1e-12, (got, want)
@@ -172,10 +190,6 @@ class TestPlant:
                 image = apply_rotation(compose(epc, channel), axis)
                 j = 0.5 * (1.0 - image.dot(axis))
                 assert abs(evaluate_rotation(ctx, epc, basis) - 4.0 * j * j) <= 1e-12
-
-    def test_unknown_basis(self):
-        with pytest.raises(ValueError):
-            analyzer_element(IDENTITY, IDENTITY, "Y")
 
 
 def _cell_moments(counts: np.ndarray):

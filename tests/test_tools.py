@@ -31,7 +31,7 @@ def test_timeit_layers_times_every_layer(monkeypatch, capsys):
         "rotation_new",
         "tally_new",
         "compose",
-        "epc_rotation",
+        "analyzer_element",
         "with_voltages",
         "drift_axes",
         "channel_step_drift",

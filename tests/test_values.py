@@ -13,13 +13,14 @@ import math
 import pytest
 
 from poltrack.feedback import ControlResult
-from poltrack.optics import NOMINAL_AXES, EpcState, default_epc, epc_rotation
+from poltrack.optics import NOMINAL_AXES, EpcState, default_epc
 from poltrack.photon_sim import _TALLY_FIELDS, DetectionTally
 from poltrack.poincare import (
     Rotation,
     StokesVector,
     apply_rotation,
     compose,
+    inverse,
     rotation_from_axis_angle,
 )
 from poltrack.timeseries import TimeSeriesRow
@@ -125,7 +126,7 @@ def test_class_level_post_init_patch_sees_every_construction(cls, monkeypatch):
         Rotation(1.0, 0.0, 0.0, 0.0),
         compose(rot, rot),
         dataclasses.replace(rot, z=-rot.z),
-        epc_rotation(EPC),
+        inverse(rot),
         StokesVector.unit(3.0, 4.0, 0.0),
         apply_rotation(rot, axis),
         -axis,

@@ -4,9 +4,11 @@
 
 Times, on fixed inputs from the desk ``drift24h`` preset (seed 12345):
 the construction of a validated ``Rotation`` (``rotation_new``) and of a
-``DetectionTally`` (``tally_new``); quaternion ``compose``; ``epc_rotation``,
-``EpcState.with_voltages`` and ``drift_axes`` of a jittered-gain EPC; one
-random-walk step of the preset's channel (``channel_step_drift``);
+``DetectionTally`` (``tally_new``); quaternion ``compose``; the Z arm's
+``analyzer_element`` behind a jittered-gain EPC at random voltages and the
+preset's first channel rotation, and that EPC's ``EpcState.with_voltages``
+and ``drift_axes``; one random-walk step of the preset's channel
+(``channel_step_drift``);
 ``simulate_batch`` of one desk batch (the draw alone, from precomputed
 sifted cells); one ``feedback_error`` of that desk tally's Z basis; one
 ``MonteCarloContext.evaluate`` at desk scale and one at the ``--full``
@@ -89,7 +91,6 @@ def main() -> None:
     )
     r1 = pt.rotation_from_axis_angle(pt.StokesVector.unit(1.0, 2.0, 3.0), 0.7)
     r2 = pt.rotation_from_axis_angle(pt.StokesVector.unit(-2.0, 0.5, 1.0), 1.9)
-    epc_rot = pt.epc_rotation(epc)
 
     world = pt.World(
         channel=build_channel(cfg),
@@ -101,8 +102,8 @@ def main() -> None:
     _, ch_rot = pt.channel_step(world.channel, np.random.default_rng(SEED))
     mc = pt.MonteCarloContext(ch_rot, world.source, world.eta, cfg.controller, rng)
 
-    m_z = pt.analyzer_element(ch_rot, epc_rot, "Z")
-    m_x = pt.analyzer_element(ch_rot, epc_rot, "X")
+    m_z = pt.analyzer_element(ch_rot, epc, "Z")
+    m_x = pt.analyzer_element(ch_rot, epc, "X")
     desk_cells = pt.sifted_cell_probs(m_z, m_x, world.source, world.eta)
     desk_tally = pt.simulate_batch(cfg.controller.batch_pulses, desk_cells, rng)
     tally_fields = astuple(desk_tally)
@@ -116,7 +117,7 @@ def main() -> None:
     ctrl = pt.ControllerConfig(max_cycles_per_correction=200)
     centered = pt.default_epc()
     e_misaligned = misaligned.evaluate(
-        pt.analyzer_element(misaligned.channel_rot, pt.epc_rotation(centered), "Z"), "Z"
+        pt.analyzer_element(misaligned.channel_rot, centered, "Z"), "Z"
     )
 
     # long-lived sweeps; each step adjusts whichever squeezer its sweep is at
@@ -166,7 +167,7 @@ def main() -> None:
         "rotation_new": lambda: pt.Rotation(r1.w, r1.x, r1.y, r1.z),
         "tally_new": lambda: pt.DetectionTally(*tally_fields),
         "compose": lambda: pt.compose(r1, r2),
-        "epc_rotation": lambda: pt.epc_rotation(epc),
+        "analyzer_element": lambda: pt.analyzer_element(ch_rot, epc, "Z"),
         "with_voltages": lambda: epc.with_voltages((75.0, 75.0, 80.0, 75.0)),
         "drift_axes": lambda: pt.drift_axes(
             epc, rng, sigma=cfg.epc.axis_drift_sigma_rad, max_wander=cfg.epc.max_axis_wander_rad
