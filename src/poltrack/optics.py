@@ -21,7 +21,8 @@ floats and validates only the rotation it returns.  It calls the float
 kernels that the public ``poincare`` quaternion API wraps, so it agrees with
 that checked reference bit for bit; ``tests/optics_oracle.py`` keeps the
 object-based form.  ``drift_axes`` tips each axis in closed form (``_tip``),
-which agrees with the oracle's quaternion tip to rounding.
+which agrees with the oracle's quaternion tip to rounding, and with its
+former ``StokesVector`` form, kept in ``tests/optics_oracle.py``, bit for bit.
 
 Each random stream is drawn once per step, as one numpy block: four normals
 for a random-walk step (``normal(size=3)`` then ``normal(0, sigma)`` give the
@@ -41,9 +42,10 @@ squeezer whose angle gain * voltage overflows can be built; reading its
 element raises ``ValueError``, and a sweep refuses it up front.
 
 ``EpcState`` holds its squeezers as 4-tuples of gains, voltages and current
-axes with one drive range; the nominal axes are the constant
-``NOMINAL_AXES``.  Every EPC, the copies that ``with_voltages`` and
-``drift_axes`` return included, is built and checked by its constructor.
+axes, unit float triples, with one drive range; the nominal axes are the
+constant ``NOMINAL_AXES``.  Every EPC, the copies that ``with_voltages`` and
+``drift_axes`` return included, is built and checked by its constructor,
+each axis by ``StokesVector``'s rule.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import numpy as np
 from ._checks import Checked
 from .poincare import (
     IDENTITY,
+    UNIT_TOL,
     Rotation,
     StokesVector,
     _axis_angle_q,
@@ -76,9 +79,7 @@ DEFAULT_MAX_AXIS_WANDER = math.radians(10.0)  # cone half-angle around nominal
 
 _TWO_PI = 2.0 * math.pi
 
-SQUEEZER_AXIS_A = StokesVector(1.0, 0.0, 0.0)
-SQUEEZER_AXIS_B = StokesVector(0.0, 1.0, 0.0)
-NOMINAL_AXES = (SQUEEZER_AXIS_A, SQUEEZER_AXIS_B, SQUEEZER_AXIS_A, SQUEEZER_AXIS_B)
+NOMINAL_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
 def _out_of_range(voltage: float, v_min: float, v_max: float) -> ValueError:
@@ -95,7 +96,7 @@ class EpcState:
 
     gains: tuple[float, float, float, float]
     voltages: tuple[float, float, float, float]
-    axes: tuple[StokesVector, StokesVector, StokesVector, StokesVector] = NOMINAL_AXES
+    axes: tuple[tuple[float, float, float], ...] = NOMINAL_AXES
     v_min: float = DEFAULT_V_MIN
     v_max: float = DEFAULT_V_MAX
 
@@ -114,6 +115,14 @@ class EpcState:
         for voltage in self.voltages:
             if not (v_min <= voltage <= v_max):
                 raise _out_of_range(voltage, v_min, v_max)
+        for axis in self.axes:  # StokesVector's rule, on a triple
+            try:
+                a1, a2, a3 = axis if type(axis) is tuple and len(axis) == 3 else None
+                n = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+            except TypeError:
+                raise TypeError("axes must be tuples of 3 numbers") from None
+            if not math.isfinite(n) or abs(n - 1.0) > UNIT_TOL:
+                raise ValueError(f"axes must have unit norm, got |a| = {n!r}")
 
     @property
     def center(self) -> float:
@@ -159,13 +168,12 @@ def _sent_through(channel_rot: Rotation, basis: str) -> tuple[int, tuple[float, 
     return b, _rotate((q.w, q.x, q.y, q.z), _ANALYZER_AXES[b])
 
 
-def _unit_axes(epc: EpcState) -> list[tuple[float, float, float]]:
-    """The squeezer axes as float triples, each divided by its norm."""
-    axes = []
-    for a in epc.axes:
-        n = math.sqrt(a.dot(a))
-        axes.append((a.s1 / n, a.s2 / n, a.s3 / n))
-    return axes
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """``(x, y, z)`` divided by its norm, by ``StokesVector.unit``'s operations and check."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if n == 0.0 or not math.isfinite(n):
+        raise ValueError("cannot normalize a zero or non-finite direction")
+    return x / n, y / n, z / n
 
 
 def _turn(a, c: float, s: float, v) -> tuple[float, float, float]:
@@ -208,7 +216,7 @@ class AnalyzerSweep:
         reach = max(abs(epc.v_min), abs(epc.v_max))
         if not all(math.isfinite(gain * reach) for gain in epc.gains):
             raise ValueError("rotation angle must be finite")
-        self._axes = _unit_axes(epc)
+        self._axes = [_unit(*a) for a in epc.axes]  # unit to UNIT_TOL, so renormalized
         self.swept = None  # the element after the last complete sweep
         self._begin()
 
@@ -262,9 +270,9 @@ def analyzer_element(channel_rot: Rotation, epc: EpcState | None, basis: str) ->
     """
     b, w = _sent_through(channel_rot, basis)
     if epc is not None:
-        for a, gain, voltage in zip(_unit_axes(epc), epc.gains, epc.voltages):
+        for a, gain, voltage in zip(epc.axes, epc.gains, epc.voltages):
             theta = gain * voltage
-            w = _turn(a, math.cos(theta), math.sin(theta), w)
+            w = _turn(_unit(*a), math.cos(theta), math.sin(theta), w)
     return w[b]
 
 
@@ -285,45 +293,36 @@ def _tangent_basis(
     return e1, (dx / n, dy / n, dz / n)
 
 
-def _clamp_to_cone(
-    axis: StokesVector, nominal: StokesVector, cw: float, sw: float
-) -> StokesVector:
+def _clamp_to_cone(axis, nominal, cw: float, sw: float) -> tuple[float, float, float]:
     """Pull ``axis`` back onto the wander cone around ``nominal`` if outside.
 
     ``cw`` and ``sw`` are the cosine and sine of the cone's half-angle.
     """
-    c = axis.dot(nominal)
+    (s1, s2, s3), (n1, n2, n3) = axis, nominal
+    c = s1 * n1 + s2 * n2 + s3 * n3
     if c >= cw:
         return axis
-    t1 = axis.s1 - c * nominal.s1
-    t2 = axis.s2 - c * nominal.s2
-    t3 = axis.s3 - c * nominal.s3
+    t1, t2, t3 = s1 - c * n1, s2 - c * n2, s3 - c * n3
     tn = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
     if tn < 1e-12:
         # antipodal corner case; fall back to an arbitrary tangent direction
-        (t1, t2, t3), _ = _tangent_basis(nominal.s1, nominal.s2, nominal.s3)
+        (t1, t2, t3), _ = _tangent_basis(n1, n2, n3)
         tn = 1.0
-    return StokesVector.unit(
-        cw * nominal.s1 + sw * t1 / tn,
-        cw * nominal.s2 + sw * t2 / tn,
-        cw * nominal.s3 + sw * t3 / tn,
-    )
+    return _unit(cw * n1 + sw * t1 / tn, cw * n2 + sw * t2 / tn, cw * n3 + sw * t3 / tn)
 
 
-def _tip(axis: StokesVector, angle: float, psi: float) -> StokesVector:
+def _tip(axis, angle: float, psi: float) -> tuple[float, float, float]:
     """``axis`` turned by ``angle`` about its tangent t = cos(psi) e1 + sin(psi) e2.
 
     ``e1, e2`` are ``_tangent_basis(axis)``, a right-handed frame with the
     axis s, so t x s = sin(psi) e1 - cos(psi) e2 and, t being perpendicular
     to s, the turn is cos(angle) s + sin(angle) (t x s), renormalized.
     """
-    s1, s2, s3 = axis.s1, axis.s2, axis.s3
+    s1, s2, s3 = axis
     (a1, a2, a3), (b1, b2, b3) = _tangent_basis(s1, s2, s3)
     c, s = math.cos(angle), math.sin(angle)
     u, v = s * math.sin(psi), -s * math.cos(psi)
-    return StokesVector.unit(
-        c * s1 + u * a1 + v * b1, c * s2 + u * a2 + v * b2, c * s3 + u * a3 + v * b3
-    )
+    return _unit(c * s1 + u * a1 + v * b1, c * s2 + u * a2 + v * b2, c * s3 + u * a3 + v * b3)
 
 
 def drift_axes(

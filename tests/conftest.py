@@ -97,7 +97,7 @@ def rodrigues_matrix(axis, angle: float) -> np.ndarray:
 
 def squeezer_rotation(epc: EpcState, i: int) -> Rotation:
     """Rotation applied by squeezer ``i``, angle = gain * voltage about its axis."""
-    return rotation_from_axis_angle(epc.axes[i], epc.gains[i] * epc.voltages[i])
+    return rotation_from_axis_angle(StokesVector(*epc.axes[i]), epc.gains[i] * epc.voltages[i])
 
 
 def with_voltage(epc: EpcState, i: int, voltage: float) -> EpcState:

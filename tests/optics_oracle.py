@@ -26,12 +26,21 @@ in turn, and tips each axis with a quaternion (``tip``).  The package draws
 one block per call and tips in closed form, so ``tests/test_optics.py``
 requires its tip to equal ``tip`` to rounding, and
 ``tests/test_run_distribution.py`` requires runs on the two drifts to agree
-in distribution.
+in distribution.  The EPC holds its axes as unit float triples; ``tip``,
+``_clamp_to_cone`` and ``drift_axes`` take and return triples and build
+``StokesVector`` objects inside.
+
+``stokes_tip``, ``stokes_clamp_to_cone`` and ``stokes_drift_axes`` are the
+package's closed-form drift as it ran on ``StokesVector`` axes, one block
+of draws per call, before the EPC held float triples.  The float drift
+performs the same operations in the same order, so ``tests/test_optics.py``
+requires its walks to equal these bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -112,11 +121,12 @@ def _tangent_basis(v: StokesVector) -> tuple[StokesVector, StokesVector]:
     return e1, e2
 
 
-def _clamp_to_cone(axis: StokesVector, nominal: StokesVector, max_wander: float) -> StokesVector:
-    """Pull ``axis`` back onto the wander cone around ``nominal`` if outside."""
+def _clamp_to_cone(axis, nominal, max_wander: float) -> tuple[float, float, float]:
+    """Pull the unit triple ``axis`` back onto the wander cone around ``nominal`` if outside."""
+    triple, axis, nominal = axis, StokesVector(*axis), StokesVector(*nominal)
     c = axis.dot(nominal)
     if c >= math.cos(max_wander):
-        return axis
+        return triple
     t1 = axis.s1 - c * nominal.s1
     t2 = axis.s2 - c * nominal.s2
     t3 = axis.s3 - c * nominal.s3
@@ -130,7 +140,7 @@ def _clamp_to_cone(axis: StokesVector, nominal: StokesVector, max_wander: float)
         cw * nominal.s1 + sw * t1 / tn,
         cw * nominal.s2 + sw * t2 / tn,
         cw * nominal.s3 + sw * t3 / tn,
-    )
+    ).as_tuple()
 
 
 def drift_axes(
@@ -160,15 +170,110 @@ def drift_axes(
     return replace(epc, axes=tuple(axes))
 
 
-def tip(axis: StokesVector, angle: float, psi: float) -> StokesVector:
-    """``axis`` rotated by ``angle`` about its tangent cos(psi) e1 + sin(psi) e2."""
+def tip(axis, angle: float, psi: float) -> tuple[float, float, float]:
+    """The unit triple ``axis`` rotated by ``angle`` about its tangent cos(psi) e1 + sin(psi) e2."""
+    axis = StokesVector(*axis)
     e1, e2 = _tangent_basis(axis)
     tip_axis = StokesVector.unit(
         math.cos(psi) * e1.s1 + math.sin(psi) * e2.s1,
         math.cos(psi) * e1.s2 + math.sin(psi) * e2.s2,
         math.cos(psi) * e1.s3 + math.sin(psi) * e2.s3,
     )
-    return apply_rotation(rotation_from_axis_angle(tip_axis, angle), axis)
+    return apply_rotation(rotation_from_axis_angle(tip_axis, angle), axis).as_tuple()
+
+
+def _float_tangent_basis(
+    v1: float, v2: float, v3: float
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Two orthonormal directions perpendicular to the unit vector ``v``."""
+    r1, r2, r3 = (0.0, 0.0, 1.0) if abs(v3) < 0.9 else (1.0, 0.0, 0.0)
+    cx = v2 * r3 - v3 * r2
+    cy = v3 * r1 - v1 * r3
+    cz = v1 * r2 - v2 * r1
+    n = math.sqrt(cx * cx + cy * cy + cz * cz)
+    e1 = (cx / n, cy / n, cz / n)
+    dx = v2 * e1[2] - v3 * e1[1]
+    dy = v3 * e1[0] - v1 * e1[2]
+    dz = v1 * e1[1] - v2 * e1[0]
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    return e1, (dx / n, dy / n, dz / n)
+
+
+def stokes_clamp_to_cone(
+    axis: StokesVector, nominal: StokesVector, cw: float, sw: float
+) -> StokesVector:
+    """Pull ``axis`` back onto the wander cone around ``nominal`` if outside.
+
+    ``cw`` and ``sw`` are the cosine and sine of the cone's half-angle.
+    """
+    c = axis.dot(nominal)
+    if c >= cw:
+        return axis
+    t1 = axis.s1 - c * nominal.s1
+    t2 = axis.s2 - c * nominal.s2
+    t3 = axis.s3 - c * nominal.s3
+    tn = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
+    if tn < 1e-12:
+        # antipodal corner case; fall back to an arbitrary tangent direction
+        (t1, t2, t3), _ = _float_tangent_basis(nominal.s1, nominal.s2, nominal.s3)
+        tn = 1.0
+    return StokesVector.unit(
+        cw * nominal.s1 + sw * t1 / tn,
+        cw * nominal.s2 + sw * t2 / tn,
+        cw * nominal.s3 + sw * t3 / tn,
+    )
+
+
+def stokes_tip(axis: StokesVector, angle: float, psi: float) -> StokesVector:
+    """``axis`` turned by ``angle`` about its tangent t = cos(psi) e1 + sin(psi) e2.
+
+    ``e1, e2`` are ``_float_tangent_basis(axis)``, a right-handed frame with
+    the axis s, so t x s = sin(psi) e1 - cos(psi) e2 and, t being
+    perpendicular to s, the turn is cos(angle) s + sin(angle) (t x s),
+    renormalized.
+    """
+    s1, s2, s3 = axis.s1, axis.s2, axis.s3
+    (a1, a2, a3), (b1, b2, b3) = _float_tangent_basis(s1, s2, s3)
+    c, s = math.cos(angle), math.sin(angle)
+    u, v = s * math.sin(psi), -s * math.cos(psi)
+    return StokesVector.unit(
+        c * s1 + u * a1 + v * b1, c * s2 + u * a2 + v * b2, c * s3 + u * a3 + v * b3
+    )
+
+
+def stokes_drift_axes(
+    axes: tuple[StokesVector, ...],
+    rng: np.random.Generator,
+    *,
+    sigma: float,
+    max_wander: float,
+    branches: Counter | None = None,
+) -> tuple[StokesVector, ...]:
+    """One cycle's drift of four ``StokesVector`` axes about ``NOMINAL_AXES``.
+
+    One block of draws: four standard normals (the angles, squeezers in
+    order), then four uniforms (the directions).  ``branches``, if given,
+    counts the steps that took each branch: ``clamped`` (the tip left the
+    cone), ``polar`` (the tip's tangent frame for ``|s3| >= 0.9``) and
+    ``antipodal`` (the clamp's fallback tangent).
+    """
+    if sigma == 0.0:
+        return axes
+    cw, sw = math.cos(max_wander), math.sin(max_wander)
+    normals = rng.standard_normal(4).tolist()
+    uniforms = rng.random(4).tolist()
+    out = []
+    for axis, nominal, z, u in zip(axes, NOMINAL_AXES, normals, uniforms):
+        nominal = StokesVector(*nominal)
+        tipped = stokes_tip(axis, sigma * z, 2.0 * math.pi * u)
+        out.append(stokes_clamp_to_cone(tipped, nominal, cw, sw))
+        if branches is not None:
+            c = tipped.dot(nominal)
+            t = (tipped.s1 - c * nominal.s1, tipped.s2 - c * nominal.s2, tipped.s3 - c * nominal.s3)
+            branches["clamped"] += out[-1] is not tipped
+            branches["polar"] += abs(axis.s3) >= 0.9
+            branches["antipodal"] += c < cw and math.sqrt(sum(x * x for x in t)) < 1e-12
+    return tuple(out)
 
 
 def random_unit_vector(rng: np.random.Generator) -> StokesVector:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -44,9 +45,15 @@ S2 = StokesVector(0.0, 1.0, 0.0)
 S3 = StokesVector(0.0, 0.0, 1.0)
 
 
+def dot(a, b):
+    """Dot product of two axis triples, summed as ``StokesVector.dot`` sums it."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def one_stage(voltage=75.0, gain=math.pi / 75, axis=S1, v_max=150.0):
     """EPC whose first squeezer alone is driven; the other three sit at 0 V."""
-    return EpcState((gain,) * 4, (voltage, 0.0, 0.0, 0.0), (axis, S2, S1, S2), v_max=v_max)
+    axes = tuple(a.as_tuple() for a in (axis, S2, S1, S2))
+    return EpcState((gain,) * 4, (voltage, 0.0, 0.0, 0.0), axes, v_max=v_max)
 
 
 class TestSqueezer:
@@ -91,12 +98,38 @@ class TestEpc:
             (dict(gains=(0.04, 0.04, 0.04, math.nan)), "gain must be positive and finite"),
             (dict(voltages=(75.0, 150.5, 75.0, 75.0)), "outside"),
             (dict(voltages=(75.0, 75.0, math.nan, 75.0)), "outside"),
+            (dict(axes=((1.0, 0.0, math.nan),) + NOMINAL_AXES[1:]), "axes must have unit norm"),
+            (dict(axes=NOMINAL_AXES[:2] + ((math.inf, 0.0, 0.0), NOMINAL_AXES[3])),
+             "axes must have unit norm"),
+            (dict(axes=NOMINAL_AXES[:3] + ((0.0, 1.0 + 2e-9, 0.0),)), "axes must have unit norm"),
+            (dict(axes=NOMINAL_AXES[:3] + ((0.0, 1.0 - 2e-9, 0.0),)), "axes must have unit norm"),
+            (dict(axes=((0.0, 0.0, 0.0),) + NOMINAL_AXES[1:]), "axes must have unit norm"),
         ],
     )
     def test_constructor_checks_each_field(self, change, message):
         fields = dict(gains=(0.04,) * 4, voltages=(75.0,) * 4, axes=NOMINAL_AXES)
         with pytest.raises(ValueError, match=message):
             EpcState(**{**fields, **change})
+
+    @pytest.mark.parametrize(
+        "axis",
+        [[1.0, 0.0, 0.0], None, 1, "x", (1.0, 0.0), (1.0, 0.0, 0.0, 0.0), ("1", 0.0, 0.0)],
+        ids=["list", "None", "int", "str", "two", "four", "str-component"],
+    )
+    @pytest.mark.parametrize("i", range(4))
+    def test_constructor_rejects_an_axis_that_is_not_a_triple(self, axis, i):
+        axes = NOMINAL_AXES[:i] + (axis,) + NOMINAL_AXES[i + 1:]
+        with pytest.raises(TypeError, match="axes must be tuples of 3 numbers"):
+            EpcState((0.04,) * 4, (75.0,) * 4, axes)
+        with pytest.raises(TypeError, match="axes must be tuples of 3 numbers"):
+            replace(default_epc(), axes=axes)
+
+    def test_constructor_keeps_an_axis_within_the_unit_tolerance(self):
+        # StokesVector's rule: a norm within UNIT_TOL of 1 is unit
+        for k in (1.0 - 0.9e-9, 1.0 + 0.9e-9):
+            axes = NOMINAL_AXES[:1] + ((0.0, k, 0.0),) + NOMINAL_AXES[2:]
+            assert EpcState((0.04,) * 4, (75.0,) * 4, axes).axes == axes
+            StokesVector(0.0, k, 0.0)
 
     def test_all_zero_voltages_is_identity(self):
         epc = default_epc(v_min=-10.0, v_max=10.0).with_voltages((0.0,) * 4)
@@ -118,7 +151,7 @@ class TestEpc:
                 epc = with_voltage(epc, i, rng.uniform(0.0, 150.0))
             m = np.eye(3)
             for axis, gain, v in zip(epc.axes, epc.gains, epc.voltages):
-                m = rodrigues_matrix(axis.as_tuple(), gain * v) @ m
+                m = rodrigues_matrix(axis, gain * v) @ m
             s = StokesVector(*random_unit(rng))
             got = apply_rotation(epc_rotation(epc), s)
             assert np.allclose(got.as_tuple(), m @ np.array(s.as_tuple()), atol=1e-9)
@@ -167,7 +200,7 @@ class TestDriftAxes:
         for _ in range(10_000):
             moved = drift_axes(epc, rng, sigma=sigma, max_wander=math.pi)
             for a, b in zip(epc.axes, moved.axes):
-                d = max(-1.0, min(1.0, a.dot(b)))
+                d = max(-1.0, min(1.0, dot(a, b)))
                 sq_disp.append(math.acos(d) ** 2)
             epc = moved
         rms = math.sqrt(sum(sq_disp) / len(sq_disp))
@@ -180,7 +213,7 @@ class TestDriftAxes:
         for _ in range(2000):
             epc = drift_axes(epc, rng, sigma=0.05, max_wander=cap)
             for axis, nominal in zip(epc.axes, NOMINAL_AXES):
-                assert axis.dot(nominal) >= math.cos(cap) - 1e-12
+                assert dot(axis, nominal) >= math.cos(cap) - 1e-12
 
     def test_deterministic_given_seed(self):
         def drifted(rng):
@@ -308,9 +341,9 @@ class TestFloatPathMatchesOracle:
             got = optics._clamp_to_cone(tipped, nominal, math.cos(max_wander), math.sin(max_wander))
             want = optics_oracle._clamp_to_cone(tipped_ref, nominal, max_wander)
             for a, b in ((tipped, tipped_ref), (got, want)):
-                worst = max(worst, *(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple())))
+                worst = max(worst, *(abs(x - y) for x, y in zip(a, b)))
             clamped += got is not tipped
-            polar += abs(axis.s3) >= 0.9
+            polar += abs(axis[2]) >= 0.9
         assert worst <= 4e-15, worst
         assert clamped > 1000, "too few steps left the wander cone"
         assert polar > 100, "too few axes took the |s3| >= 0.9 tangent branch"
@@ -363,11 +396,44 @@ class TestFloatPathMatchesOracle:
         assert _hex(got) == _hex(want)
         assert got_rng.values == want_rng.values == [1.1]
 
+    def test_drift_walks_equal_the_stokes_vector_drift_bitwise(self):
+        # drift_axes on float triples against its former form on StokesVector
+        # axes: every axis after every step bit for bit, from the same draws.
+        # Each walk starts on the antipodes of the nominal axes, where a tiny
+        # first step takes the clamp's fallback tangent; narrow cones then
+        # clamp often, and wide ones carry axes into the |s3| >= 0.9 frame.
+        setup = np.random.default_rng(57)
+        branches = Counter()
+        for walk in range(20):
+            if walk % 2:
+                sigma, max_wander = setup.uniform(0.05, 0.5), setup.uniform(1.2, 3.0)
+            else:
+                sigma, max_wander = setup.uniform(0.005, 0.1), setup.uniform(0.02, 0.3)
+            seed = int(setup.integers(2**32))
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            antipodes = tuple((-a1, -a2, -a3) for a1, a2, a3 in NOMINAL_AXES)
+            epc = EpcState((0.04,) * 4, (75.0,) * 4, antipodes)
+            vectors = tuple(StokesVector(*a) for a in antipodes)
+            for step in range(1000):
+                step_sigma = 1e-13 if step == 0 else float(sigma)
+                epc = drift_axes(epc, rng, sigma=step_sigma, max_wander=float(max_wander))
+                vectors = optics_oracle.stokes_drift_axes(
+                    vectors, ref, sigma=step_sigma, max_wander=float(max_wander), branches=branches
+                )
+                got = [x.hex() for axis in epc.axes for x in axis]
+                assert got == [x.hex() for v in vectors for x in v.as_tuple()], (walk, step)
+                assert all(type(x) is float for axis in epc.axes for x in axis)
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert branches["antipodal"] >= 60, branches
+        assert branches["clamped"] > 5000, branches
+        assert branches["polar"] > 1000, branches
+
     @pytest.mark.parametrize("nominal", [S1, S2, S3])
     def test_antipodal_clamp_bitwise(self, nominal):
-        got = optics._clamp_to_cone(-nominal, nominal, math.cos(0.3), math.sin(0.3))
-        assert got == optics_oracle._clamp_to_cone(-nominal, nominal, 0.3)
-        assert got.dot(nominal) == pytest.approx(math.cos(0.3))
+        nominal, antipode = nominal.as_tuple(), (-nominal).as_tuple()
+        got = optics._clamp_to_cone(antipode, nominal, math.cos(0.3), math.sin(0.3))
+        assert got == optics_oracle._clamp_to_cone(antipode, nominal, 0.3)
+        assert dot(got, nominal) == pytest.approx(math.cos(0.3))
 
 
 class TestAnalyzerSweep:
@@ -430,9 +496,9 @@ class TestAnalyzerSweep:
 def _off_unit(epc, rng):
     """``epc`` with each axis scaled off unit length, within ``StokesVector``'s tolerance."""
     axes = []
-    for a in epc.axes:
+    for a1, a2, a3 in epc.axes:
         k = 1.0 + float(rng.uniform(-5e-10, 5e-10))
-        axes.append(StokesVector(k * a.s1, k * a.s2, k * a.s3))
+        axes.append((k * a1, k * a2, k * a3))
     return replace(epc, axes=tuple(axes))
 
 
