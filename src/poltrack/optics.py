@@ -21,8 +21,8 @@ floats and validates only the rotation it returns.  It calls the float
 kernels that the public ``poincare`` quaternion API wraps, so it agrees with
 that checked reference bit for bit; ``tests/optics_oracle.py`` keeps the
 object-based form.  ``drift_axes`` tips each axis in closed form (``_tip``),
-which agrees with the oracle's quaternion tip to rounding, and with its
-former ``StokesVector`` form, kept in ``tests/optics_oracle.py``, bit for bit.
+which agrees with the oracle's quaternion tip to rounding, and with the
+oracle's ``StokesVector`` form of the same drift bit for bit.
 
 Each random stream is drawn once per step, as one numpy block: four normals
 for a random-walk step (``normal(size=3)`` then ``normal(0, sigma)`` give the

@@ -182,23 +182,6 @@ def tip(axis, angle: float, psi: float) -> tuple[float, float, float]:
     return apply_rotation(rotation_from_axis_angle(tip_axis, angle), axis).as_tuple()
 
 
-def _float_tangent_basis(
-    v1: float, v2: float, v3: float
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Two orthonormal directions perpendicular to the unit vector ``v``."""
-    r1, r2, r3 = (0.0, 0.0, 1.0) if abs(v3) < 0.9 else (1.0, 0.0, 0.0)
-    cx = v2 * r3 - v3 * r2
-    cy = v3 * r1 - v1 * r3
-    cz = v1 * r2 - v2 * r1
-    n = math.sqrt(cx * cx + cy * cy + cz * cz)
-    e1 = (cx / n, cy / n, cz / n)
-    dx = v2 * e1[2] - v3 * e1[1]
-    dy = v3 * e1[0] - v1 * e1[2]
-    dz = v1 * e1[1] - v2 * e1[0]
-    n = math.sqrt(dx * dx + dy * dy + dz * dz)
-    return e1, (dx / n, dy / n, dz / n)
-
-
 def stokes_clamp_to_cone(
     axis: StokesVector, nominal: StokesVector, cw: float, sw: float
 ) -> StokesVector:
@@ -215,7 +198,7 @@ def stokes_clamp_to_cone(
     tn = math.sqrt(t1 * t1 + t2 * t2 + t3 * t3)
     if tn < 1e-12:
         # antipodal corner case; fall back to an arbitrary tangent direction
-        (t1, t2, t3), _ = _float_tangent_basis(nominal.s1, nominal.s2, nominal.s3)
+        t1, t2, t3 = _tangent_basis(nominal)[0].as_tuple()
         tn = 1.0
     return StokesVector.unit(
         cw * nominal.s1 + sw * t1 / tn,
@@ -227,13 +210,13 @@ def stokes_clamp_to_cone(
 def stokes_tip(axis: StokesVector, angle: float, psi: float) -> StokesVector:
     """``axis`` turned by ``angle`` about its tangent t = cos(psi) e1 + sin(psi) e2.
 
-    ``e1, e2`` are ``_float_tangent_basis(axis)``, a right-handed frame with
+    ``e1, e2`` are ``_tangent_basis(axis)``, a right-handed frame with
     the axis s, so t x s = sin(psi) e1 - cos(psi) e2 and, t being
     perpendicular to s, the turn is cos(angle) s + sin(angle) (t x s),
     renormalized.
     """
     s1, s2, s3 = axis.s1, axis.s2, axis.s3
-    (a1, a2, a3), (b1, b2, b3) = _float_tangent_basis(s1, s2, s3)
+    (a1, a2, a3), (b1, b2, b3) = (e.as_tuple() for e in _tangent_basis(axis))
     c, s = math.cos(angle), math.sin(angle)
     u, v = s * math.sin(psi), -s * math.cos(psi)
     return StokesVector.unit(
