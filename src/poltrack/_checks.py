@@ -2,14 +2,15 @@
 
 Each field of a ``Checked`` dataclass passes the check its declared type
 implies (an int field takes no bool, a float field finite numbers only),
-then the class's ``_RANGES``, ``(field, ok, text)`` triples.
+then the class's ``_RANGES``, ``(field, ok, text)`` triples.  Each field's
+default is declared once, by ``tagged``, with where its value comes from.
 """
 
 from __future__ import annotations
 
 import sys
 import typing
-from dataclasses import fields
+from dataclasses import field, fields
 
 _TEXTS = {int: "must be an integer", bool: "must be true or false", str: "must be a string"}
 _CHECKS: dict[type, tuple] = {}  # class -> ((field, type check), ...), built on first use
@@ -54,3 +55,13 @@ class Checked:
     def __post_init__(self) -> None:
         if failed := field_errors(self):
             raise ValueError("\n".join(f"{name}: {text}" for name, text in failed.items()))
+
+
+def tagged(default, source: str, note: str):
+    """A dataclass field with its default and where that value comes from.
+
+    ``source`` is ``paper`` (``note`` quotes PAPER.md verbatim),
+    ``literature`` (it cites the source), ``assumed`` (it says why) or
+    ``desk`` (a compression for speed, which ``--full`` undoes).
+    """
+    return field(default=default, metadata={"source": source, "note": note})

@@ -3,8 +3,8 @@
 Subcommands: ``run`` executes a config file, ``preset`` runs a named scenario,
 ``table`` emits the estimator-error table, ``summary`` recomputes statistics
 from an emitted CSV, and ``config --print-defaults`` dumps the built-in
-defaults.  Exit codes: 0 on success, 2 on configuration errors, 3 on runtime
-errors.
+defaults, each key under a comment that says where its value comes from.
+Exit codes: 0 on success, 2 on configuration errors, 3 on runtime errors.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    CONSTANTS,
     ConfigError,
     PRESET_NAMES,
     ScenarioConfig,
     Summary,
     config_to_ini,
+    defaults_to_ini,
     emit_sample_size_table,
     parse_config,
     preset_config,
@@ -59,13 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--full", action="store_true", help="hardware-scale link and batch sizes")
     add_run_options(p_preset)
 
+    def table_default(flag):
+        value = CONSTANTS[("poltrack table", flag)][0]
+        return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
     p_table = sub.add_parser("table", help="emit the estimator-error sample-size table")
-    p_table.add_argument("--mu", type=float, default=0.1)
-    p_table.add_argument("--eta", type=float, default=0.1)
-    p_table.add_argument("--qber", type=str, default="0.01,0.02,0.03",
+    p_table.add_argument("--mu", type=float, default=table_default("--mu"))
+    p_table.add_argument("--eta", type=float, default=table_default("--eta"))
+    p_table.add_argument("--qber", type=str, default=table_default("--qber"),
                          help="comma-separated error rates")
-    p_table.add_argument("--b", type=str,
-                         default="250,500,1000,2500,5000,10000,25000,50000,100000",
+    p_table.add_argument("--b", type=str, default=table_default("--b"),
                          help="comma-separated sample sizes")
     p_table.add_argument("--out", type=Path, default=Path("table.csv"))
 
@@ -189,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "config":  # --print-defaults is required
-            print(config_to_ini(ScenarioConfig()), end="")
+            print(defaults_to_ini(), end="")
             return 0
 
         raise AssertionError("unreachable")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import Checked
+from ._checks import Checked, tagged
 from .optics import (
     DEFAULT_MAX_AXIS_WANDER,
     AnalyzerSweep,
@@ -50,8 +50,7 @@ from .photon_sim import (
 from .poincare import Rotation
 from .timeseries import TimeSeries, TimeSeriesRow
 
-# Wall time of one feedback cycle, one hardware-scale pulse train; it only
-# labels the ``t_seconds`` column.
+# Wall time of one feedback cycle; it only labels the ``t_seconds`` column.
 CYCLE_SECONDS = 12.0
 
 _ROW_LABELS = {"Z": ("H", "V"), "X": ("D", "A")}
@@ -64,22 +63,27 @@ class ControllerConfig(Checked):
     Each basis keeps its own EPC and random stream; only the tuning is
     shared.  ``batch_pulses`` and ``sample_fraction`` also size
     ``track``'s per-cycle monitoring batch.
-
-    Defaults are sized for desk-scale runs: a 1 V dither is about a 2.4 degree
-    probe at the default squeezer gain, and tau = -150 V^2 turns a feedback
-    change of 0.01 into a step of 1.5 V.  The step size matters mostly near
-    alignment, where the feedback signal goes quartic in the residual angle
-    and too small a tau stalls the descent.  ``batch_pulses`` with
-    ``sample_fraction`` set the revealed sample per evaluation (about 2500
-    sifted bits per basis at the desk-scale link settings).
     """
 
-    dither_volts: float = 1.0
-    tau: float = -150.0  # volts^2 per unit feedback change; negative
-    e_threshold: float = 0.002
-    sample_fraction: float = 1.0
-    max_cycles_per_correction: int = 25
-    batch_pulses: int = 25_000
+    dither_volts: float = tagged(
+        1.0, "assumed",
+        "a probe of a few degrees at the default gain: large against the noise in E, "
+        "small against a turn")
+    tau: float = tagged(  # volts^2 per unit feedback change; negative
+        -150.0, "assumed",
+        "large enough that the descent does not stall near alignment, where E goes quartic "
+        "in the residual angle")
+    e_threshold: float = tagged(
+        0.002, "assumed",
+        "above E at the misalignment floor, so that an aligned receiver holds")
+    sample_fraction: float = tagged(
+        1.0, "desk", "every sifted bit revealed, so that a small batch reveals enough bits")
+    max_cycles_per_correction: int = tagged(
+        25, "assumed", "a cap on one correction's sweeps, so that a cycle ends while E stays high")
+    batch_pulses: int = tagged(
+        25_000, "desk",
+        "a small batch per evaluation for speed; it reveals about 2500 sifted bits per basis "
+        "on the desk link")
 
     _RANGES = (
         ("dither_volts", lambda v: v > 0.0, "must be positive"),

@@ -11,6 +11,9 @@ fields are the ``[scenario]`` keys, each of its dataclass-typed fields is a
 section of the same name, and every field name is its INI key.  Each one
 checks its fields when built, in code or by the parser, which only converts
 text; parsing, emission and those checks' messages all use the INI names.
+Each field declares its key's one default with ``_checks.tagged``, which
+says where the value comes from, and ``CONSTANTS`` tags every other value a
+preset sets.
 
 Output layout per run: ``series.csv``, ``summary.txt``, ``config.resolved``.
 """
@@ -24,8 +27,8 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from ._checks import Checked, field_errors
-from .feedback import ControllerConfig, World, track
+from ._checks import Checked, field_errors, tagged
+from .feedback import CYCLE_SECONDS, ControllerConfig, World, track
 from .optics import (
     DEFAULT_AXIS_DRIFT_SIGMA,
     DEFAULT_GAIN,
@@ -64,12 +67,20 @@ class ConfigError(ValueError):
 class EpcParams(Checked):
     """Construction parameters of one EPC (both arms use the same)."""
 
-    gain_rad_per_volt: float = DEFAULT_GAIN
-    gain_jitter: float = DEFAULT_GAIN_JITTER
-    v_min: float = DEFAULT_V_MIN
-    v_max: float = DEFAULT_V_MAX
-    axis_drift_sigma_rad: float = DEFAULT_AXIS_DRIFT_SIGMA
-    max_axis_wander_rad: float = DEFAULT_MAX_AXIS_WANDER
+    gain_rad_per_volt: float = tagged(
+        DEFAULT_GAIN, "assumed", "one squeezer turns a full circle over the drive range")
+    gain_jitter: float = tagged(
+        DEFAULT_GAIN_JITTER, "assumed",
+        "squeezer-to-squeezer gain spread; the controller needs no gain of its own")
+    v_min: float = tagged(DEFAULT_V_MIN, "assumed", "a unipolar squeezer drive")
+    v_max: float = tagged(
+        DEFAULT_V_MAX, "assumed", "a drive range wide enough for a full turn at gain_rad_per_volt")
+    axis_drift_sigma_rad: float = tagged(  # per cycle
+        DEFAULT_AXIS_DRIFT_SIGMA, "assumed",
+        "squeezer axes wander, so that the controller cannot rely on known axes")
+    max_axis_wander_rad: float = tagged(
+        DEFAULT_MAX_AXIS_WANDER, "assumed",
+        "the cone around each nominal axis that keeps the four squeezers a working EPC")
 
     # v_min/v_max is checked as a pair, in ScenarioConfig
     _RANGES = (
@@ -84,20 +95,25 @@ class EpcParams(Checked):
 class ChannelParams(Checked):
     """Channel-model parameters; ``[scenario] kind`` picks which are read and range-checked."""
 
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    angle_deg: float = 30.0
-    step_sigma_rad: float = 0.012  # per cycle
-    rate_deg_per_cycle: float = 0.2
+    axis: tuple[float, float, float] = tagged(
+        (0.0, 0.0, 1.0), "assumed", "a turn about s3 misaligns both analyzer axes, s1 and s2")
+    angle_deg: float = tagged(
+        30.0, "assumed", "a misalignment the controller must correct from the first cycle")
+    step_sigma_rad: float = tagged(  # per cycle
+        0.012, "assumed", "the abstract gives no drift rate for the fiber")
+    rate_deg_per_cycle: float = tagged(0.2, "assumed", "the lowest of three scrambler rates")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig(Checked):
-    kind: str = "drift"
-    duration: int = 7200
-    seed: int = 12345
-    control_enabled: bool = True
-    link: LinkBudget = LinkBudget(0.2, 0.0, 1.0)  # sections are frozen: configs share defaults
-    source: SourceParams = SourceParams(mean_photons=0.5)
+    kind: str = tagged(
+        "drift", "assumed", "a random walk stands in for the fiber drift of the paper's day")
+    duration: int = tagged(7200, "paper", "24 hours of continuous operation")
+    seed: int = tagged(12345, "assumed", "any fixed seed; a run is a pure function of its config")
+    control_enabled: bool = tagged(
+        True, "paper", "polarization-basis tracking scheme using only unveiled sifted key bits")
+    link: LinkBudget = LinkBudget()  # sections are frozen: configs share defaults
+    source: SourceParams = SourceParams()
     epc: EpcParams = EpcParams()
     channel: ChannelParams = ChannelParams()
     controller: ControllerConfig = ControllerConfig()
@@ -173,17 +189,32 @@ def _converter(tp):
     return _parse_bool if tp is bool else tp  # str, int and float convert as themselves
 
 
-def _schema() -> dict[str, dict]:
-    """INI section -> {key: converter}, from ``ScenarioConfig``'s field tree.
+class _Key(typing.NamedTuple):
+    """One INI key: its text converter, and its field's ``tagged`` source and note."""
+
+    convert: typing.Callable
+    source: str | None
+    note: str | None
+
+
+def _keys(cls) -> dict[str, _Key]:
+    """Key -> ``_Key`` of each field of ``cls`` that is not a section."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _Key(_converter(hints[f.name]), f.metadata.get("source"), f.metadata.get("note"))
+        for f in fields(cls) if not is_dataclass(hints[f.name])
+    }
+
+
+def _schema() -> dict[str, dict[str, _Key]]:
+    """INI section -> {key: ``_Key``}, from ``ScenarioConfig``'s field tree.
 
     Sections and keys keep declaration order, which is the emission order.
     """
-    schema = {"scenario": {}}
+    schema = {"scenario": _keys(ScenarioConfig)}
     for name, tp in typing.get_type_hints(ScenarioConfig).items():
         if is_dataclass(tp):
-            schema[name] = {key: _converter(t) for key, t in typing.get_type_hints(tp).items()}
-        else:
-            schema["scenario"][name] = _converter(tp)
+            schema[name] = _keys(tp)
     return schema
 
 
@@ -208,6 +239,19 @@ def config_to_ini(cfg: ScenarioConfig) -> str:
         lines = [f"{key} = {_fmt(getattr(obj, key))}" for key in keys]
         blocks.append("\n".join([f"[{section}]", *lines]))
     return "\n\n".join(blocks) + "\n"
+
+
+def defaults_to_ini() -> str:
+    """``config_to_ini(ScenarioConfig())`` with a ``# source: note`` line above each key."""
+    lines, section = [], "scenario"
+    for line in config_to_ini(ScenarioConfig()).splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            key = _SCHEMA[section][line.split(" = ", 1)[0]]
+            lines.append(f"# {key.source}: {key.note}")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -235,7 +279,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 errors.append(f"{section}.{key}: not read by kind = {kind}")
                 continue
             try:
-                values[key] = _SCHEMA[section][key](value)
+                values[key] = _SCHEMA[section][key].convert(value)
             except (ValueError, TypeError) as exc:
                 errors.append(f"{section}.{key}: {exc}")
         return values
@@ -266,22 +310,77 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # presets
 
-# Preset -> its scenario kind, duration and channel; the name order is the CLI's.
+# Preset -> the ``ScenarioConfig`` fields it sets; the name order is the CLI's.
+# The printed defaults are the desk ``drift24h`` preset.
+_SCRAMBLE = dict(kind="scramble", duration=3000)
 _PRESETS = {
-    "static": ("static", 300, ChannelParams(axis=(0.0, 1.0, 0.0), angle_deg=30.0)),
-    "drift24h": ("drift", 7200, ChannelParams(step_sigma_rad=0.012)),
-    "scramble02": ("scramble", 3000, ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=0.2)),
-    "scramble04": ("scramble", 3000, ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=0.4)),
-    "scramble06": ("scramble", 3000, ChannelParams(axis=(0.0, 0.0, 1.0), rate_deg_per_cycle=0.6)),
+    "static": dict(kind="static", duration=300, channel=ChannelParams(axis=(0.0, 1.0, 0.0))),
+    "drift24h": {},
+    "scramble02": _SCRAMBLE,
+    "scramble04": dict(_SCRAMBLE, channel=ChannelParams(rate_deg_per_cycle=0.4)),
+    "scramble06": dict(_SCRAMBLE, channel=ChannelParams(rate_deg_per_cycle=0.6)),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
-# Hardware-scale settings: 50 km of fiber at 0.2 dB/km into 10% detectors,
-# 0.1 photons per pulse, and one full 12 s pulse train per evaluation with
-# 10% of the sifted bits revealed.  Desk-scale presets compress the batch.
-_FULL_LINK = LinkBudget(0.2, 50.0, 0.1)
+# The sections ``--full`` sets, and what a scrambler preset sets in its controller.
+_FULL_LINK = LinkBudget(length_km=50.0, eta_bob=0.1)
 _FULL_SOURCE = SourceParams(mean_photons=0.1)
 _FULL_CONTROLLER = ControllerConfig(sample_fraction=0.1, batch_pulses=30_000_000)
+_SCRAMBLE_SWEEPS, _SCRAMBLE_DESK_BATCH = 3, 15_000
+
+_GISIN_2002 = "Gisin et al., Rev. Mod. Phys. 74, 145 (2002)"
+
+# (where, name) -> (value, source, note) of every value a preset, a module
+# constant or a ``poltrack table`` flag sets other than a field default;
+# ``where`` is a preset, every preset of a kind (at one scale), ``--full``,
+# a module or a command.  Sources and notes are those of ``_checks.tagged``.
+CONSTANTS = {
+    ("--full", "link.length_km"): (
+        _FULL_LINK.length_km, "assumed", "a metro-scale link; the abstract gives no length"),
+    ("--full", "link.eta_bob"): (
+        _FULL_LINK.eta_bob, "literature", f"InGaAs avalanche photodiodes at 1550 nm; {_GISIN_2002}"),
+    ("--full", "source.mean_photons"): (
+        _FULL_SOURCE.mean_photons, "literature",
+        f"the usual weak-coherent-pulse intensity; {_GISIN_2002}"),
+    ("--full", "controller.sample_fraction"): (
+        _FULL_CONTROLLER.sample_fraction, "assumed",
+        "the share of sifted bits that error correction reveals; the abstract gives none"),
+    ("--full", "controller.batch_pulses"): (
+        _FULL_CONTROLLER.batch_pulses, "assumed",
+        "one pulse train of CYCLE_SECONDS per evaluation, at a pulse rate of "
+        f"{_FULL_CONTROLLER.batch_pulses / CYCLE_SECONDS / 1e6:g} MHz"),
+    ("kind = scramble", "controller.max_cycles_per_correction"): (
+        _SCRAMBLE_SWEEPS, "assumed",
+        "scrambling keeps the controller busy nearly every cycle; the cap bounds each correction"),
+    ("kind = scramble, desk", "controller.batch_pulses"): (
+        _SCRAMBLE_DESK_BATCH, "desk", "a smaller batch for the busiest runs"),
+    ("kind = scramble", "scenario.duration"): (
+        _SCRAMBLE["duration"], "assumed", "long enough for steady QBER statistics of the chase"),
+    ("static", "scenario.duration"): (
+        _PRESETS["static"]["duration"], "assumed",
+        "long enough to converge from the misalignment and hold"),
+    ("static", "channel.axis"): (
+        _PRESETS["static"]["channel"].axis, "assumed",
+        "a turn about s2 misaligns the Z arm (s1) and leaves the X arm (s2) aligned"),
+    ("scramble04", "channel.rate_deg_per_cycle"): (
+        _PRESETS["scramble04"]["channel"].rate_deg_per_cycle, "assumed",
+        "the middle of three scrambler rates, to show where tracking starts to lag"),
+    ("scramble06", "channel.rate_deg_per_cycle"): (
+        _PRESETS["scramble06"]["channel"].rate_deg_per_cycle, "assumed",
+        "the top of three scrambler rates"),
+    ("poltrack.feedback", "CYCLE_SECONDS"): (
+        CYCLE_SECONDS, "assumed", "one hardware-scale pulse train per evaluation"),
+    ("poltrack table", "--mu"): (_FULL_SOURCE.mean_photons, "assumed", "the --full mean_photons"),
+    ("poltrack table", "--eta"): (
+        _FULL_LINK.eta_bob, "assumed",
+        "the --full detector efficiency alone; the --full link's overall transmittance is "
+        f"{transmittance(_FULL_LINK):g}"),
+    ("poltrack table", "--qber"): (
+        (0.01, 0.02, 0.03), "assumed", "error rates around the paper's average QBER"),
+    ("poltrack table", "--b"): (
+        (250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000), "assumed",
+        "spans the revealed bits of one evaluation at either scale"),
+}
 
 
 def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
@@ -292,18 +391,16 @@ def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
     """
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    kind, duration, channel = _PRESETS[name]
-    sections = {}
+    sections = dict(_PRESETS[name])
     if full:
-        sections = dict(link=_FULL_LINK, source=_FULL_SOURCE, controller=_FULL_CONTROLLER)
-    if kind == "scramble":
-        # scrambling keeps the controller busy nearly every cycle; a sweep cap
-        # bounds each correction, and desk runs also take a smaller batch
+        sections.update(link=_FULL_LINK, source=_FULL_SOURCE, controller=_FULL_CONTROLLER)
+    if sections.get("kind") == "scramble":
         sections["controller"] = (
-            replace(_FULL_CONTROLLER, max_cycles_per_correction=3) if full
-            else ControllerConfig(max_cycles_per_correction=3, batch_pulses=15_000)
+            replace(_FULL_CONTROLLER, max_cycles_per_correction=_SCRAMBLE_SWEEPS) if full
+            else ControllerConfig(max_cycles_per_correction=_SCRAMBLE_SWEEPS,
+                                  batch_pulses=_SCRAMBLE_DESK_BATCH)
         )
-    return ScenarioConfig(kind=kind, duration=duration, channel=channel, **sections)
+    return ScenarioConfig(**sections)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import Checked
+from ._checks import Checked, tagged
 
 
 class InsufficientDataError(RuntimeError):
@@ -73,15 +73,21 @@ class EmptyRowError(InsufficientDataError):
 class SourceParams(Checked):
     """Transmitter and detector imperfection parameters.
 
-    ``dark_count_prob`` is per detector per gated pulse.
-    ``misalignment_floor`` is the probability that a detection lands in the
-    wrong detector regardless of alignment (modulator errors and the like);
-    together with dark counts it sets the intrinsic error-rate floor.
+    ``mean_photons`` is per pulse and ``dark_count_prob`` per detector per
+    gated pulse.  ``misalignment_floor`` is the probability that a detection
+    lands in the wrong detector regardless of alignment (modulator errors and
+    the like); together with dark counts it sets the intrinsic error-rate floor.
     """
 
-    mean_photons: float = 0.1  # per pulse
-    dark_count_prob: float = 1.5e-6
-    misalignment_floor: float = 0.012
+    mean_photons: float = tagged(
+        0.5, "desk", "a bright source, so that a small batch reveals enough bits")
+    dark_count_prob: float = tagged(
+        1.5e-6, "assumed",
+        "the abstract gives no detector noise; low enough that the misalignment floor "
+        "sets the aligned QBER at both scales")
+    misalignment_floor: float = tagged(
+        0.012, "assumed",
+        "the error of an aligned receiver (modulator and optics), which the abstract does not give")
 
     _RANGES = (
         ("mean_photons", lambda v: v > 0.0, "must be positive"),

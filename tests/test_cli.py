@@ -271,10 +271,13 @@ class TestSummary:
 
 class TestConfigCommand:
     def test_print_defaults_parses_back(self, capsys):
+        # each key sits under a "# source: note" comment line, which the parser skips
         assert main(["config", "--print-defaults"]) == 0
         text = capsys.readouterr().out
-        from poltrack.harness import ScenarioConfig, parse_config
+        from poltrack.harness import ScenarioConfig, defaults_to_ini, parse_config
 
+        assert text == defaults_to_ini()
+        assert sum(line.startswith("# ") for line in text.splitlines()) == 23
         assert parse_config(text) == ScenarioConfig()
 
     def test_config_without_a_flag_is_a_usage_error(self, capsys):
