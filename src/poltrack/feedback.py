@@ -235,8 +235,13 @@ class World:
 
 
 # Keys of ``track``'s seed streams.  Stream k equals the k-th child that
-# ``seed.spawn`` would give, but is built directly: ``spawn`` advances the seed.
+# ``spawn`` of the seed's ``SeedSequence`` would give, but ``_stream`` builds it directly.
 _CHANNEL, _DRIFT, _MONITOR, _CTRL_Z, _CTRL_X = range(5)
+
+
+def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The package's one way to build a random stream: Philox keyed by ``seed`` and ``key``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def track(
@@ -247,7 +252,7 @@ def track(
     duration: int,
     *,
     control_enabled: bool = True,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int = 0,
     spawn_key: tuple[int, ...] = (),
 ) -> TimeSeries:
     """Run ``duration`` feedback cycles against an evolving world.
@@ -260,27 +265,19 @@ def track(
     batch.  Uses separate keyed seed streams for the channel, the axis drift,
     the monitoring batches, and each controller, so paired-seed runs with
     control on and off see the same channel trajectory, and the same seed
-    gives the same series every time.  ``seed`` is an int entropy, or a
-    ``SeedSequence`` whose entropy and spawn key are read and nothing else;
-    ``spawn_key`` extends that key.  Stream k is
-    ``SeedSequence(entropy, spawn_key=(*key, k))``, so ``seed=s,
-    spawn_key=key`` and ``seed=SeedSequence(s, spawn_key=key)`` give the
-    same series.  The channel, drift and monitor streams are built up front;
-    a controller's stream is built at its basis's first correction and kept
-    for the rest of the run, so a run that never corrects never builds it.
-    Its key fixes its draws, so when it is built changes no output.
+    gives the same series every time.  ``seed`` is an int; stream k is
+    ``_stream(seed, (*spawn_key, k))``, so ``spawn_key`` prefixes every
+    stream's key.  The channel, drift and monitor streams are built up
+    front; a controller's stream is built at its basis's first correction
+    and kept for the rest of the run, so a run that never corrects never
+    builds it.  Its key fixes its draws, so when it is built changes no
+    output.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
-    entropy = seed
-    if isinstance(seed, np.random.SeedSequence):
-        entropy, spawn_key = seed.entropy, (*seed.spawn_key, *spawn_key)
 
-    def stream(key: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy, spawn_key=(*spawn_key, key))))
-
-    rng_channel, rng_drift, rng_monitor = (stream(key) for key in (_CHANNEL, _DRIFT, _MONITOR))
+    rng_channel, rng_drift, rng_monitor = (
+        _stream(seed, (*spawn_key, key)) for key in (_CHANNEL, _DRIFT, _MONITOR))
     rng_ctrl = {}  # basis -> its controller's stream, built at that basis's first correction
 
     def drifted(epc: EpcState) -> EpcState:
@@ -294,7 +291,8 @@ def track(
         ctx = None
         if not e < config.e_threshold:
             if basis not in rng_ctrl:
-                rng_ctrl[basis] = stream(_CTRL_Z if basis == "Z" else _CTRL_X)
+                key = (*spawn_key, _CTRL_Z if basis == "Z" else _CTRL_X)
+                rng_ctrl[basis] = _stream(seed, key)
             ctx = MonteCarloContext(ch_rot, world.source, world.eta, config, rng_ctrl[basis])
         return control_cycle(epc, e, basis, ctx, config)
 

@@ -10,7 +10,8 @@ The config dataclasses are the file format: ``ScenarioConfig``'s scalar
 fields are the ``[scenario]`` keys, each of its dataclass-typed fields is a
 section of the same name, and every field name is its INI key.  Each one
 checks its fields when built, in code or by the parser, which only converts
-text; parsing, emission and those checks' messages all use the INI names.
+text, with the converter ``_checks`` derives beside each field's type check;
+parsing, emission and those checks' messages all use the INI names.
 Each field declares its key's one default with ``_checks.tagged``, which
 says where the value comes from, and ``CONSTANTS`` tags every other value a
 preset sets.
@@ -27,8 +28,8 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from ._checks import Checked, field_errors, tagged
-from .feedback import CYCLE_SECONDS, ControllerConfig, World, track
+from ._checks import Checked, _FieldErrors, _field_table, field_errors, tagged
+from .feedback import CYCLE_SECONDS, ControllerConfig, World, _stream, track
 from .optics import (
     DEFAULT_AXIS_DRIFT_SIGMA,
     DEFAULT_GAIN,
@@ -128,11 +129,10 @@ class ScenarioConfig(Checked):
         failed = field_errors(self)
         errors = {f"scenario.{key}": text for key, text in failed.items()}
         if failed.keys().isdisjoint(_SCHEMA):  # every section is well typed: check across
-            ch, epc = self.channel, self.epc
+            ch, epc, ctl = self.channel, self.epc, self.controller
             read = () if "kind" in failed else _CHANNEL_KEYS[self.kind]
             checks = (
-                ("channel.axis",  # squared and summed as StokesVector.unit does
-                 "axis" not in read or 0.0 < math.sqrt(sum(a * a for a in ch.axis)) < math.inf,
+                ("channel.axis", "axis" not in read or _normalizes(ch.axis),
                  "too large or too small to normalize"),
                 ("channel.axis", "axis" not in read or (len(ch.axis) == 3 and any(ch.axis)),
                  "need a non-zero 3-vector"),
@@ -147,8 +147,12 @@ class ScenarioConfig(Checked):
                  "the rotation angle gain * (1 + gain_jitter) * max(|v_min|, |v_max|) overflows"),
                 # the first probe of a squeezer at its range center goes up by dither
                 ("controller.dither_volts",
-                 0.5 * (epc.v_min + epc.v_max) + self.controller.dither_volts <= epc.v_max,
+                 0.5 * (epc.v_min + epc.v_max) + ctl.dither_volts <= epc.v_max,
                  "must be at most half the epc voltage range"),
+                # the step for an E change of e_threshold; a wider one recenters on every change
+                ("controller.tau",
+                 abs(ctl.tau) * ctl.e_threshold / ctl.dither_volts <= epc.v_max - epc.v_min,
+                 "the step |tau| * e_threshold / dither_volts exceeds the epc voltage range"),
             )
             errors.update((path, text) for path, ok, text in checks if not ok)  # a later one wins
         if errors:
@@ -171,51 +175,12 @@ class Summary:
 # ---------------------------------------------------------------------------
 # config file parsing and emission
 
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_VALUES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
-
-
-def _converter(tp):
-    """Text-to-value conversion for a field's declared type."""
-    if typing.get_origin(tp) is tuple:
-        item = _converter(typing.get_args(tp)[0])
-        return lambda text: tuple(item(x) for x in text.split(","))
-    return _parse_bool if tp is bool else tp  # str, int and float convert as themselves
-
-
-class _Key(typing.NamedTuple):
-    """One INI key: its text converter, and its field's ``tagged`` source and note."""
-
-    convert: typing.Callable
-    source: str | None
-    note: str | None
-
-
-def _keys(cls) -> dict[str, _Key]:
-    """Key -> ``_Key`` of each field of ``cls`` that is not a section."""
-    hints = typing.get_type_hints(cls)
-    return {
-        f.name: _Key(_converter(hints[f.name]), f.metadata.get("source"), f.metadata.get("note"))
-        for f in fields(cls) if not is_dataclass(hints[f.name])
-    }
-
-
-def _schema() -> dict[str, dict[str, _Key]]:
-    """INI section -> {key: ``_Key``}, from ``ScenarioConfig``'s field tree.
-
-    Sections and keys keep declaration order, which is the emission order.
-    """
-    schema = {"scenario": _keys(ScenarioConfig)}
-    for name, tp in typing.get_type_hints(ScenarioConfig).items():
-        if is_dataclass(tp):
-            schema[name] = _keys(tp)
-    return schema
+def _schema() -> dict[str, dict]:
+    """INI section -> {key: ``_checks._Field``} of ``ScenarioConfig``, in emission order."""
+    hints = typing.get_type_hints(ScenarioConfig)
+    classes = {"scenario": ScenarioConfig, **{k: tp for k, tp in hints.items() if is_dataclass(tp)}}
+    return {section: {key: f for key, f in _field_table(cls).items() if f.convert is not None}
+            for section, cls in classes.items()}  # a section's field has no converter
 
 
 _SCHEMA = _schema()
@@ -292,10 +257,10 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         try:
             changes[section] = replace(getattr(base, section), **values)
-        except ValueError as exc:  # a section's own checks, one "key: text" line each
-            for line in str(exc).splitlines():  # each reads one key; the others still build
-                errors.append(f"{section}.{line}")
-                values.pop(line.split(":", 1)[0], None)
+        except _FieldErrors as exc:  # a section's own checks, each of one key
+            for key, text in exc.failed.items():  # the other keys still build
+                errors.append(f"{section}.{key}: {text}")
+                values.pop(key, None)
             changes[section] = replace(getattr(base, section), **values)
 
     try:
@@ -406,6 +371,15 @@ def preset_config(name: str, *, full: bool = False) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # running
 
+def _normalizes(axis) -> bool:
+    """Whether ``build_channel``'s ``StokesVector.unit(*axis)`` builds a unit axis."""
+    try:
+        StokesVector.unit(*axis)
+    except (TypeError, ValueError):  # TypeError: not three components
+        return False
+    return True
+
+
 def build_channel(cfg: ScenarioConfig):
     """The channel model that ``cfg.kind`` selects, built from ``cfg.channel``."""
     ch = cfg.channel
@@ -417,7 +391,7 @@ def build_channel(cfg: ScenarioConfig):
     return RandomWalkChannel(step_sigma=ch.step_sigma_rad)  # kind = drift
 
 
-# Keys of ``run_scenario``'s seed streams: stream k is ``SeedSequence(seed).spawn``'s child k.
+# Keys of ``run_scenario``'s seed streams: stream k is ``_stream(seed, (k,))``.
 _EPC_Z, _EPC_X, _TRACK = range(3)
 
 
@@ -428,17 +402,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[TimeSeries, Summary]:
     the one case that draws from it, as ``track`` builds each controller's
     stream only at that basis's first correction.  Every stream keeps its
     key, so a stream left unbuilt moves no draw of the others and the output
-    is the same either way.  ``track`` gets the seed and its key, not a
-    ``SeedSequence`` of them, whose hashed pool nothing would read.
+    is the same either way.  ``feedback._stream`` builds every stream.
     """
     def make_epc(key: int):
         jitter = cfg.epc.gain_jitter
-        rng = None
-        if jitter > 0.0:
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(cfg.seed, spawn_key=(key,))))
         return default_epc(
-            rng,
+            _stream(cfg.seed, (key,)) if jitter > 0.0 else None,
             gain=cfg.epc.gain_rad_per_volt,
             gain_jitter=jitter,
             v_min=cfg.epc.v_min,

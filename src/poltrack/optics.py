@@ -45,7 +45,8 @@ element raises ``ValueError``, and a sweep refuses it up front.
 axes, unit float triples, with one drive range; the nominal axes are the
 constant ``NOMINAL_AXES``.  Every EPC, the copies that ``with_voltages`` and
 ``drift_axes`` return included, is built and checked by its constructor,
-each axis by ``StokesVector``'s rule.
+each axis by ``StokesVector``'s rule.  Every axis this module normalizes
+goes through ``poincare._unit``, the rule ``StokesVector.unit`` uses.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .poincare import (
     _axis_angle_q,
     _qmul,
     _rotate,
+    _unit,
     rotation_from_axis_angle,
 )
 
@@ -165,14 +167,6 @@ def _sent_through(channel_rot: Rotation, basis: str) -> tuple[int, tuple[float, 
         raise ValueError(f"unknown basis {basis!r}")
     b, q = _ANALYZER_INDEX[basis], channel_rot
     return b, _rotate((q.w, q.x, q.y, q.z), _ANALYZER_AXES[b])
-
-
-def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """``(x, y, z)`` divided by its norm, by ``StokesVector.unit``'s operations and check."""
-    n = math.sqrt(x * x + y * y + z * z)
-    if n == 0.0 or not math.isfinite(n):
-        raise ValueError("cannot normalize a zero or non-finite direction")
-    return x / n, y / n, z / n
 
 
 def _turn(a, c: float, s: float, v) -> tuple[float, float, float]:

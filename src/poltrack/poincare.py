@@ -36,9 +36,11 @@ The arithmetic of ``rotation_from_axis_angle``, ``compose`` and
 (``_axis_angle_q``, ``_qmul``, ``_rotate``); the public functions wrap them,
 and ``optics`` calls them directly on its hot path.  ``_qmul`` renormalizes
 the unnormalized product ``_qprod``, so the whole package shares one product
-convention, operation order and renormalization.  The acceptance suite
-checks these kernels, not only the public functions, against rotation
-matrices built from Rodrigues' formula.
+convention, operation order and renormalization.  ``_unit`` is the one
+normalize-or-raise rule for a direction, of ``StokesVector.unit`` and of
+every axis ``optics`` normalizes.  The acceptance suite checks these
+kernels, not only the public functions, against rotation matrices built
+from Rodrigues' formula.
 """
 
 from __future__ import annotations
@@ -72,11 +74,8 @@ class StokesVector:
 
     @classmethod
     def unit(cls, s1: float, s2: float, s3: float) -> "StokesVector":
-        """Build a StokesVector from an unnormalized direction."""
-        n = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
-        if n == 0.0 or not math.isfinite(n):
-            raise ValueError("cannot normalize a zero or non-finite direction")
-        return cls(s1 / n, s2 / n, s3 / n)
+        """Build a StokesVector from an unnormalized direction, by ``_unit``."""
+        return cls(*_unit(s1, s2, s3))
 
     def dot(self, other: "StokesVector") -> float:
         return self.s1 * other.s1 + self.s2 * other.s2 + self.s3 * other.s3
@@ -123,6 +122,14 @@ class Rotation:
 
 
 IDENTITY = Rotation(1.0, 0.0, 0.0, 0.0)
+
+
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """``(x, y, z)`` divided by its norm; ValueError if the norm is zero or not finite."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if n == 0.0 or not math.isfinite(n):
+        raise ValueError("cannot normalize a zero or non-finite direction")
+    return x / n, y / n, z / n
 
 
 def _axis_angle_q(

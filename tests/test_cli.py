@@ -83,6 +83,18 @@ class TestRun:
         assert "epc.gain_rad_per_volt: " in capsys.readouterr().err
         assert not list(tmp_path.rglob("series.csv"))
 
+    @pytest.mark.parametrize("kind", ["static", "scramble"])
+    def test_axis_too_small_to_normalize_is_config_error(self, tmp_path, capsys, kind):
+        # its squared norm is subnormal, so the normalized axis misses unit norm
+        cfg_path = tmp_path / "tiny.ini"
+        cfg_path.write_text(f"[scenario]\nkind = {kind}\nduration = 3\n"
+                            "[channel]\naxis = 1e-160,0,0\n")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error:\nchannel.axis: too large or too small to normalize\n"
+        )
+        assert not list(tmp_path.rglob("series.csv"))
+
     def test_unread_channel_key_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "drift.ini"
         cfg_path.write_text("[scenario]\nkind = drift\nduration = 3\n[channel]\nangle_deg = 45\n")

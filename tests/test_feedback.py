@@ -541,34 +541,45 @@ class TestTrack:
 
         assert run() == run()
 
-    def test_one_seed_sequence_gives_the_same_series_twice(self):
-        # each stream is a keyed child of the sequence, which spawning would advance
+    def test_one_int_seed_gives_the_same_series_twice(self):
+        # the channel and drift streams draw every cycle; a stream is rebuilt per run
         src = SourceParams(mean_photons=0.5)
         cfg = ControllerConfig(batch_pulses=10_000)
         world = World(channel=RandomWalkChannel(0.05), source=src, eta=1.0, axis_drift_sigma=0.01)
-        ss = np.random.SeedSequence(7)
 
         def run(seed):
             return track(default_epc(), default_epc(), cfg, world, 20, seed=seed)
 
-        first = run(ss)
-        assert run(ss) == first
+        first = run(7)
         assert run(7) == first
+        assert run(8) != first
 
-    def test_a_seed_and_key_give_the_series_of_their_seed_sequence(self):
-        # run_scenario hands track its seed and key; the streams are keyed the same
+    def test_a_key_prefixes_every_stream_key(self, monkeypatch):
+        # run_scenario hands track its seed and the key of its track stream
         src = SourceParams(mean_photons=0.5)
         cfg = ControllerConfig(batch_pulses=10_000)
         world = World(channel=RandomWalkChannel(0.05), source=src, eta=1.0, axis_drift_sigma=0.01)
+        stream, built = feedback._stream, []
 
-        def run(seed, spawn_key=()):
-            return track(default_epc(), default_epc(), cfg, world, 20, seed=seed,
-                         spawn_key=spawn_key)
+        def recorded(seed, key):
+            built.append((seed, key))
+            return stream(seed, key)
 
-        keyed = run(np.random.SeedSequence(7, spawn_key=(2, 5)))
-        assert run(7, (2, 5)) == keyed
-        assert run(np.random.SeedSequence(7, spawn_key=(2,)), (5,)) == keyed  # the key extends
-        assert run(7, (2,)) != keyed
+        monkeypatch.setattr(feedback, "_stream", recorded)
+
+        def run(spawn_key):
+            built.clear()
+            series = track(default_epc(), default_epc(), cfg, world, 40, seed=7,
+                           spawn_key=spawn_key)
+            return series, sorted(built)
+
+        keyed, streams = run((2, 5))
+        own = (feedback._CHANNEL, feedback._DRIFT, feedback._MONITOR,
+               feedback._CTRL_Z, feedback._CTRL_X)
+        assert streams == [(7, (2, 5, k)) for k in own]  # both bases corrected
+        unkeyed, streams = run(())
+        assert streams == [(7, (k,)) for k in own]
+        assert run((2,))[0] != keyed != unkeyed
 
     def test_control_on_and_off_see_the_same_channel_rotations(self, monkeypatch):
         step, rotations = feedback.channel_step, []

@@ -6,6 +6,7 @@ import statistics
 import struct
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +49,11 @@ def short_cfg(**overrides):
     ctrl = replace(cfg.controller, batch_pulses=10_000)
     cfg = replace(cfg, duration=5, controller=ctrl)
     return replace(cfg, **overrides) if overrides else cfg
+
+
+STEP_TOO_WIDE = (
+    "controller.tau: the step |tau| * e_threshold / dither_volts exceeds the epc voltage range"
+)
 
 
 def make_row(cycle, q=0.02, conv=True):
@@ -383,6 +389,14 @@ class TestConfigValidation:
              "channel.axis: too large or too small to normalize"),
             ("static", "controller", "batch_pulses", 10**30, str(10**30),
              "controller.batch_pulses: must be below 2**63"),
+            # the squared norm is subnormal, so the quotient misses unit norm
+            ("static", "channel", "axis", (1e-160, 0.0, 0.0), "1e-160,0,0",
+             "channel.axis: too large or too small to normalize"),
+            ("scramble", "channel", "axis", (1e-160, 0.0, 0.0), "1e-160,0,0",
+             "channel.axis: too large or too small to normalize"),
+            # a step wider than the epc range recenters on every move
+            ("static", "controller", "tau", -1e300, "-1e300", STEP_TOO_WIDE),
+            ("static", "controller", "dither_volts", 1e-300, "1e-300", STEP_TOO_WIDE),
         ],
     )
     def test_code_and_ini_give_the_same_message(self, kind, section, key, value, text, message):
@@ -436,6 +450,19 @@ class TestConfigValidation:
         )
         # exactly half fits: the probe lands on v_max
         assert parse_config("[epc]\nv_min = 0\nv_max = 2\n").epc.v_max == 2.0
+
+    def test_controller_step_wider_than_the_epc_range_rejected(self):
+        # a step over the whole range recenters on every E change the controller acts on
+        ini = "[controller]\ne_threshold = 0.5\ntau = {}\n"
+        assert parse_config(ini.format(-300.0)).controller.tau == -300.0  # a 150 V step fits
+        with pytest.raises(ConfigError) as err:
+            parse_config(ini.format(-300.001))
+        assert str(err.value) == STEP_TOO_WIDE
+        # the defaults step 0.3 V in 150 V; every preset builds at both scales
+        for name in PRESET_NAMES:
+            for full in (False, True):
+                ctl, epc = (cfg := preset_config(name, full=full)).controller, cfg.epc
+                assert abs(ctl.tau) * ctl.e_threshold / ctl.dither_volts <= epc.v_max - epc.v_min
 
     def test_zero_batch_pulses_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -693,6 +720,34 @@ class TestStreamsBuilt:
             assert cycle > 10
             fresh = np.random.Philox(np.random.SeedSequence(3, spawn_key=(_TRACK, key)))
             np.testing.assert_equal(state, fresh.state)
+
+
+class TestAxisCheck:
+    """``channel.axis`` is accepted exactly when ``build_channel`` can build the channel."""
+
+    @pytest.mark.parametrize("kind", ["static", "scramble"])
+    def test_accepted_exactly_when_the_channel_builds(self, kind):
+        # component magnitudes 1e-170 to 1e160 in quarter decades, across both
+        # ends: squares that underflow, subnormal squared norms, overflow
+        base, seen = ScenarioConfig(kind=kind), set()
+        for quarter in range(-680, 641):
+            x = 10.0 ** (quarter / 4)
+            for axis in ((x, 0.0, 0.0), (x, x, x), (3.0 * x, -4.0 * x, 0.0)):
+                channel = replace(base.channel, axis=axis)
+                try:
+                    replace(base, channel=channel)
+                    accepted = True
+                except ConfigError as err:
+                    assert str(err).startswith("channel.axis: ")
+                    accepted = False
+                try:
+                    build_channel(SimpleNamespace(kind=kind, channel=channel))
+                    builds = True
+                except ValueError:
+                    builds = False
+                assert accepted == builds, (axis, accepted)
+                seen.add(accepted)
+        assert seen == {True, False}
 
 
 class TestBuildChannel:
